@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
-from typing import Hashable, Iterable
+from typing import Container, Hashable, Iterable, Iterator
 
 from .errors import FormatError, UnsupportedParameterError
 
@@ -79,9 +79,6 @@ class Hypergraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -131,8 +128,23 @@ class Instance:
     def with_k(self, k: int) -> "Instance":
         return replace(self, k=k)
 
-    def label_of(self, v: int) -> Hashable:
-        return self.labels[v] if self.labels is not None else v
+    def successor(
+        self, edges: Iterable[Edge], k: int, removed: frozenset[int] = frozenset()
+    ) -> "Instance":
+        """The instance with ``edges`` (in this instance's ids, avoiding
+        ``removed``) and budget ``k``, surviving vertices renumbered densely in
+        their old order; labels and comments carry over."""
+        labels = self.labels
+        n = self.n
+        if removed:
+            keep = [v for v in range(n) if v not in removed]
+            remap = {v: i for i, v in enumerate(keep)}
+            edges = [tuple(remap[v] for v in e) for e in edges]
+            labels = tuple(labels[v] for v in keep) if labels is not None else None
+            n = len(keep)
+        return Instance(
+            Hypergraph(n, tuple(edges), self.d), k, labels=labels, comments=self.comments
+        )
 
 
 def normalize(
@@ -181,6 +193,15 @@ def incident_edges(h: Hypergraph, subedge: Iterable[int]) -> tuple[Edge, ...]:
     if not s:
         raise ValueError("subedge must be nonempty")
     return tuple(e for e, es in zip(h.edges, h.edge_sets) if s <= es)
+
+
+def remainders(h: Hypergraph, vertices: Container[int]) -> Iterator[tuple[int, Edge]]:
+    """``(x, e - {x})`` for every edge ``e`` of ``h`` and every ``x`` in ``e``
+    that lies in ``vertices``, edge by edge in canonical order."""
+    for e in h.edges:
+        for x in e:
+            if x in vertices:
+                yield x, tuple(v for v in e if v != x)
 
 
 def is_independent(h: Hypergraph, vertices: Iterable[int]) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Edge, Hypergraph, Instance, canonical_edge, is_independent
+from .core import Edge, Hypergraph, Instance, canonical_edge, is_independent, remainders
 from .errors import ContractError, InvalidCrownError
 from .matching import BipartiteGraph, find_bipartite_crown
 
@@ -61,17 +61,8 @@ def induced_head(h: Hypergraph, crown_vertices: frozenset[int]) -> tuple[set[Edg
     edge inside the crown, whose remainder would be empty and could never
     inherit a hitting duty.
     """
-    induced: set[Edge] = set()
-    has_empty = False
-    for e in h.edges:
-        for x in e:
-            if x in crown_vertices:
-                rest = tuple(v for v in e if v != x)
-                if rest:
-                    induced.add(rest)
-                else:
-                    has_empty = True
-    return induced, has_empty
+    rests = [rest for _, rest in remainders(h, crown_vertices)]
+    return {rest for rest in rests if rest}, not all(rests)
 
 
 def validate_hs_crown(h: Hypergraph, c: HSCrown) -> CrownVerdict:
@@ -111,8 +102,7 @@ def validate_hs_crown(h: Hypergraph, c: HSCrown) -> CrownVerdict:
             matching_valid = False
             problems.append(f"matched pair {y} -> {v} is not a hyperedge")
 
-    strict = len(c.crown) >= len(c.head) + 1
-    return CrownVerdict(independent, head_exact, matching_valid, strict, tuple(problems))
+    return CrownVerdict(independent, head_exact, matching_valid, c.strict, tuple(problems))
 
 
 def apply_hs_crown(inst: Instance, c: HSCrown) -> Instance:
@@ -129,13 +119,7 @@ def apply_hs_crown(inst: Instance, c: HSCrown) -> Instance:
     h = inst.hypergraph
     new_edges = [e for e, es in zip(h.edges, h.edge_sets) if not (es & c.crown)]
     new_edges.extend(c.head)
-    keep = [v for v in range(h.n) if v not in c.crown]
-    remap = {old: new for new, old in enumerate(keep)}
-    edges = tuple(tuple(sorted(remap[v] for v in e)) for e in new_edges)
-    labels = tuple(inst.labels[v] for v in keep) if inst.labels is not None else None
-    return Instance(
-        Hypergraph(len(keep), edges, h.d), inst.k, labels=labels, comments=inst.comments
-    )
+    return inst.successor(new_edges, inst.k, c.crown)
 
 
 def strict_crown_from_independent_set(
@@ -172,18 +156,13 @@ def _crown_via_matching(
     """Shared finder: match subedges into candidate vertices, keep the
     Hall-deficient part, translate back to hypergraph terms."""
     sub_pos = {y: j for j, y in enumerate(subedges)}
-    adjacency = []
-    for v in candidates:
-        row = [
-            sub_pos[rest]
-            for e, es in zip(h.edges, h.edge_sets)
-            if v in es
-            for rest in (tuple(u for u in e if u != v),)
-            if rest in sub_pos
-        ]
-        adjacency.append(tuple(sorted(set(row))))
+    cand_pos = {v: i for i, v in enumerate(candidates)}
+    rows: list[set[int]] = [set() for _ in candidates]
+    for x, rest in remainders(h, cand_pos):
+        if rest in sub_pos:
+            rows[cand_pos[x]].add(sub_pos[rest])
     found = find_bipartite_crown(
-        BipartiteGraph(len(candidates), len(subedges), tuple(adjacency))
+        BipartiteGraph(len(candidates), len(subedges), tuple(map(tuple, rows)))
     )
     if found is None:
         return None

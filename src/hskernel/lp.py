@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Edge, Hypergraph, is_independent
+from .core import Edge, Hypergraph, canonical_edge, is_independent, remainders
 from .errors import InternalConsistencyError
 
 _ZERO = Fraction(0)
@@ -84,8 +84,7 @@ class SimplexBackend:
 
     Pivoting is deterministic: lowest-index entering column with a negative
     reduced cost, leaving row by minimum ratio with ties broken on the lowest
-    basic variable index. Swap this class behind :func:`solve_exact` to plug
-    in a different backend.
+    basic variable index.
     """
 
     def solve(self, problem: LPProblem) -> ExactLPSolution:
@@ -185,7 +184,7 @@ class SimplexBackend:
         basis[prow] = pcol
 
 
-def solve_exact(problem: LPProblem, backend: SimplexBackend | None = None) -> ExactLPSolution:
+def solve_exact(problem: LPProblem) -> ExactLPSolution:
     """Solve to optimality in exact rationals and verify the result.
 
     Infeasibility is impossible by construction (the all-ones point satisfies
@@ -193,7 +192,7 @@ def solve_exact(problem: LPProblem, backend: SimplexBackend | None = None) -> Ex
     per-edge deficit bound and the forcing property (a zero on an edge forces
     every other vertex of that edge to one) are asserted after every solve.
     """
-    sol = (backend or SimplexBackend()).solve(problem)
+    sol = SimplexBackend().solve(problem)
     values = sol.values
     if len(values) != problem.var_count:
         raise InternalConsistencyError("solution length mismatch")
@@ -226,16 +225,13 @@ def extract_crown_candidates(h: Hypergraph, sol: ExactLPSolution) -> CrownCandid
     zeros = frozenset(v for v in range(h.n) if values[v] == 0)
     ones = frozenset(v for v in range(h.n) if values[v] == 1)
     subedges: set[Edge] = set()
-    for e in h.edges:
-        for x in e:
-            if x in zeros:
-                rest = tuple(v for v in e if v != x)
-                if any(u not in ones for u in rest):
-                    raise InternalConsistencyError(
-                        f"edge {e} has a zero vertex but a non-one companion"
-                    )
-                if rest:
-                    subedges.add(rest)
+    for x, rest in remainders(h, zeros):
+        if any(u not in ones for u in rest):
+            raise InternalConsistencyError(
+                f"edge {canonical_edge((x, *rest))} has a zero vertex but a non-one companion"
+            )
+        if rest:
+            subedges.add(rest)
     if not is_independent(h, zeros):
         raise InternalConsistencyError("zero-valued vertices are not independent")
     return CrownCandidates(zeros, ones, frozenset(subedges))

@@ -82,9 +82,6 @@ class Matching:
     def left_to_right(self) -> dict[int, int]:
         return {a: b for a, b in self.pairs}
 
-    def right_to_left(self) -> dict[int, int]:
-        return {b: a for a, b in self.pairs}
-
 
 @dataclass(frozen=True)
 class BipartiteCrown:
@@ -135,25 +132,34 @@ def hopcroft_karp(g: BipartiteGraph) -> Matching:
                     q.append(mate)
         return dist_nil != _INF
 
-    def dfs(a: int) -> bool:
-        for b in g.adjacency[a]:
-            mate = match_b[b]
-            if mate == -1:
-                if dist[a] + 1 == dist_nil:
-                    match_a[a] = b
-                    match_b[b] = a
-                    return True
-            elif dist[mate] == dist[a] + 1 and dfs(mate):
-                match_a[a] = b
-                match_b[b] = a
-                return True
-        dist[a] = _INF
-        return False
+    def augment(root: int) -> None:
+        # Depth-first along the BFS layers with an explicit stack (no recursion
+        # limit); neighbours in adjacency order, the first path found is flipped.
+        path, via, scans = [root], [], [iter(g.adjacency[root])]
+        while path:
+            a = path[-1]
+            for b in scans[-1]:
+                mate = match_b[b]
+                if mate == -1 and dist[a] + 1 == dist_nil:
+                    for u, w in zip(path, via + [b]):
+                        match_a[u] = w
+                        match_b[w] = u
+                    return
+                if mate != -1 and dist[mate] == dist[a] + 1:
+                    via.append(b)
+                    path.append(mate)
+                    scans.append(iter(g.adjacency[mate]))
+                    break
+            else:  # dead end: leave the layers and step back
+                dist[a] = _INF
+                path.pop()
+                scans.pop()
+                del via[-1:]
 
     while bfs():
         for a in range(na):
             if match_a[a] == -1:
-                dfs(a)
+                augment(a)
     pairs = tuple((a, match_a[a]) for a in range(na) if match_a[a] != -1)
     return Matching(pairs)
 

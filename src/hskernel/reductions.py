@@ -13,11 +13,12 @@ the controller, not in any rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
-from .core import Edge, Hypergraph, Instance, subedges_of
-from .crown import HSCrown, apply_hs_crown, validate_hs_crown, _crown_via_matching
+from .core import Edge, Hypergraph, Instance, canonical_edge, incident_edges, subedges_of
+from .crown import HSCrown, validate_hs_crown, _crown_via_matching
+from .crown import apply_hs_crown  # noqa: F401  unused here; bench/tracing.py patches it
 from .errors import InternalConsistencyError
 from .lp import LPProblem, build_crown_lp, extract_crown_candidates, solve_exact
 from .matching import SimpleGraph, max_extension_packing
@@ -115,12 +116,11 @@ def _rebuild(
     """Assemble the successor instance and its trace step.
 
     ``new_edges`` is expressed in the current (old) id space; edge deltas are
-    measured there, then surviving vertices are compacted to dense ids in an
-    order-preserving way.
+    measured there, then :meth:`Instance.successor` compacts the surviving
+    vertices.
     """
-    h = inst.hypergraph
-    old = set(h.edges)
-    new = {tuple(sorted(set(e))) for e in new_edges}
+    old = set(inst.edges)
+    new = {canonical_edge(e) for e in new_edges}
     step = TraceStep(
         rule=rule,
         vertices_removed=len(remove_vertices),
@@ -128,19 +128,7 @@ def _rebuild(
         edges_added=len(new - old),
         k_delta=k_delta,
     )
-    if remove_vertices:
-        keep = [v for v in range(h.n) if v not in remove_vertices]
-        remap = {v: i for i, v in enumerate(keep)}
-        edges = tuple(tuple(sorted(remap[v] for v in e)) for e in new)
-        labels = tuple(inst.labels[v] for v in keep) if inst.labels is not None else None
-        n = len(keep)
-    else:
-        edges = tuple(sorted(new))
-        labels = inst.labels
-        n = h.n
-    successor = Instance(
-        Hypergraph(n, edges, h.d), inst.k + k_delta, labels=labels, comments=inst.comments
-    )
+    successor = inst.successor(new, inst.k + k_delta, remove_vertices)
     return RuleOutcome(applied=True, new_instance=successor, step=step)
 
 
@@ -210,22 +198,20 @@ def rule4_high_degree_subedge(inst: Instance) -> RuleOutcome:
     h = inst.hypergraph
     k = inst.k
     for s in subedges_of(h.edges, h.d - 2):
+        containing = incident_edges(h, s)
+        if len(containing) <= k:
+            continue
         s_set = frozenset(s)
         singles: set[int] = set()
         pair_edges: list[tuple[int, int]] = []
         pair_vertices: set[int] = set()
-        containing: list[Edge] = []
-        for e, es in zip(h.edges, h.edge_sets):
-            if s_set <= es:
-                containing.append(e)
-                ext = tuple(v for v in e if v not in s_set)
-                if len(ext) == 1:
-                    singles.add(ext[0])
-                elif len(ext) == 2:
-                    pair_edges.append(ext)
-                    pair_vertices.update(ext)
-        if len(containing) <= k:
-            continue
+        for e in containing:
+            ext = tuple(v for v in e if v not in s_set)
+            if len(ext) == 1:
+                singles.add(ext[0])
+            elif len(ext) == 2:
+                pair_edges.append(ext)
+                pair_vertices.update(ext)
         local = {v: i for i, v in enumerate(sorted(pair_vertices))}
         graph = SimpleGraph(
             len(local), tuple((local[u], local[v]) for u, v in pair_edges)
@@ -297,20 +283,10 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
         raise InternalConsistencyError(
             f"LP crown failed validation: {verdict.problems}"
         )
-    removed = crown.crown
-    new_edges = [e for e, es in zip(h.edges, h.edge_sets) if not (es & removed)]
+    new_edges = [e for e, es in zip(h.edges, h.edge_sets) if not (es & crown.crown)]
     new_edges.extend(crown.head)
-    outcome = _rebuild(inst, 6, new_edges, remove_vertices=removed)
-    applied = apply_hs_crown(inst, crown)
-    if applied != outcome.new_instance:
-        raise InternalConsistencyError("crown application disagreed with the rebuild")
-    return RuleOutcome(
-        applied=True,
-        new_instance=outcome.new_instance,
-        step=outcome.step,
-        crown=crown,
-        lp_problem=problem,
-    )
+    outcome = _rebuild(inst, 6, new_edges, remove_vertices=crown.crown)
+    return replace(outcome, crown=crown, lp_problem=problem)
 
 
 def _quick_verdict(inst: Instance) -> str | None:

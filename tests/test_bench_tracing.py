@@ -1,0 +1,53 @@
+"""The benchmark's tracer patches engine attributes by name; a rename that
+drops a patch point must fail here rather than only in the benchmark."""
+
+import importlib
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from hskernel.cli import write_instance
+
+from helpers import petal_cycle_instance
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+MODULES = ("core", "reductions", "lp", "matching", "crown", "cli", "oracle")
+
+
+def _is_engine(name):
+    return name == "hskernel" or name.startswith("hskernel.")
+
+
+@pytest.fixture
+def fresh_hk():
+    """The engine imported afresh, as the benchmark does; the modules the
+    rest of the suite imported are put back afterwards."""
+    saved = {name: mod for name, mod in sys.modules.items() if _is_engine(name)}
+    for name in saved:
+        del sys.modules[name]
+    try:
+        yield SimpleNamespace(**{m: importlib.import_module(f"hskernel.{m}") for m in MODULES})
+    finally:
+        for name in [name for name in sys.modules if _is_engine(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def test_tracer_installs_counts_and_restores(fresh_hk, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    text = write_instance(petal_cycle_instance(11, 2))
+    tracer = tracing.Tracer(fresh_hk)
+    tracer.install()
+    try:
+        patched = list(tracer.patched)
+        fresh_hk.reductions.kernelize(fresh_hk.cli.parse_instance(text))
+        values = tracer.collect()
+    finally:
+        tracer.uninstall()
+    assert values["crown.find.self_s"] > 0
+    assert values["lp.solves"] >= 1
+    for owner, attr, original in patched:
+        assert vars(owner)[attr] is original

@@ -155,6 +155,20 @@ class TestKernelizeCommand:
         monkeypatch.setattr("sys.stdin", io.StringIO(SHOWCASE_TEXT))
         assert main(["kernelize"]) == 10
 
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_resource_exhaustion_exit_two(self, tmp_path, capsys, monkeypatch, error):
+        def exhausted(inst, observer=None):
+            raise error("exhausted")
+
+        monkeypatch.setattr("hskernel.cli.kernelize", exhausted)
+        path = tmp_path / "in.hs"
+        path.write_text(SHOWCASE_TEXT)
+        code = main(["kernelize", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"internal error: {error.__name__}")
+
 
 class TestSolveCommand:
     def test_yes(self, tmp_path, capsys):
@@ -212,3 +226,20 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert code == 0
         assert "500/500 agree" in captured.out
+
+    def test_trials_above_the_oracle_ceiling_are_skipped(self, capsys):
+        code = main(
+            ["verify", "--trials", "50", "--seed", "3", "--n", "30", "--d", "3", "--kmax", "3"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "44/50 agree, 6 skipped above the oracle ceiling\n"
+
+    def test_every_trial_skipped_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("HSK_ORACLE_CEILING", "3")  # every trial has n >= 4
+        code = main(
+            ["verify", "--trials", "5", "--seed", "3", "--n", "8", "--d", "3", "--kmax", "3"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "0/5 agree, 5 skipped above the oracle ceiling\n"

@@ -179,6 +179,15 @@ class TestExtensionPacking:
         assert max_extension_packing({8, 9, 10}, g, stop_above=2) == 3
 
 
+def test_hopcroft_karp_long_augmenting_path():
+    # a_i ~ b_i, b_{i+1}; the last a ~ b_0 only. The first phase matches
+    # a_i -> b_i, leaving one augmenting path through all 3000 left vertices.
+    n = 3000
+    adjacency = tuple((i, i + 1) for i in range(n - 1)) + ((0,),)
+    m = hopcroft_karp(BipartiteGraph(n, n, adjacency))
+    assert m.pairs == tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
+
+
 class TestMatchingType:
     def test_pairs_sorted_canonically(self):
         m = Matching(((2, 0), (1, 1)))

@@ -1,7 +1,7 @@
 import random
 
 from hskernel.core import Hypergraph, Instance, normalize
-from hskernel.crown import validate_hs_crown
+from hskernel.crown import apply_hs_crown, validate_hs_crown
 from hskernel.oracle import GenSpec, decide_brute_force, generate
 from hskernel.reductions import (
     kernelize,
@@ -194,6 +194,20 @@ class TestRule6:
         assert decide_brute_force(inst, ceiling=60) == decide_brute_force(
             out.new_instance, ceiling=60
         )
+
+    def test_successor_equals_crown_application(self):
+        applications = []
+
+        def observer(rule, before, outcome):
+            if rule == 6 and outcome.applied:
+                applications.append((before, outcome))
+
+        for seed in range(4):
+            for family in (petal_cycle_instance, mixed_crown_instance):
+                kernelize(family(seed, 3), observer=observer)
+        assert applications
+        for before, outcome in applications:
+            assert outcome.new_instance == apply_hs_crown(before, outcome.crown)
 
     def test_no_instance_with_fractional_optimum_concludes_no(self):
         inst = blob_instance(5, 1)
