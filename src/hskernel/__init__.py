@@ -6,10 +6,9 @@ outright. Includes exact matching and LP machinery, a brute-force oracle, and
 a seeded generator for differential verification.
 """
 
-from .core import Edge, Hypergraph, Instance, incident_edges, is_independent, normalize, subedges_of
-from .crown import HSCrown, apply_hs_crown, strict_crown_from_independent_set, validate_hs_crown
+from .core import Edge, Hypergraph, Instance, is_independent, normalize, subedge_groups
+from .crown import HSCrown, apply_hs_crown, validate_hs_crown
 from .errors import (
-    ContractError,
     FormatError,
     InternalConsistencyError,
     InvalidCrownError,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteGraph",
-    "ContractError",
     "Edge",
     "FormatError",
     "GenSpec",
@@ -57,14 +55,12 @@ __all__ = [
     "find_bipartite_crown",
     "generate",
     "hopcroft_karp",
-    "incident_edges",
     "is_independent",
     "kernelize",
     "min_hitting_set",
     "normalize",
     "solve_exact",
-    "strict_crown_from_independent_set",
-    "subedges_of",
+    "subedge_groups",
     "validate_hs_crown",
     "vertex_bound",
 ]

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .core import Instance, normalize
 from .crown import format_crown
 from .errors import (
-    ContractError,
     FormatError,
     InternalConsistencyError,
     OracleCeilingError,
@@ -247,11 +246,19 @@ def _run_trial(spec: GenSpec) -> tuple[bool, str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    least_n = max(args.d, 4)  # each trial draws n from least_n..--n
+    for name, value, least in (
+        ("--trials", args.trials, 1),
+        ("--kmax", args.kmax, 1),
+        ("--n", args.n, least_n),
+    ):
+        if value < least:
+            raise _UsageError(f"{name} must be at least {least}, got {value}")
     master = random.Random(args.seed)
     failures = []
     agree = skipped = 0
     for _ in range(args.trials):
-        n = master.randint(max(args.d, 4), max(args.d, args.n))
+        n = master.randint(least_n, args.n)
         m = master.randint(1, max(2, 2 * n))
         k = master.randint(1, args.kmax)
         plant = master.choice((None, None, min(k, n)))
@@ -317,15 +324,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.func(args)
     except (
         FormatError,
         UnsupportedParameterError,
-        ContractError,
         OracleCeilingError,
         OSError,
         ValueError,

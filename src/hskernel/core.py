@@ -187,14 +187,6 @@ def normalize(
     return Instance(Hypergraph(len(ids), tuple(edges), d), k, labels=table)
 
 
-def incident_edges(h: Hypergraph, subedge: Iterable[int]) -> tuple[Edge, ...]:
-    """All edges of ``h`` that contain every vertex of ``subedge``."""
-    s = frozenset(subedge)
-    if not s:
-        raise ValueError("subedge must be nonempty")
-    return tuple(e for e, es in zip(h.edges, h.edge_sets) if s <= es)
-
-
 def remainders(h: Hypergraph, vertices: Container[int]) -> Iterator[tuple[int, Edge]]:
     """``(x, e - {x})`` for every edge ``e`` of ``h`` and every ``x`` in ``e``
     that lies in ``vertices``, edge by edge in canonical order."""
@@ -212,12 +204,14 @@ def is_independent(h: Hypergraph, vertices: Iterable[int]) -> bool:
     return all(len(es & x) <= 1 for es in h.edge_sets)
 
 
-def subedges_of(edges: Iterable[Edge], size: int) -> tuple[Edge, ...]:
-    """All ``size``-vertex subsets contained in at least one of ``edges``."""
+def subedge_groups(edges: Iterable[Edge], size: int) -> dict[Edge, list[Edge]]:
+    """Every ``size``-vertex subset of one of ``edges`` (canonical edges),
+    mapped to the edges that contain it. Keys are sorted; each list keeps
+    the order in which ``edges`` gives them."""
     if size < 1:
         raise ValueError("subedge size must be at least 1")
-    out: set[Edge] = set()
+    groups: dict[Edge, list[Edge]] = {}
     for e in edges:
-        if len(e) >= size:
-            out.update(combinations(e, size))
-    return tuple(sorted(out))
+        for s in combinations(e, size):
+            groups.setdefault(s, []).append(e)
+    return {s: groups[s] for s in sorted(groups)}

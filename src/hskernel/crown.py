@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Edge, Hypergraph, Instance, canonical_edge, is_independent, remainders
-from .errors import ContractError, InvalidCrownError
+from .errors import InvalidCrownError
 from .matching import BipartiteGraph, find_bipartite_crown
 
 
@@ -29,9 +29,6 @@ class HSCrown:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matching", tuple(sorted(self.matching)))
-
-    def matching_map(self) -> dict[Edge, int]:
-        return {y: v for y, v in self.matching}
 
     @property
     def strict(self) -> bool:
@@ -122,39 +119,11 @@ def apply_hs_crown(inst: Instance, c: HSCrown) -> Instance:
     return inst.successor(new_edges, inst.k, c.crown)
 
 
-def strict_crown_from_independent_set(
-    h: Hypergraph, independent: frozenset[int] | set[int]
-) -> HSCrown | None:
-    """Extract a strict crown from a given independent set, if one exists.
-
-    Builds the head induced by the set, matches head subedges against the
-    set in the auxiliary bipartite graph (adjacent iff their union is a
-    hyperedge), and keeps the alternating-reachable part when the matching
-    leaves part of the set unmatched. Returns ``None`` exactly when the
-    matching saturates the set.
-
-    Requires every edge of ``h`` to have at least two vertices (the
-    controller guarantees this by running the unit-edge rule first) and a
-    nonempty independent input.
-    """
-    indep = frozenset(independent)
-    if not indep:
-        raise ContractError("independent set must be nonempty")
-    if any(len(e) < 2 for e in h.edges):
-        raise ContractError("every edge must have size >= 2 for crown extraction")
-    if not is_independent(h, indep):
-        raise ContractError("input vertex set is not independent")
-    head, has_empty = induced_head(h, indep)
-    if has_empty:
-        raise ContractError("unit edge met the independent set")
-    return _crown_via_matching(h, sorted(indep), sorted(head))
-
-
 def _crown_via_matching(
     h: Hypergraph, candidates: list[int], subedges: list[Edge]
 ) -> HSCrown | None:
-    """Shared finder: match subedges into candidate vertices, keep the
-    Hall-deficient part, translate back to hypergraph terms."""
+    """Rule 6's crown finder: match subedges into candidate vertices, keep
+    the Hall-deficient part, translate back to hypergraph terms."""
     sub_pos = {y: j for j, y in enumerate(subedges)}
     cand_pos = {v: i for i, v in enumerate(candidates)}
     rows: list[set[int]] = [set() for _ in candidates]

@@ -9,10 +9,6 @@ class UnsupportedParameterError(ValueError):
     """Parameter outside the supported range (the engine requires d >= 3)."""
 
 
-class ContractError(ValueError):
-    """A documented precondition of an operation was violated by the caller."""
-
-
 class OracleCeilingError(RuntimeError):
     """The exact oracle was asked to decide an instance above its size ceiling."""
 

@@ -79,9 +79,6 @@ class Matching:
     def size(self) -> int:
         return len(self.pairs)
 
-    def left_to_right(self) -> dict[int, int]:
-        return {a: b for a, b in self.pairs}
-
 
 @dataclass(frozen=True)
 class BipartiteCrown:
@@ -95,9 +92,6 @@ class BipartiteCrown:
     crown: frozenset[int]
     head: frozenset[int]
     matching: tuple[tuple[int, int], ...]  # (head vertex, crown vertex)
-
-    def matching_map(self) -> dict[int, int]:
-        return {b: a for b, a in self.matching}
 
 
 def hopcroft_karp(g: BipartiteGraph) -> Matching:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
-from .core import Edge, Hypergraph, Instance, canonical_edge, incident_edges, subedges_of
+from .core import Edge, Hypergraph, Instance, canonical_edge, subedge_groups
 from .crown import HSCrown, validate_hs_crown, _crown_via_matching
 from .crown import apply_hs_crown  # noqa: F401  unused here; bench/tracing.py patches it
 from .errors import InternalConsistencyError
@@ -68,24 +68,6 @@ class RuleOutcome:
 
 
 @dataclass(frozen=True)
-class WeaklyRelatedFamily:
-    """A maximal family of edges pairwise overlapping in at most d-2 vertices."""
-
-    edges: tuple[Edge, ...]
-
-    @classmethod
-    def greedy(cls, h: Hypergraph) -> "WeaklyRelatedFamily":
-        """Greedy maximal family in canonical edge order (deterministic)."""
-        chosen: list[Edge] = []
-        chosen_sets: list[frozenset[int]] = []
-        for e, es in zip(h.edges, h.edge_sets):
-            if all(len(es & f) <= h.d - 2 for f in chosen_sets):
-                chosen.append(e)
-                chosen_sets.append(es)
-        return cls(tuple(chosen))
-
-
-@dataclass(frozen=True)
 class ReduceResult:
     """Outcome of a full reduction run: ``verdict`` is ``kernel``, ``yes`` or
     ``no``; ``instance`` is the kernel (or the state when the verdict fell)."""
@@ -130,6 +112,18 @@ def _rebuild(
     )
     successor = inst.successor(new, inst.k + k_delta, remove_vertices)
     return RuleOutcome(applied=True, new_instance=successor, step=step)
+
+
+def weakly_related_family(h: Hypergraph) -> list[Edge]:
+    """A maximal family of edges pairwise overlapping in at most d-2 vertices,
+    chosen greedily in canonical edge order (deterministic)."""
+    chosen: list[Edge] = []
+    chosen_sets: list[frozenset[int]] = []
+    for e, es in zip(h.edges, h.edge_sets):
+        if all(len(es & f) <= h.d - 2 for f in chosen_sets):
+            chosen.append(e)
+            chosen_sets.append(es)
+    return chosen
 
 
 def rule1_vertex_domination(inst: Instance) -> RuleOutcome:
@@ -197,8 +191,7 @@ def rule4_high_degree_subedge(inst: Instance) -> RuleOutcome:
     """
     h = inst.hypergraph
     k = inst.k
-    for s in subedges_of(h.edges, h.d - 2):
-        containing = incident_edges(h, s)
+    for s, containing in subedge_groups(h.edges, h.d - 2).items():
         if len(containing) <= k:
             continue
         s_set = frozenset(s)
@@ -236,22 +229,24 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None) -> Rule
     viewed live (deleted edges leave it; inserted subedges do not join it)
     and the budget never changes.
 
-    The attempt itself counts as an application even when nothing changes,
-    which is what gates the controller from running this rule twice in a
-    row; ``last_rule == 5`` therefore reports not-applied.
+    The attempt itself counts as an application even when nothing changes;
+    so that the controller cannot run this rule twice in a row,
+    ``last_rule == 5`` reports not-applied.
     """
     if last_rule == 5:
         return _NOT_APPLIED
     h = inst.hypergraph
     k = inst.k
-    family = set(WeaklyRelatedFamily.greedy(h).edges)
+    family = set(weakly_related_family(h))
     live = set(h.edges)
     for i in range(h.d - 2, 0, -1):
         threshold = k ** (h.d - 1 - i)
-        for s in subedges_of(sorted(family), i):
-            s_set = set(s)
-            count = sum(1 for f in family if s_set <= set(f))
+        for s, members in subedge_groups(sorted(family), i).items():
+            # The family only shrinks, so its members containing s are the
+            # group's members still in it.
+            count = sum(1 for f in members if f in family)
             if count > threshold:
+                s_set = set(s)
                 hit = {f for f in live if s_set <= set(f)}
                 live -= hit
                 family -= hit
@@ -305,9 +300,10 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     """Run the full reduction loop to a kernel or a verdict.
 
     The returned kernel satisfies ``n <= (2d-2)*k**(d-1) + k`` for its final
-    budget. Every pass applies the lowest-numbered applicable rule; rule 5 is
-    skipped when it was the most recent rule applied. An explicit iteration
-    ceiling of ``2(n+m) + n + 2m + 4`` guards termination.
+    budget. Every pass applies the lowest-numbered rule that applies or
+    concludes no; rule 5 declines when it was the most recent rule applied.
+    An explicit iteration ceiling of ``3n + 4m + 4`` applications guards
+    termination.
 
     ``observer(rule, before, outcome)`` is called for every rule event,
     including no-op rule-5 attempts and rule-6 no-verdicts.
@@ -323,34 +319,20 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
             trace.verdict = verdict
             return ReduceResult(verdict, current, trace)
 
-        outcome = None
-        rule_id = 0
+        # Looked up on every pass: the rules are module globals that a
+        # tracer may replace.
         for rule_id, rule in (
             (1, rule1_vertex_domination),
             (2, rule2_edge_domination),
             (3, rule3_unit_edge),
             (4, rule4_high_degree_subedge),
+            (5, lambda i: rule5_weakly_related_counting(i, last_rule)),
+            (6, rule6_lp_crown),
         ):
-            attempt = rule(current)
-            if attempt.applied:
-                outcome = attempt
+            outcome = rule(current)
+            if outcome.applied or outcome.verdict_no:
                 break
-        if outcome is None and last_rule != 5:
-            outcome = rule5_weakly_related_counting(current, last_rule)
-            rule_id = 5
-        if outcome is None:
-            attempt = rule6_lp_crown(current)
-            if attempt.verdict_no:
-                if observer is not None:
-                    observer(6, current, attempt)
-                trace.steps.append(attempt.step)
-                trace.verdict = "no"
-                return ReduceResult("no", current, trace)
-            if attempt.applied:
-                outcome = attempt
-                rule_id = 6
-
-        if outcome is None:
+        else:
             if current.n > vertex_bound(current.d, current.k):
                 raise InternalConsistencyError("exited above the kernel bound")
             return ReduceResult("kernel", current, trace)
@@ -358,6 +340,9 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
         if observer is not None:
             observer(rule_id, current, outcome)
         trace.steps.append(outcome.step)
+        if outcome.verdict_no:
+            trace.verdict = "no"
+            return ReduceResult("no", current, trace)
         current = outcome.new_instance
         last_rule = rule_id
         applications += 1

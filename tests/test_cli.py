@@ -138,6 +138,17 @@ class TestKernelizeCommand:
         assert code == 20
         assert "minimize" in captured.err
 
+    def test_trace_shows_the_rule6_verdict_no(self, tmp_path, capsys):
+        from helpers import blob_instance
+
+        path = tmp_path / "in.hs"
+        path.write_text(write_instance(blob_instance(1, 1)))
+        code = main(["kernelize", str(path), "--trace"])
+        err = capsys.readouterr().err
+        rule_lines = [line for line in err.splitlines() if line.startswith("rule")]
+        assert code == 20
+        assert rule_lines[-2:] == ["rule5: -0 vertices, -0/+0 edges, k+0", "rule6: concluded no"]
+
     def test_format_error_exit_one(self, tmp_path, capsys):
         path = tmp_path / "in.hs"
         path.write_text("p hs 2 1 3 1\n1 9\n")
@@ -243,3 +254,16 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == "0/5 agree, 5 skipped above the oracle ceiling\n"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--trials", "-5"), ("--trials", "0"), ("--kmax", "0"), ("--n", "3")],
+    )
+    def test_out_of_range_argument_is_usage_error(self, capsys, flag, value):
+        args = {"--trials": "5", "--seed": "1", "--n": "16", "--d": "3", "--kmax": "4"}
+        args[flag] = value
+        code = main(["verify", *(token for pair in args.items() for token in pair)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: {flag} must be at least")

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hskernel.core import (
-    Hypergraph,
-    incident_edges,
-    is_independent,
-    normalize,
-    subedges_of,
-)
+from hskernel.core import Hypergraph, is_independent, normalize, subedge_groups
 from hskernel.errors import FormatError, UnsupportedParameterError
 
 from helpers import naive_incident_edges, naive_is_independent
@@ -90,29 +84,31 @@ class TestNormalize:
 
 
 class TestIncidentEdges:
+    """The edges through one subedge, as ``subedge_groups`` lists them."""
+
     def test_single_vertex_hits_all(self, showcase_instance):
         h = showcase_instance.hypergraph
-        assert set(incident_edges(h, [1])) == set(h.edges)
+        assert subedge_groups(h.edges, 1)[(1,)] == list(h.edges)
 
     def test_pair_subedge(self, showcase_instance):
         h = showcase_instance.hypergraph
-        assert set(incident_edges(h, [0, 1])) == {(0, 1, 2), (0, 1, 3)}
+        assert subedge_groups(h.edges, 2)[(0, 1)] == [(0, 1, 2), (0, 1, 3)]
 
     def test_absent_vertex(self, showcase_instance):
         h = Hypergraph(6, showcase_instance.edges, 3)
-        assert incident_edges(h, [5]) == ()
-
-    def test_empty_subedge_rejected(self, showcase_instance):
-        with pytest.raises(ValueError):
-            incident_edges(showcase_instance.hypergraph, [])
+        assert (5,) not in subedge_groups(h.edges, 1)
 
     @given(small_hypergraphs(), st.data())
     def test_matches_naive_scan(self, h, data):
         for size in (1, 2):
-            for s in subedges_of(h.edges, size):
-                assert set(incident_edges(h, s)) == naive_incident_edges(h, s)
-        extra = data.draw(st.sets(st.integers(0, h.n - 1), min_size=1, max_size=2))
-        assert set(incident_edges(h, extra)) == naive_incident_edges(h, extra)
+            groups = subedge_groups(h.edges, size)
+            assert list(groups) == sorted(groups)
+            for s, containing in groups.items():
+                assert containing == sorted(containing)  # h.edges order
+                assert set(containing) == naive_incident_edges(h, s)
+        extra = tuple(sorted(data.draw(st.sets(st.integers(0, h.n - 1), min_size=1, max_size=2))))
+        containing = subedge_groups(h.edges, len(extra)).get(extra, [])
+        assert set(containing) == naive_incident_edges(h, extra)
 
 
 class TestIsIndependent:
@@ -136,18 +132,24 @@ class TestIsIndependent:
 
 
 class TestSubedgesOf:
+    """The subedges ``subedge_groups`` finds: its keys."""
+
     def test_triangle(self):
-        assert subedges_of([(1, 2, 3)], 2) == ((1, 2), (1, 3), (2, 3))
+        assert list(subedge_groups([(1, 2, 3)], 2)) == [(1, 2), (1, 3), (2, 3)]
 
     def test_singletons(self):
-        assert subedges_of([(1, 2), (2, 3)], 1) == ((1,), (2,), (3,))
+        assert subedge_groups([(1, 2), (2, 3)], 1) == {
+            (1,): [(1, 2)],
+            (2,): [(1, 2), (2, 3)],
+            (3,): [(2, 3)],
+        }
 
     def test_empty(self):
-        assert subedges_of([], 2) == ()
+        assert subedge_groups([], 2) == {}
 
     def test_size_zero_rejected(self):
         with pytest.raises(ValueError):
-            subedges_of([(1, 2)], 0)
+            subedge_groups([(1, 2)], 0)
 
 
 class TestHypergraph:
@@ -172,3 +174,10 @@ class TestHypergraph:
         edges = [tuple(rng.sample(range(8), rng.randint(1, 3))) for _ in range(12)]
         h = Hypergraph(8, tuple(edges), 3)
         assert list(h.edges) == sorted(set(tuple(sorted(set(e))) for e in edges))
+
+
+def test_every_exported_name_resolves():
+    import hskernel
+
+    missing = [name for name in hskernel.__all__ if not hasattr(hskernel, name)]
+    assert missing == []

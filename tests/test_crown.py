@@ -5,12 +5,13 @@ import pytest
 from hskernel.core import Hypergraph, Instance, normalize
 from hskernel.crown import (
     HSCrown,
+    _crown_via_matching,
     apply_hs_crown,
     format_crown,
-    strict_crown_from_independent_set,
+    induced_head,
     validate_hs_crown,
 )
-from hskernel.errors import ContractError, InvalidCrownError
+from hskernel.errors import InvalidCrownError
 from hskernel.oracle import GenSpec, decide_brute_force, generate
 
 SHOWCASE_EDGES = [["v1", "v2", "v4"], ["v1", "v2", "v5"], ["v2", "v3", "v4"], ["v2", "v3", "v5"]]
@@ -104,37 +105,32 @@ class TestApply:
         assert reduced.n == showcase_instance.n - len(SHOWCASE_CROWN.crown)
 
 
+def strict_crown_from(h, independent):
+    """A strict crown inside an independent set, or None, found along the
+    path rule 6 runs: the induced head matched into the set."""
+    head, has_empty = induced_head(h, frozenset(independent))
+    assert not has_empty
+    return _crown_via_matching(h, sorted(independent), sorted(head))
+
+
 class TestStrictCrownFromIndependentSet:
     def test_three_petals_share_one_pair(self):
         inst = normalize([["x1", "u", "v"], ["x2", "u", "v"], ["x3", "u", "v"]], 3, 1)
-        crown = strict_crown_from_independent_set(inst.hypergraph, {0, 3, 4})
+        crown = strict_crown_from(inst.hypergraph, {0, 3, 4})
         assert crown is not None
         assert crown.crown == frozenset({0, 3, 4})
         assert crown.head == frozenset({(1, 2)})
-        assert crown.matching_map()[(1, 2)] == 0  # lowest-index tie-break
+        assert dict(crown.matching)[(1, 2)] == 0  # lowest-index tie-break
 
     def test_showcase_balanced_set_gives_none(self, showcase_instance):
-        assert strict_crown_from_independent_set(showcase_instance.hypergraph, {2, 3}) is None
+        assert strict_crown_from(showcase_instance.hypergraph, {2, 3}) is None
 
     def test_isolated_vertex_alone(self):
         h = Hypergraph(3, ((0, 1),), 3)
-        crown = strict_crown_from_independent_set(h, {2})
+        crown = strict_crown_from(h, {2})
         assert crown is not None
         assert crown.crown == frozenset({2})
         assert crown.head == frozenset()
-
-    def test_empty_set_rejected(self, showcase_instance):
-        with pytest.raises(ContractError):
-            strict_crown_from_independent_set(showcase_instance.hypergraph, set())
-
-    def test_unit_edge_rejected(self):
-        h = Hypergraph(2, ((0,), (0, 1)), 3)
-        with pytest.raises(ContractError):
-            strict_crown_from_independent_set(h, {1})
-
-    def test_dependent_set_rejected(self, showcase_instance):
-        with pytest.raises(ContractError):
-            strict_crown_from_independent_set(showcase_instance.hypergraph, {1, 2})
 
     def test_found_crowns_are_valid_and_strict(self):
         rng = random.Random(21)
@@ -152,7 +148,7 @@ class TestStrictCrownFromIndependentSet:
             indep = _greedy_independent_set(h)
             if not indep:
                 continue
-            crown = strict_crown_from_independent_set(h, indep)
+            crown = strict_crown_from(h, indep)
             if crown is None:
                 continue
             found += 1
@@ -196,7 +192,7 @@ class TestDecisionPreservation:
             indep = _greedy_independent_set(inst.hypergraph)
             if not indep:
                 continue
-            crown = strict_crown_from_independent_set(inst.hypergraph, indep)
+            crown = strict_crown_from(inst.hypergraph, indep)
             if crown is None:
                 continue
             reduced = apply_hs_crown(inst, crown)

@@ -120,7 +120,7 @@ class TestFindBipartiteCrown:
         assert crown is not None
         assert crown.crown == frozenset({0, 1})
         assert crown.head == frozenset({0})
-        assert crown.matching_map()[0] == 0
+        assert dict(crown.matching)[0] == 0
 
     def test_saturated_single_edge(self):
         g = BipartiteGraph(1, 1, ((0,),))
@@ -151,7 +151,7 @@ class TestFindBipartiteCrown:
             found += 1
             neighborhood = {b for a in crown.crown for b in g.adjacency[a]}
             assert neighborhood == set(crown.head)
-            mapping = crown.matching_map()
+            mapping = dict(crown.matching)
             assert set(mapping) == set(crown.head)
             assert set(mapping.values()) <= set(crown.crown)
             assert len(set(mapping.values())) == len(mapping)
@@ -192,4 +192,4 @@ class TestMatchingType:
     def test_pairs_sorted_canonically(self):
         m = Matching(((2, 0), (1, 1)))
         assert m.pairs == ((1, 1), (2, 0))
-        assert m.left_to_right() == {1: 1, 2: 0}
+        assert dict(m.pairs) == {1: 1, 2: 0}

@@ -1,9 +1,14 @@
 import random
 
+import pytest
+
 from hskernel.core import Hypergraph, Instance, normalize
 from hskernel.crown import apply_hs_crown, validate_hs_crown
+from hskernel.errors import InternalConsistencyError
 from hskernel.oracle import GenSpec, decide_brute_force, generate
 from hskernel.reductions import (
+    RuleOutcome,
+    TraceStep,
     kernelize,
     rule1_vertex_domination,
     rule2_edge_domination,
@@ -12,7 +17,7 @@ from hskernel.reductions import (
     rule5_weakly_related_counting,
     rule6_lp_crown,
     vertex_bound,
-    WeaklyRelatedFamily,
+    weakly_related_family,
 )
 
 from helpers import blob_instance, double_star_instance, mixed_crown_instance, petal_cycle_instance
@@ -163,13 +168,13 @@ class TestRule5:
                 GenSpec(seed=trial, n=rng.randint(4, 12), m=rng.randint(2, 14), d=3, k=1)
             )
             h = inst.hypergraph
-            fam = WeaklyRelatedFamily.greedy(h)
-            members = [set(e) for e in fam.edges]
+            fam = weakly_related_family(h)
+            members = [set(e) for e in fam]
             for i, a in enumerate(members):
                 for b in members[i + 1 :]:
                     assert len(a & b) <= h.d - 2
             for e in h.edges:
-                if e not in fam.edges:
+                if e not in fam:
                     assert any(len(set(e) & b) > h.d - 2 for b in members)
 
 
@@ -347,6 +352,20 @@ class TestKernelize:
         inst = petal_cycle_instance(6, 2)
         result = kernelize(inst)
         assert len(result.trace.steps) <= 3 * inst.n + 4 * inst.m + 4
+
+    def test_iteration_ceiling_raises_after_exact_count(self, monkeypatch):
+        # A rule that "applies" forever without changing anything must be
+        # stopped after exactly 3n + 4m + 5 applications.
+        def stuck(inst):
+            return RuleOutcome(applied=True, new_instance=inst, step=TraceStep(1, 0, 0, 0, 0))
+
+        monkeypatch.setattr("hskernel.reductions.rule1_vertex_domination", stuck)
+        inst = petal_cycle_instance(6, 2)
+        events = []
+        with pytest.raises(InternalConsistencyError, match="iteration ceiling"):
+            kernelize(inst, observer=lambda r, b, o: events.append(r))
+        assert len(events) == 3 * inst.n + 4 * inst.m + 5
+        assert set(events) == {1}
 
     def test_kernel_exit_matches_bound_exactly_when_threshold_missed(self):
         k = 2
