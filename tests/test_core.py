@@ -98,6 +98,10 @@ class TestIncidentEdges:
         h = Hypergraph(6, showcase_instance.edges, 3)
         assert (5,) not in subedge_groups(h.edges, 1)
 
+    def test_empty_subedge_rejected(self, showcase_instance):
+        with pytest.raises(ValueError):
+            subedge_groups(showcase_instance.hypergraph.edges, len(()))
+
     @given(small_hypergraphs(), st.data())
     def test_matches_naive_scan(self, h, data):
         for size in (1, 2):
