@@ -128,6 +128,7 @@ class KernelReport:
     rule4_applications: int
     rule5_applications: int
     rule6_applications: int
+    rule5_noops: int
     passes: int
     wall_time_s: float
 
@@ -161,6 +162,7 @@ def _build_report(
         rule4_applications=counts[4],
         rule5_applications=counts[5],
         rule6_applications=counts[6],
+        rule5_noops=result.trace.rule5_noops(),
         passes=len(result.trace.steps),
         wall_time_s=round(wall, 6),
     )
@@ -347,3 +349,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -66,15 +66,6 @@ class Hypergraph:
     def edge_index(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
-    @cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """For each vertex, the indices of the edges containing it."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            for v in e:
-                inc[v].append(i)
-        return tuple(tuple(ix) for ix in inc)
-
     @property
     def m(self) -> int:
         return len(self.edges)

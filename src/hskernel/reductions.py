@@ -14,9 +14,10 @@ the controller, not in any rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Callable, Iterable
 
-from .core import Edge, Hypergraph, Instance, canonical_edge, subedge_groups
+from .core import Edge, Hypergraph, Instance, subedge_groups
 from .crown import HSCrown, validate_hs_crown, _crown_via_matching
 from .crown import apply_hs_crown  # noqa: F401  unused here; bench/tracing.py patches it
 from .errors import InternalConsistencyError
@@ -47,6 +48,13 @@ class ReductionTrace:
         for s in self.steps:
             counts[s.rule] += 1
         return counts
+
+    def rule5_noops(self) -> int:
+        """Rule-5 steps that removed and added nothing (counted as
+        applications by :meth:`rule_counts` as well)."""
+        return sum(
+            1 for s in self.steps if s.rule == 5 and not (s.edges_removed or s.edges_added)
+        )
 
 
 @dataclass(frozen=True)
@@ -97,12 +105,14 @@ def _rebuild(
 ) -> RuleOutcome:
     """Assemble the successor instance and its trace step.
 
-    ``new_edges`` is expressed in the current (old) id space; edge deltas are
-    measured there, then :meth:`Instance.successor` compacts the surviving
-    vertices.
+    ``new_edges`` is expressed in the current (old) id space and must hold
+    canonical edges (sorted vertex tuples), as every rule builds them by
+    filtering or taking subsets of canonical edges; duplicates are allowed.
+    Edge deltas are set differences taken there, then
+    :meth:`Instance.successor` compacts the surviving vertices.
     """
     old = set(inst.edges)
-    new = {canonical_edge(e) for e in new_edges}
+    new = set(new_edges)
     step = TraceStep(
         rule=rule,
         vertices_removed=len(remove_vertices),
@@ -132,31 +142,43 @@ def rule1_vertex_domination(inst: Instance) -> RuleOutcome:
     Vertex ``x`` is dominated by ``y`` when every edge through ``x`` also
     contains ``y``; then ``x`` is never needed in a solution (``y`` covers
     strictly more). ``x`` is deleted from the vertex set and from every edge,
-    so edge sizes only shrink and the budget is unchanged. The lexicographic
-    lowest ``(x, y)`` pair is applied per call.
+    so edge sizes only shrink and the budget is unchanged. A dominator of
+    ``x`` lies in every edge through ``x``, so ``x`` is dominated exactly
+    when the intersection of those edges holds another vertex (an isolated
+    ``x`` is dominated by any other vertex). The lowest dominated ``x`` is
+    applied per call; which ``y`` dominates it does not affect the successor.
     """
     h = inst.hypergraph
-    inc = [frozenset(ix) for ix in h.incidence]
-    for x in range(h.n):
-        ex = inc[x]
-        for y in range(h.n):
-            if y != x and ex <= inc[y]:
-                new_edges = [tuple(v for v in e if v != x) for e in h.edges]
-                return _rebuild(inst, 1, new_edges, remove_vertices=frozenset((x,)))
+    sets = h.edge_sets
+    common: list[frozenset[int] | None] = [None] * h.n
+    for es in sets:
+        for v in es:
+            c = common[v]
+            if c is None:
+                common[v] = es
+            elif len(c) > 1:  # once only v is left, v is not dominated
+                common[v] = c & es
+    for x, c in enumerate(common):
+        dominated = h.n > 1 if c is None else len(c) > 1
+        if dominated:
+            new_edges = [
+                tuple(v for v in e if v != x) if x in es else e
+                for e, es in zip(h.edges, sets)
+            ]
+            return _rebuild(inst, 1, new_edges, remove_vertices=frozenset((x,)))
     return _NOT_APPLIED
 
 
 def rule2_edge_domination(inst: Instance) -> RuleOutcome:
     """Remove one edge that strictly contains another (the superset is
-    redundant: hitting the subset hits it too). First superset in canonical
-    order is removed."""
+    redundant: hitting the subset hits it too). Each edge's proper subsets,
+    the empty one included, are looked up in the edge index; the first edge
+    in canonical order with a hit is removed."""
     h = inst.hypergraph
-    sets = h.edge_sets
-    for j, ej in enumerate(sets):
-        for i, ei in enumerate(sets):
-            if i != j and ei <= ej:
-                new_edges = [e for idx, e in enumerate(h.edges) if idx != j]
-                return _rebuild(inst, 2, new_edges)
+    index = h.edge_index
+    for j, e in enumerate(h.edges):
+        if any(s in index for r in range(len(e)) for s in combinations(e, r)):
+            return _rebuild(inst, 2, h.edges[:j] + h.edges[j + 1 :])
     return _NOT_APPLIED
 
 
@@ -287,7 +309,7 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
 def _quick_verdict(inst: Instance) -> str | None:
     if inst.k < 0:
         return "no"
-    if any(len(e) == 0 for e in inst.edges):
+    if inst.edges and not inst.edges[0]:  # canonical order puts an empty edge first
         return "no"
     if not inst.edges:
         return "yes"

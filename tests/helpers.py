@@ -13,10 +13,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from hskernel.core import Edge, Hypergraph, Instance
+from hskernel.core import Edge, Hypergraph, Instance, canonical_edge
 from hskernel.lp import LPProblem
 from hskernel.matching import BipartiteGraph
-from hskernel.reductions import vertex_bound
+from hskernel.reductions import TraceStep, vertex_bound
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +178,66 @@ def naive_incident_edges(h: Hypergraph, subedge) -> set[Edge]:
 def naive_is_independent(h: Hypergraph, vertices) -> bool:
     x = set(vertices)
     return not any(len(set(e) & x) >= 2 for e in h.edges)
+
+
+def _naive_successor(
+    inst: Instance, rule: int, new_edges, removed: frozenset[int] = frozenset()
+) -> tuple[TraceStep, Instance]:
+    """Trace step and successor, canonicalizing every new edge again, so a
+    rule that hands ``_rebuild`` non-canonical edges miscounts against it."""
+    old = set(inst.edges)
+    new = {canonical_edge(e) for e in new_edges}
+    step = TraceStep(rule, len(removed), len(old - new), len(new - old), 0)
+    return step, inst.successor(new, inst.k, removed)
+
+
+def naive_rule1_vertex(inst: Instance) -> tuple[int, TraceStep, Instance] | None:
+    """Rule 1 by comparing every vertex pair: the lowest ``x`` with some
+    ``y != x`` in every edge through ``x``, its step and successor."""
+    h = inst.hypergraph
+    inc = [{i for i, e in enumerate(h.edges) if v in e} for v in range(h.n)]
+    for x in range(h.n):
+        for y in range(h.n):
+            if y != x and inc[x] <= inc[y]:
+                new_edges = [tuple(v for v in e if v != x) for e in h.edges]
+                return (x, *_naive_successor(inst, 1, new_edges, frozenset((x,))))
+    return None
+
+
+def naive_rule2_edge(inst: Instance) -> tuple[Edge, TraceStep, Instance] | None:
+    """Rule 2 by comparing every edge pair: the first edge in canonical
+    order that contains another edge, its step and successor."""
+    h = inst.hypergraph
+    for j, ej in enumerate(h.edges):
+        for i, ei in enumerate(h.edges):
+            if i != j and set(ei) <= set(ej):
+                new_edges = [e for idx, e in enumerate(h.edges) if idx != j]
+                return (ej, *_naive_successor(inst, 2, new_edges))
+    return None
+
+
+def random_rule_instance(rng: random.Random) -> Instance:
+    """A small labelled instance for differential rule tests: n from 1 to 9,
+    d in {3, 4}, edges of every size up to d (sometimes the empty edge),
+    isolated vertices, and sometimes a pair of vertices forced into exactly
+    the same edges (each dominates the other)."""
+    d = rng.choice((3, 4))
+    n = rng.randint(1, 9)
+    edges = [
+        set(rng.sample(range(n), rng.randint(1, min(d, n))))
+        for _ in range(rng.randint(0, 12))
+    ]
+    if rng.random() < 0.1:
+        edges.append(set())
+    if n >= 2 and rng.random() < 0.3:
+        a, b = rng.sample(range(n), 2)
+        for e in edges:
+            if e & {a, b}:
+                e |= {a, b}
+                while len(e) > d:
+                    e.discard(rng.choice(sorted(e - {a, b})))
+    labels = tuple(f"v{i}" for i in range(n))
+    return Instance(Hypergraph(n, tuple(tuple(e) for e in edges), d), rng.randint(0, 3), labels)
 
 
 # ---------------------------------------------------------------------------

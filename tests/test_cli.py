@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +113,19 @@ class TestKernelizeCommand:
         assert all(f"rule{r}_applications" in data for r in range(1, 7))
         assert data["wall_time_s"] >= 0
         assert all(not isinstance(v, (dict, list)) for v in data.values())
+
+    def test_report_counts_rule5_noops(self, tmp_path, capsys):
+        from helpers import blob_instance
+
+        path = tmp_path / "in.hs"
+        report = tmp_path / "report.json"
+        path.write_text(write_instance(blob_instance(1, 1)))
+        code = main(["kernelize", str(path), "--report-json", str(report)])
+        capsys.readouterr()
+        data = json.loads(report.read_text())
+        assert code == 20
+        assert data["rule5_noops"] == 1
+        assert data["rule5_applications"] >= data["rule5_noops"]
 
     def test_k_override_recorded(self, tmp_path, capsys):
         path = tmp_path / "in.hs"
@@ -267,3 +284,21 @@ class TestVerifyCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith(f"usage error: {flag} must be at least")
+
+
+def test_module_entry_point_runs_commands():
+    # Runs `python -m hskernel.cli`, which needs the module's __main__ guard.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    args = ["verify", "--trials", "1", "--seed", "1", "--n", "8", "--d", "2", "--kmax", "2"]
+    done = subprocess.run(
+        [sys.executable, "-m", "hskernel.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "error: d=2 unsupported" in done.stderr

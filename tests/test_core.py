@@ -169,10 +169,6 @@ class TestHypergraph:
         with pytest.raises(FormatError):
             Hypergraph(5, ((0, 1, 2, 3),), 3)
 
-    def test_incidence_table(self):
-        h = Hypergraph(3, ((0, 1), (1, 2)), 3)
-        assert h.incidence == ((0,), (0, 1), (1,))
-
     def test_random_canonical_order(self):
         rng = random.Random(5)
         edges = [tuple(rng.sample(range(8), rng.randint(1, 3))) for _ in range(12)]

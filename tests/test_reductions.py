@@ -20,7 +20,16 @@ from hskernel.reductions import (
     weakly_related_family,
 )
 
-from helpers import blob_instance, double_star_instance, mixed_crown_instance, petal_cycle_instance
+from helpers import (
+    blob4_instance,
+    blob_instance,
+    double_star_instance,
+    mixed_crown_instance,
+    naive_rule1_vertex,
+    naive_rule2_edge,
+    petal_cycle_instance,
+    random_rule_instance,
+)
 
 
 def inst_of(raw_edges, k, d=3):
@@ -76,6 +85,48 @@ class TestRule2:
     def test_incomparable_edges(self):
         inst = inst_of([["a", "b"], ["b", "c"]], 1)
         assert not rule2_edge_domination(inst).applied
+
+
+class TestDominationRulesAgainstPairScans:
+    """Rules 1 and 2 search locally; the all-pairs scans they replaced must
+    pick the same target and yield the same step and successor."""
+
+    def test_same_target_step_and_successor(self):
+        rng = random.Random(2024)
+        seen = {key: 0 for key in ("n=1", "isolated", "singleton", "twins", "d=3", "d=4", "empty")}
+        applied = {1: 0, 2: 0}
+        for _ in range(6000):
+            inst = random_rule_instance(rng)
+            h = inst.hypergraph
+            through = [frozenset(i for i, e in enumerate(h.edges) if v in e) for v in range(h.n)]
+            seen["n=1"] += h.n == 1
+            seen["isolated"] += any(not t for t in through)
+            seen["singleton"] += any(len(e) == 1 for e in h.edges)
+            seen["twins"] += len({t for t in through if t}) < sum(1 for t in through if t)
+            seen[f"d={h.d}"] += 1
+            seen["empty"] += () in h.edges
+
+            out = rule1_vertex_domination(inst)
+            expected = naive_rule1_vertex(inst)
+            assert out.applied == (expected is not None) and not out.verdict_no, inst
+            if expected is not None:
+                x, step, successor = expected
+                assert set(inst.labels) - set(out.new_instance.labels) == {inst.labels[x]}
+                assert out.step == step
+                assert out.new_instance == successor
+                applied[1] += 1
+
+            out = rule2_edge_domination(inst)
+            expected = naive_rule2_edge(inst)
+            assert out.applied == (expected is not None) and not out.verdict_no, inst
+            if expected is not None:
+                target, step, successor = expected
+                assert set(inst.edges) - set(out.new_instance.edges) == {target}
+                assert out.step == step
+                assert out.new_instance == successor
+                applied[2] += 1
+        assert all(count > 0 for count in seen.values()), seen
+        assert min(applied.values()) > 1000, applied
 
 
 class TestRule3:
@@ -297,6 +348,57 @@ class TestKernelize:
                 result.instance.k,
             )
 
+    def test_trace_counts_equal_label_set_differences(self):
+        # _rebuild takes edge deltas as plain set differences, trusting every
+        # rule to hand it canonical edges; recount them on the labels. A
+        # non-canonical edge miscounts when it stands for an edge already
+        # there (or given twice), which this comparison catches.
+        def labelled(inst):
+            names = [f"v{v}" for v in range(inst.n)]
+            raw = [[names[v] for v in e] for e in inst.edges]
+            return normalize(raw, inst.d, inst.k, labels=names)
+
+        def label_edges(inst):
+            return {frozenset(inst.labels[v] for v in e) for e in inst.edges}
+
+        steps = {r: 0 for r in range(1, 7)}
+
+        def observer(rule, before, outcome):
+            if outcome.verdict_no:
+                return
+            after = outcome.new_instance
+            old, new = label_edges(before), label_edges(after)
+            step = outcome.step
+            assert step.edges_removed == len(old - new)
+            assert step.edges_added == len(new - old)
+            assert step.vertices_removed == len(set(before.labels) - set(after.labels))
+            assert step.k_delta == after.k - before.k
+            steps[rule] += 1
+
+        rng = random.Random(12)
+        instances = []
+        for trial in range(120):
+            spec = GenSpec(
+                seed=60_000 + trial,
+                n=rng.randint(6, 20),
+                m=rng.randint(4, 40),
+                d=rng.choice((3, 4)),
+                k=rng.randint(1, 4),
+                planted=rng.choice((None, 2)),
+            )
+            instances.append(generate(spec))
+        for seed in range(3):
+            instances += [
+                petal_cycle_instance(seed, 2),
+                mixed_crown_instance(seed, 2),
+                blob_instance(seed, 1),
+                blob4_instance(seed, 1),
+                double_star_instance(seed, 2),
+            ]
+        for inst in instances:
+            kernelize(labelled(inst), observer=observer)
+        assert all(steps.values()), steps
+
     def test_progress_measure_strictly_decreases(self):
         events = []
         inst = petal_cycle_instance(3, 2)
@@ -373,3 +475,43 @@ class TestKernelize:
         result = kernelize(inst)
         assert result.verdict == "kernel"
         assert result.instance.n <= vertex_bound(3, result.instance.k)
+
+
+class TestMetamorphic:
+    """Properties that need no oracle, at the benchmark's planted scale
+    (64 vertices, 320 triples), far above the brute-force ceiling."""
+
+    SPECS = [GenSpec(seed=s, n=64, m=320, d=3, k=6, planted=6) for s in range(3)] + [
+        GenSpec(seed=s, n=64, m=320, d=3, k=14) for s in range(2)
+    ]
+
+    @staticmethod
+    def relabelled(inst, rng):
+        names = [f"x{v}" for v in range(inst.n)]
+        rng.shuffle(names)
+        raw = [[names[v] for v in e] for e in inst.edges]
+        for e in raw:
+            rng.shuffle(e)
+        rng.shuffle(raw)
+        return normalize(raw, inst.d, inst.k, labels=names)
+
+    def test_relabelling_never_flips_a_decided_verdict(self):
+        rng = random.Random(31)
+        decided = set()
+        for spec in self.SPECS:
+            inst = generate(spec)
+            verdicts = {kernelize(inst).verdict}
+            verdicts |= {kernelize(self.relabelled(inst, rng)).verdict for _ in range(2)}
+            assert not {"yes", "no"} <= verdicts, spec
+            decided |= verdicts
+        assert {"yes", "no"} <= decided
+
+    def test_yes_at_k_is_never_no_at_k_plus_one(self):
+        verdicts = set()
+        for spec in self.SPECS:
+            inst = generate(spec)
+            sweep = [kernelize(inst.with_k(k)).verdict for k in range(spec.k - 2, spec.k + 3)]
+            for low, high in zip(sweep, sweep[1:]):
+                assert not (low == "yes" and high == "no"), (spec, sweep)
+            verdicts.update(sweep)
+        assert verdicts == {"yes", "no", "kernel"}
