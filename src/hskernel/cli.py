@@ -129,6 +129,8 @@ class KernelReport:
     rule5_applications: int
     rule6_applications: int
     rule5_noops: int
+    lp_solves: int
+    lp_pivots: int
     passes: int
     wall_time_s: float
 
@@ -163,6 +165,8 @@ def _build_report(
         rule5_applications=counts[5],
         rule6_applications=counts[6],
         rule5_noops=result.trace.rule5_noops(),
+        lp_solves=result.trace.lp_solves,
+        lp_pivots=result.trace.lp_pivots,
         passes=len(result.trace.steps),
         wall_time_s=round(wall, 6),
     )
@@ -194,6 +198,12 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
                 print(f"rule{rule}: concluded no", file=sys.stderr)
             else:
                 print(_format_step(rule, outcome), file=sys.stderr)
+            solution = outcome.lp_solution
+            if solution is not None:
+                print(
+                    f"  lp: {len(solution.basis)} rows, {solution.pivots} pivots",
+                    file=sys.stderr,
+                )
             if outcome.crown is not None:
                 print(f"  {format_crown(outcome.crown)}", file=sys.stderr)
         if args.dump_lp and outcome.lp_problem is not None:

@@ -7,16 +7,18 @@ hand side would be 1), box bounds ``0 <= x <= 1``, and objective
 ``min sum(x)``. The zero-valued and one-valued vertices of an optimal basic
 solution seed the crown search.
 
-Arithmetic is exact rational throughout. Zero/one membership is decided by
-exact equality: a floating tolerance would misclassify the candidate sets and
-silently break the crown reduction, so no rounding happens anywhere in this
-module.
+Arithmetic is exact throughout: the simplex pivots a sparse tableau of
+integer rows without division, and the optimum is read out as exact
+rationals. Zero/one membership is decided by exact equality: a floating
+tolerance would misclassify the candidate sets and silently break the crown
+reduction, so no rounding happens anywhere in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .core import Edge, Hypergraph, canonical_edge, is_independent, remainders
 from .errors import InternalConsistencyError
@@ -44,11 +46,13 @@ class ExactLPSolution:
 
     ``basis`` describes the final simplex basis, one entry per tableau row;
     optimality was certified by nonnegative reduced costs at termination.
+    ``pivots`` counts the simplex pivots that reached it.
     """
 
     values: tuple[Fraction, ...]
     objective: Fraction
     basis: tuple[str, ...]
+    pivots: int = 0
 
 
 @dataclass(frozen=True)
@@ -71,8 +75,34 @@ def build_crown_lp(h: Hypergraph) -> LPProblem:
     return LPProblem(h.n, tuple((e, len(e) - 1) for e in h.edges))
 
 
+class _Tableau:
+    """Sparse fraction-free simplex tableau.
+
+    ``rows[i]`` maps a column to a nonzero integer numerator; column
+    ``rhs`` holds the right-hand side. Every row's values are its numerators
+    over one positive integer denominator, which is never stored: the basic
+    variable of row ``i`` has value 1 in its own column, so the denominator
+    is the numerator there. ``cols[j]`` lists the rows with a nonzero in
+    column ``j``.
+    """
+
+    __slots__ = ("rows", "cols", "rhs")
+
+    def __init__(self, rows: list[dict[int, int]], width: int) -> None:
+        self.rows = rows
+        self.cols: list[set[int]] = [set() for _ in range(width)]
+        for i, row in enumerate(rows):
+            for j in row:
+                self.cols[j].add(i)
+        self.rhs = width - 1
+
+    def __getitem__(self, i: int) -> dict[int, int]:
+        return self.rows[i]
+
+
 class SimplexBackend:
-    """Dense exact-rational primal simplex with Bland's anti-cycling rule.
+    """Exact primal simplex over a sparse integer tableau, with Bland's
+    anti-cycling rule.
 
     The tableau is built on complemented variables (``y_v = 1 - x_v``), which
     turns every meaningful row into ``sum(y_v for v in e) <= 1``: the
@@ -81,6 +111,14 @@ class SimplexBackend:
     redundant by the boxes (right-hand side <= 0 in the original orientation)
     are dropped; variables in no surviving row get an explicit ``y <= 1``
     row so the box stays active.
+
+    Rows are integer numerator maps (see :class:`_Tableau`); a pivot touches
+    only the rows with a nonzero in the pivot column, eliminates
+    fraction-free (cross-multiplying, no division) and divides each updated
+    row by the gcd of its entries. The objective row is kept as integer
+    numerators scaled by a positive factor, so the signs of its reduced
+    costs are exact. Values become ``Fraction`` only when the optimum is
+    read out.
 
     Pivoting is deterministic: lowest-index entering column with a negative
     reduced cost, leaving row by minimum ratio with ties broken on the lowest
@@ -103,47 +141,42 @@ class SimplexBackend:
             covered.update(variables)
         boxed = [v for v in range(n) if v not in covered]
         m = len(kept) + len(boxed)
-        width = n + m + 1
+        rhs = n + m
 
-        matrix: list[list[Fraction]] = []
-        for r, variables in enumerate(kept):
-            row = [_ZERO] * width
-            for v in variables:
-                row[v] = _ONE
-            row[n + r] = _ONE
-            row[-1] = _ONE
-            matrix.append(row)
-        for b, v in enumerate(boxed):
-            row = [_ZERO] * width
-            row[v] = _ONE
-            row[n + len(kept) + b] = _ONE
-            row[-1] = _ONE
-            matrix.append(row)
+        rows = [dict.fromkeys((*variables, n + r, rhs), 1) for r, variables in enumerate(kept)]
+        rows.extend(
+            {v: 1, n + len(kept) + b: 1, rhs: 1} for b, v in enumerate(boxed)
+        )
+        matrix = _Tableau(rows, rhs + 1)
         basis = [n + i for i in range(m)]
         # Reduced costs for min(-sum y); slack basis has zero cost.
-        obj = [-_ONE] * n + [_ZERO] * m + [_ZERO]
+        obj = dict.fromkeys(range(n), -1)
 
+        pivots = 0
         while True:
-            enter = next((j for j in range(n + m) if obj[j] < 0), None)
-            if enter is None:
+            negative = [j for j, c in obj.items() if c < 0]
+            if not negative:
                 break
-            leave = -1
-            best_key: tuple[Fraction, int] | None = None
-            for i in range(m):
-                a = matrix[i][enter]
+            enter = min(negative)
+            # Minimum ratio rhs_i / a_i, compared by cross-multiplying: the
+            # row denominators cancel.
+            leave, best_r, best_a = -1, 0, 1
+            for i in matrix.cols[enter]:
+                a = rows[i][enter]
                 if a > 0:
-                    key = (matrix[i][-1] / a, basis[i])
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        leave = i
+                    r = rows[i].get(rhs, 0)
+                    mine, best = r * best_a, best_r * a
+                    if leave < 0 or mine < best or (mine == best and basis[i] < basis[leave]):
+                        leave, best_r, best_a = i, r, a
             if leave < 0:
                 raise InternalConsistencyError("unbounded pivot in a boxed model")
             self._pivot(matrix, obj, basis, leave, enter)
+            pivots += 1
 
         y = [_ZERO] * n
         for i, b in enumerate(basis):
             if b < n:
-                y[b] = matrix[i][-1]
+                y[b] = Fraction(rows[i].get(rhs, 0), rows[i][b])
         values = tuple(_ONE - yv for yv in y)
         names = []
         for b in basis:
@@ -153,35 +186,65 @@ class SimplexBackend:
                 names.append(f"slack[{b - n}]")
             else:
                 names.append(f"cap[{boxed[b - n - len(kept)]}]")
-        return ExactLPSolution(values, sum(values, _ZERO), tuple(names))
+        return ExactLPSolution(values, sum(values, _ZERO), tuple(names), pivots)
 
     @staticmethod
     def _pivot(
-        matrix: list[list[Fraction]],
-        obj: list[Fraction],
+        matrix: _Tableau,
+        obj: dict[int, int],
         basis: list[int],
         prow: int,
         pcol: int,
     ) -> None:
-        row = matrix[prow]
+        """Make ``pcol`` basic in row ``prow``, updating ``matrix``, ``obj``
+        and ``basis`` in place.
+
+        The pivot row keeps its numerators; its denominator becomes the
+        pivot entry. Every other row ``t`` with ``f = t[pcol] != 0`` becomes
+        ``piv * t - f * row``: a positive multiple of the exact update.
+        """
+        rows, cols = matrix.rows, matrix.cols
+        row = rows[prow]
         piv = row[pcol]
-        if piv != 1:
-            inv = _ONE / piv
-            row = [v * inv if v else v for v in row]
-            matrix[prow] = row
-        nonzero = [(j, vj) for j, vj in enumerate(row) if vj]
-        for target in matrix:
-            if target is row:
-                continue
-            f = target[pcol]
-            if f:
-                for j, vj in nonzero:
-                    target[j] -= f * vj
-        f = obj[pcol]
-        if f:
-            for j, vj in nonzero:
-                obj[j] -= f * vj
+        items = list(row.items())
+        for i in list(cols[pcol]):
+            if i != prow:
+                _eliminate(rows[i], i, cols, items, piv, pcol)
+        if obj.get(pcol):
+            _eliminate(obj, -1, None, items, piv, pcol)
+            obj.pop(matrix.rhs, None)  # reduced costs only
         basis[prow] = pcol
+
+
+def _eliminate(
+    target: dict[int, int],
+    index: int,
+    cols: list[set[int]] | None,
+    items: list[tuple[int, int]],
+    piv: int,
+    pcol: int,
+) -> None:
+    """``target <- (piv * target - target[pcol] * pivot_row) / g`` with ``g``
+    the gcd of the result, keeping ``cols`` (when given) in step with the
+    nonzero pattern of row ``index``."""
+    f = target[pcol]
+    if piv != 1:
+        for j in target:
+            target[j] *= piv
+    for j, v in items:
+        w = target.get(j, 0) - f * v
+        if w:
+            if cols is not None and j not in target:
+                cols[j].add(index)
+            target[j] = w
+        else:
+            del target[j]
+            if cols is not None:
+                cols[j].discard(index)
+    g = gcd(*target.values())
+    if g > 1:
+        for j in target:
+            target[j] //= g
 
 
 def solve_exact(problem: LPProblem) -> ExactLPSolution:

@@ -21,7 +21,13 @@ from .core import Edge, Hypergraph, Instance, subedge_groups
 from .crown import HSCrown, validate_hs_crown, _crown_via_matching
 from .crown import apply_hs_crown  # noqa: F401  unused here; bench/tracing.py patches it
 from .errors import InternalConsistencyError
-from .lp import LPProblem, build_crown_lp, extract_crown_candidates, solve_exact
+from .lp import (
+    ExactLPSolution,
+    LPProblem,
+    build_crown_lp,
+    extract_crown_candidates,
+    solve_exact,
+)
 from .matching import SimpleGraph, max_extension_packing
 
 
@@ -42,6 +48,8 @@ class ReductionTrace:
 
     steps: list[TraceStep] = field(default_factory=list)
     verdict: str = "undecided"  # undecided | yes | no
+    lp_solves: int = 0  # crown LPs solved by rule 6
+    lp_pivots: int = 0  # simplex pivots summed over those solves
 
     def rule_counts(self) -> dict[int, int]:
         counts = {r: 0 for r in range(1, 7)}
@@ -61,7 +69,7 @@ class ReductionTrace:
 class RuleOutcome:
     """Result of attempting one rule. ``applied`` and ``verdict_no`` are
     mutually exclusive; rule 6 additionally carries the crown it applied and
-    the LP it solved, for tracing and debugging."""
+    the LP it solved with its solution, for tracing and debugging."""
 
     applied: bool
     new_instance: Instance | None = None
@@ -69,6 +77,7 @@ class RuleOutcome:
     step: TraceStep | None = None
     crown: HSCrown | None = None
     lp_problem: LPProblem | None = None
+    lp_solution: ExactLPSolution | None = None
 
     def __post_init__(self) -> None:
         if self.applied and self.verdict_no:
@@ -294,7 +303,9 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
     crown = _crown_via_matching(h, sorted(candidates.zeros), sorted(candidates.subedges))
     if crown is None:
         step = TraceStep(rule=6, vertices_removed=0, edges_removed=0, edges_added=0, k_delta=0)
-        return RuleOutcome(applied=False, verdict_no=True, step=step, lp_problem=problem)
+        return RuleOutcome(
+            applied=False, verdict_no=True, step=step, lp_problem=problem, lp_solution=solution
+        )
     verdict = validate_hs_crown(h, crown)
     if not (verdict.valid and verdict.strict and crown.crown):
         raise InternalConsistencyError(
@@ -303,7 +314,7 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
     new_edges = [e for e, es in zip(h.edges, h.edge_sets) if not (es & crown.crown)]
     new_edges.extend(crown.head)
     outcome = _rebuild(inst, 6, new_edges, remove_vertices=crown.crown)
-    return replace(outcome, crown=crown, lp_problem=problem)
+    return replace(outcome, crown=crown, lp_problem=problem, lp_solution=solution)
 
 
 def _quick_verdict(inst: Instance) -> str | None:
@@ -362,6 +373,9 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
         if observer is not None:
             observer(rule_id, current, outcome)
         trace.steps.append(outcome.step)
+        if outcome.lp_solution is not None:
+            trace.lp_solves += 1
+            trace.lp_pivots += outcome.lp_solution.pivots
         if outcome.verdict_no:
             trace.verdict = "no"
             return ReduceResult("no", current, trace)

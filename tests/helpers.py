@@ -14,9 +14,13 @@ from fractions import Fraction
 from itertools import combinations
 
 from hskernel.core import Edge, Hypergraph, Instance, canonical_edge
-from hskernel.lp import LPProblem
+from hskernel.errors import InternalConsistencyError
+from hskernel.lp import ExactLPSolution, LPProblem
 from hskernel.matching import BipartiteGraph
 from hskernel.reductions import TraceStep, vertex_bound
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +172,117 @@ def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
                 f = a[r][col]
                 a[r] = [vr - f * vc for vr, vc in zip(a[r], a[col])]
     return [a[r][size] for r in range(size)]
+
+
+def naive_dense_simplex(problem: LPProblem) -> tuple[ExactLPSolution, int]:
+    """The crown LP by a dense ``Fraction`` tableau with the engine's model
+    and Bland pivots: the reference for the sparse integer tableau.
+
+    Returns the solution (with its pivot count) and the number of ratio
+    tests whose minimum ratio was tied, so that the leaving row was chosen
+    by the lowest basic index.
+    """
+    n = problem.var_count
+    kept: list[Edge] = []
+    covered: set[int] = set()
+    for variables, rhs in problem.constraints:
+        cap = len(variables) - rhs
+        if cap < 0:
+            raise InternalConsistencyError("constraint infeasible on its own row")
+        if cap >= len(variables):
+            continue  # implied by the boxes once every variable is capped
+        if cap != 1:
+            raise InternalConsistencyError("unexpected row capacity in crown LP")
+        kept.append(tuple(variables))
+        covered.update(variables)
+    boxed = [v for v in range(n) if v not in covered]
+    m = len(kept) + len(boxed)
+    width = n + m + 1
+
+    matrix: list[list[Fraction]] = []
+    for r, variables in enumerate(kept):
+        row = [_ZERO] * width
+        for v in variables:
+            row[v] = _ONE
+        row[n + r] = _ONE
+        row[-1] = _ONE
+        matrix.append(row)
+    for b, v in enumerate(boxed):
+        row = [_ZERO] * width
+        row[v] = _ONE
+        row[n + len(kept) + b] = _ONE
+        row[-1] = _ONE
+        matrix.append(row)
+    basis = [n + i for i in range(m)]
+    # Reduced costs for min(-sum y); slack basis has zero cost.
+    obj = [-_ONE] * n + [_ZERO] * m + [_ZERO]
+
+    pivots = ties = 0
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = -1
+        best_key: tuple[Fraction, int] | None = None
+        for i in range(m):
+            a = matrix[i][enter]
+            if a > 0:
+                key = (matrix[i][-1] / a, basis[i])
+                if best_key is None or key < best_key:
+                    best_key = key
+                    leave = i
+        if leave < 0:
+            raise InternalConsistencyError("unbounded pivot in a boxed model")
+        tied = [
+            i for i in range(m)
+            if matrix[i][enter] > 0 and matrix[i][-1] / matrix[i][enter] == best_key[0]
+        ]
+        ties += len(tied) > 1
+        _dense_pivot(matrix, obj, basis, leave, enter)
+        pivots += 1
+
+    y = [_ZERO] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            y[b] = matrix[i][-1]
+    values = tuple(_ONE - yv for yv in y)
+    names = []
+    for b in basis:
+        if b < n:
+            names.append(f"headroom[{b}]")
+        elif b < n + len(kept):
+            names.append(f"slack[{b - n}]")
+        else:
+            names.append(f"cap[{boxed[b - n - len(kept)]}]")
+    return ExactLPSolution(values, sum(values, _ZERO), tuple(names), pivots), ties
+
+
+def _dense_pivot(
+    matrix: list[list[Fraction]],
+    obj: list[Fraction],
+    basis: list[int],
+    prow: int,
+    pcol: int,
+) -> None:
+    row = matrix[prow]
+    piv = row[pcol]
+    if piv != 1:
+        inv = _ONE / piv
+        row = [v * inv if v else v for v in row]
+        matrix[prow] = row
+    nonzero = [(j, vj) for j, vj in enumerate(row) if vj]
+    for target in matrix:
+        if target is row:
+            continue
+        f = target[pcol]
+        if f:
+            for j, vj in nonzero:
+                target[j] -= f * vj
+    f = obj[pcol]
+    if f:
+        for j, vj in nonzero:
+            obj[j] -= f * vj
+    basis[prow] = pcol
 
 
 def naive_incident_edges(h: Hypergraph, subedge) -> set[Edge]:

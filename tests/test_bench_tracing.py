@@ -51,3 +51,33 @@ def test_tracer_installs_counts_and_restores(fresh_hk, monkeypatch):
     assert values["lp.solves"] >= 1
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original
+
+
+def test_traced_pivots_equal_the_solves_pivots(fresh_hk, monkeypatch):
+    # The tracer calls SimplexBackend._pivot by name and drops its return
+    # value, so a pivot must update the tableau, objective and basis in
+    # place. One that returned a new objective row instead would pivot
+    # forever here; the bound turns that into a failure.
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    text = write_instance(petal_cycle_instance(11, 2))
+    tracer = tracing.Tracer(fresh_hk)
+    tracer.install()
+    backend = fresh_hk.lp.SimplexBackend
+    traced_pivot = backend._pivot
+    calls = []
+
+    def bounded(*args):
+        calls.append(None)
+        if len(calls) > 10_000:
+            raise AssertionError("the simplex does not terminate under the tracer")
+        traced_pivot(*args)
+
+    backend._pivot = staticmethod(bounded)
+    try:
+        result = fresh_hk.reductions.kernelize(fresh_hk.cli.parse_instance(text))
+        values = tracer.collect()
+    finally:
+        tracer.uninstall()
+    assert values["lp.solves"] == result.trace.lp_solves >= 1
+    assert values["lp.pivots"] == result.trace.lp_pivots == len(calls) > 0

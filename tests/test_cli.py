@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +127,40 @@ class TestKernelizeCommand:
         assert code == 20
         assert data["rule5_noops"] == 1
         assert data["rule5_applications"] >= data["rule5_noops"]
+
+    def test_report_and_trace_count_lp_pivots_without_crown(self, tmp_path, capsys):
+        from helpers import blob_instance
+
+        path = tmp_path / "in.hs"
+        report = tmp_path / "report.json"
+        path.write_text(write_instance(blob_instance(1, 1)))
+        code = main(["kernelize", str(path), "--trace", "--report-json", str(report)])
+        err = capsys.readouterr().err.splitlines()
+        data = json.loads(report.read_text())
+        assert code == 20
+        # Two blobs of four triples, no cap rows: the LP keeps eight rows.
+        assert data["lp_solves"] == 1 and data["lp_pivots"] > 0
+        lp_line = f"  lp: 8 rows, {data['lp_pivots']} pivots"
+        assert err[err.index("rule6: concluded no") + 1] == lp_line
+
+    def test_report_and_trace_count_lp_pivots_with_crown(self, tmp_path, capsys):
+        from helpers import petal_cycle_instance
+
+        inst = petal_cycle_instance(11, 2)
+        path = tmp_path / "in.hs"
+        report = tmp_path / "report.json"
+        path.write_text(write_instance(inst))
+        code = main(["kernelize", str(path), "--trace", "--report-json", str(report)])
+        err = capsys.readouterr().err.splitlines()
+        data = json.loads(report.read_text())
+        assert code == 0
+        assert data["lp_solves"] == data["rule6_applications"] >= 1
+        lp_lines = [err[i + 1] for i, line in enumerate(err) if line.startswith("rule6: ")]
+        assert len(lp_lines) == data["lp_solves"]
+        parsed = [re.fullmatch(r"  lp: (\d+) rows, (\d+) pivots", line) for line in lp_lines]
+        assert all(parsed)
+        assert int(parsed[0][1]) == inst.m  # every edge is a triple: one row each
+        assert sum(int(match[2]) for match in parsed) == data["lp_pivots"] > 0
 
     def test_k_override_recorded(self, tmp_path, capsys):
         path = tmp_path / "in.hs"

@@ -9,8 +9,17 @@ from hskernel.lp import (
     solve_exact,
     ExactLPSolution,
 )
+from hskernel.reductions import kernelize
 
-from helpers import polytope_min_objective
+from helpers import (
+    blob4_instance,
+    blob_instance,
+    double_star_instance,
+    mixed_crown_instance,
+    naive_dense_simplex,
+    petal_cycle_instance,
+    polytope_min_objective,
+)
 
 SHOWCASE_EDGES = [["v1", "v2", "v4"], ["v1", "v2", "v5"], ["v2", "v3", "v4"], ["v2", "v3", "v5"]]
 
@@ -115,6 +124,58 @@ class TestSolveExact:
     def test_basis_certificate_present(self):
         sol = solve_exact(build_crown_lp(showcase_hypergraph()))
         assert len(sol.basis) == 4  # one entry per tableau row, no box rows needed
+
+
+class TestSparseSimplex:
+    @staticmethod
+    def _random_problems(count):
+        """Seeded d in {3, 4} hypergraphs with edges of every size from one
+        to d (unit edges drop their rows) and some vertices in no edge of
+        size two or more (they get cap rows)."""
+        rng = random.Random(21)
+        for _ in range(count):
+            d = rng.choice((3, 4))
+            n = rng.randint(3, 16)
+            edges = [
+                tuple(rng.sample(range(n), min(n, rng.choice((1, *range(2, d + 1), d)))))
+                for _ in range(rng.randint(0, 2 * n))
+            ]
+            yield build_crown_lp(Hypergraph(n, tuple(edges), d))
+
+    @staticmethod
+    def _family_problems():
+        """Every LP rule 6 solves while kernelizing the family instances."""
+        families = [
+            (petal_cycle_instance, (2, 3, 4)),
+            (mixed_crown_instance, (2, 4)),
+            (blob_instance, (1, 2, 8)),
+            (blob4_instance, (1, 3)),
+            (double_star_instance, (2, 3)),
+        ]
+        for family, ks in families:
+            for k in ks:
+                for seed in range(2):
+                    solved = []
+                    kernelize(family(seed, k), lambda r, b, o: solved.append(o.lp_problem))
+                    yield from (p for p in solved if p is not None)
+
+    def test_same_solution_as_dense_reference(self):
+        seen = {"cap row": 0, "dropped row": 0, "tie on basic index": 0, "fractional": 0}
+        problems = [*self._random_problems(320), *self._family_problems()]
+        for prob in problems:
+            sol = solve_exact(prob)
+            reference, ties = naive_dense_simplex(prob)
+            assert sol == reference  # values, objective, basis and pivots
+            kept = {v for vs, _ in prob.constraints if len(vs) >= 2 for v in vs}
+            seen["cap row"] += len(kept) < prob.var_count
+            seen["dropped row"] += any(len(vs) == 1 for vs, _ in prob.constraints)
+            seen["tie on basic index"] += ties > 0
+            seen["fractional"] += any(v.denominator > 1 for v in sol.values)
+        assert all(seen.values()), seen
+
+    def test_one_pivot_per_isolated_vertex(self):
+        # Three cap rows; each y_v enters once and leaves no reduced cost.
+        assert solve_exact(build_crown_lp(Hypergraph(3, (), 3))).pivots == 3
 
 
 class TestExtractCrownCandidates:
