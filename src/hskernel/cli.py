@@ -99,7 +99,15 @@ def parse_instance(text: str) -> Instance:
 def write_instance(inst: Instance) -> str:
     """Canonical serialization: dense ids, lexicographically sorted edges,
     1-based indices. ``parse_instance(write_instance(x))`` is structurally
-    identical to ``x`` and writing is idempotent."""
+    identical to ``x`` and writing is idempotent.
+
+    The empty edge has no line of its own (a blank line is skipped on
+    reading), so an instance holding it is refused with a
+    :class:`FormatError`. Kernels never hold it: the controller decides
+    such an instance no.
+    """
+    if inst.edges and not inst.edges[0]:  # canonical order puts an empty edge first
+        raise FormatError("the empty edge cannot be written: the instance is unhittable")
     lines = [f"p hs {inst.n} {inst.m} {inst.d} {inst.k}"]
     for comment in inst.comments:
         lines.append(f"c {comment}" if comment else "c")
@@ -128,6 +136,12 @@ class KernelReport:
     rule4_applications: int
     rule5_applications: int
     rule6_applications: int
+    rule1_attempts: int
+    rule2_attempts: int
+    rule3_attempts: int
+    rule4_attempts: int
+    rule5_attempts: int
+    rule6_attempts: int
     rule5_noops: int
     lp_solves: int
     lp_pivots: int
@@ -146,6 +160,7 @@ def _build_report(
     original: Instance, result: ReduceResult, k_override: bool, wall: float
 ) -> KernelReport:
     counts = result.trace.rule_counts()
+    attempts = result.trace.attempts
     final = result.instance
     return KernelReport(
         verdict=result.verdict,
@@ -164,6 +179,12 @@ def _build_report(
         rule4_applications=counts[4],
         rule5_applications=counts[5],
         rule6_applications=counts[6],
+        rule1_attempts=attempts[1],
+        rule2_attempts=attempts[2],
+        rule3_attempts=attempts[3],
+        rule4_attempts=attempts[4],
+        rule5_attempts=attempts[5],
+        rule6_attempts=attempts[6],
         rule5_noops=result.trace.rule5_noops(),
         lp_solves=result.trace.lp_solves,
         lp_pivots=result.trace.lp_pivots,

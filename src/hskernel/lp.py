@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .core import Edge, Hypergraph, canonical_edge, is_independent, remainders
 from .errors import InternalConsistencyError
@@ -251,28 +251,32 @@ def solve_exact(problem: LPProblem) -> ExactLPSolution:
     """Solve to optimality in exact rationals and verify the result.
 
     Infeasibility is impossible by construction (the all-ones point satisfies
-    every constraint); any violation detected here is an internal error. The
-    per-edge deficit bound and the forcing property (a zero on an edge forces
-    every other vertex of that edge to one) are asserted after every solve.
+    every constraint); any violation detected here is an internal error.
+    After every solve the boxes, every constraint, the forcing property (a
+    zero on an edge forces every other vertex of that edge to one), the
+    per-edge deficit bound and the objective are checked in exact integers:
+    each value ``v`` is read as the numerator ``v * den`` over ``den``, the
+    least common multiple of the value denominators.
     """
     sol = SimplexBackend().solve(problem)
     values = sol.values
     if len(values) != problem.var_count:
         raise InternalConsistencyError("solution length mismatch")
-    for v in values:
-        if v < 0 or v > 1:
+    den = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    for x in nums:
+        if x < 0 or x > den:
             raise InternalConsistencyError("box bound violated")
     for variables, rhs in problem.constraints:
-        total = sum((values[v] for v in variables), _ZERO)
-        if total < rhs:
+        xs = [nums[v] for v in variables]
+        total = sum(xs)
+        if total < rhs * den:
             raise InternalConsistencyError("constraint violated in exact arithmetic")
-        deficit = sum((_ONE - values[v] for v in variables), _ZERO)
-        if deficit > 1:
+        if 0 in xs and any(x != den for x in xs if x):
+            raise InternalConsistencyError("forcing property violated")
+        if len(xs) * den - total > den:
             raise InternalConsistencyError("per-edge deficit exceeds one")
-        if any(values[v] == 0 for v in variables):
-            if any(values[u] != 1 for u in variables if values[u] != 0):
-                raise InternalConsistencyError("forcing property violated")
-    if sol.objective != sum(values, _ZERO):
+    if sol.objective * den != sum(nums):
         raise InternalConsistencyError("objective does not match the assignment")
     return sol
 

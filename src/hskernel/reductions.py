@@ -44,10 +44,15 @@ class TraceStep:
 
 @dataclass
 class ReductionTrace:
-    """Ordered log of rule applications plus the final verdict."""
+    """Ordered log of rule applications plus the final verdict.
+
+    ``attempts[r]`` counts the controller's calls of rule ``r``, declined
+    ones included.
+    """
 
     steps: list[TraceStep] = field(default_factory=list)
     verdict: str = "undecided"  # undecided | yes | no
+    attempts: dict[int, int] = field(default_factory=lambda: dict.fromkeys(range(1, 7), 0))
     lp_solves: int = 0  # crown LPs solved by rule 6
     lp_pivots: int = 0  # simplex pivots summed over those solves
 
@@ -261,8 +266,9 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None) -> Rule
     and the budget never changes.
 
     The attempt itself counts as an application even when nothing changes;
-    so that the controller cannot run this rule twice in a row,
-    ``last_rule == 5`` reports not-applied.
+    such a no-op returns ``inst`` itself as the successor. So that the
+    controller cannot run this rule twice in a row, ``last_rule == 5``
+    reports not-applied.
     """
     if last_rule == 5:
         return _NOT_APPLIED
@@ -282,6 +288,8 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None) -> Rule
                 live -= hit
                 family -= hit
                 live.add(s)
+    if live == h.edge_index:
+        return RuleOutcome(applied=True, new_instance=inst, step=TraceStep(5, 0, 0, 0, 0))
     return _rebuild(inst, 5, live)
 
 
@@ -335,6 +343,8 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     The returned kernel satisfies ``n <= (2d-2)*k**(d-1) + k`` for its final
     budget. Every pass applies the lowest-numbered rule that applies or
     concludes no; rule 5 declines when it was the most recent rule applied.
+    After a rule-5 no-op the next pass starts at rule 6: rules 1 to 4 have
+    just declined on that very instance and rule 5 declines after itself.
     An explicit iteration ceiling of ``3n + 4m + 4`` applications guards
     termination.
 
@@ -344,6 +354,7 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     trace = ReductionTrace()
     current = inst
     last_rule: int | None = None
+    rule5_noop = False
     ceiling = 3 * inst.n + 4 * inst.m + 4
     applications = 0
     while True:
@@ -354,14 +365,16 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
 
         # Looked up on every pass: the rules are module globals that a
         # tracer may replace.
-        for rule_id, rule in (
+        rules = (
             (1, rule1_vertex_domination),
             (2, rule2_edge_domination),
             (3, rule3_unit_edge),
             (4, rule4_high_degree_subedge),
             (5, lambda i: rule5_weakly_related_counting(i, last_rule)),
             (6, rule6_lp_crown),
-        ):
+        )
+        for rule_id, rule in rules[5:] if rule5_noop else rules:
+            trace.attempts[rule_id] += 1
             outcome = rule(current)
             if outcome.applied or outcome.verdict_no:
                 break
@@ -379,6 +392,7 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
         if outcome.verdict_no:
             trace.verdict = "no"
             return ReduceResult("no", current, trace)
+        rule5_noop = rule_id == 5 and outcome.new_instance is current
         current = outcome.new_instance
         last_rule = rule_id
         applications += 1

@@ -17,7 +17,19 @@ from hskernel.core import Edge, Hypergraph, Instance, canonical_edge
 from hskernel.errors import InternalConsistencyError
 from hskernel.lp import ExactLPSolution, LPProblem
 from hskernel.matching import BipartiteGraph
-from hskernel.reductions import TraceStep, vertex_bound
+from hskernel.reductions import (
+    ReduceResult,
+    ReductionTrace,
+    TraceStep,
+    _quick_verdict,
+    rule1_vertex_domination,
+    rule2_edge_domination,
+    rule3_unit_edge,
+    rule4_high_degree_subedge,
+    rule5_weakly_related_counting,
+    rule6_lp_crown,
+    vertex_bound,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -329,6 +341,53 @@ def naive_rule2_edge(inst: Instance) -> tuple[Edge, TraceStep, Instance] | None:
                 new_edges = [e for idx, e in enumerate(h.edges) if idx != j]
                 return (ej, *_naive_successor(inst, 2, new_edges))
     return None
+
+
+def naive_kernelize(inst: Instance, observer=None) -> ReduceResult:
+    """The controller without the skip after a rule-5 no-op: every pass
+    tries the rules from rule 1, and rule 5 declines right after itself.
+    It counts no attempts."""
+    trace = ReductionTrace()
+    current = inst
+    last_rule: int | None = None
+    ceiling = 3 * inst.n + 4 * inst.m + 4
+    applications = 0
+    while True:
+        verdict = _quick_verdict(current)
+        if verdict is not None:
+            trace.verdict = verdict
+            return ReduceResult(verdict, current, trace)
+
+        for rule_id, rule in (
+            (1, rule1_vertex_domination),
+            (2, rule2_edge_domination),
+            (3, rule3_unit_edge),
+            (4, rule4_high_degree_subedge),
+            (5, lambda i: rule5_weakly_related_counting(i, last_rule)),
+            (6, rule6_lp_crown),
+        ):
+            outcome = rule(current)
+            if outcome.applied or outcome.verdict_no:
+                break
+        else:
+            if current.n > vertex_bound(current.d, current.k):
+                raise InternalConsistencyError("exited above the kernel bound")
+            return ReduceResult("kernel", current, trace)
+
+        if observer is not None:
+            observer(rule_id, current, outcome)
+        trace.steps.append(outcome.step)
+        if outcome.lp_solution is not None:
+            trace.lp_solves += 1
+            trace.lp_pivots += outcome.lp_solution.pivots
+        if outcome.verdict_no:
+            trace.verdict = "no"
+            return ReduceResult("no", current, trace)
+        current = outcome.new_instance
+        last_rule = rule_id
+        applications += 1
+        if applications > ceiling:
+            raise InternalConsistencyError("iteration ceiling exceeded; reduction diverged")
 
 
 def random_rule_instance(rng: random.Random) -> Instance:

@@ -10,7 +10,7 @@ import pytest
 
 from hskernel.cli import write_instance
 
-from helpers import petal_cycle_instance
+from helpers import blob_instance, petal_cycle_instance
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 MODULES = ("core", "reductions", "lp", "matching", "crown", "cli", "oracle")
@@ -81,3 +81,23 @@ def test_traced_pivots_equal_the_solves_pivots(fresh_hk, monkeypatch):
         tracer.uninstall()
     assert values["lp.solves"] == result.trace.lp_solves >= 1
     assert values["lp.pivots"] == result.trace.lp_pivots == len(calls) > 0
+
+
+@pytest.mark.parametrize(
+    "instance", [petal_cycle_instance(11, 2), blob_instance(1, 1)], ids=["petal", "blob"]
+)
+def test_engine_attempts_equal_the_traced_attempts(fresh_hk, monkeypatch, instance):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer(fresh_hk)
+    tracer.install()
+    try:
+        result = fresh_hk.reductions.kernelize(
+            fresh_hk.cli.parse_instance(write_instance(instance))
+        )
+        values = tracer.collect()
+    finally:
+        tracer.uninstall()
+    traced = {r: values[f"reductions.rule{r}.attempts"] for r in range(1, 7)}
+    assert result.trace.attempts == traced
+    assert traced[6] >= 1

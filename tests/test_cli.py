@@ -73,6 +73,12 @@ class TestWrite:
             )
             assert write_instance(again) == text  # canonical and idempotent
 
+    def test_empty_edge_is_refused(self):
+        # A blank edge line would be skipped on reading, so it is not written.
+        inst = normalize([[], ["a", "b"]], 3, 2)
+        with pytest.raises(FormatError, match="empty edge"):
+            write_instance(inst)
+
 
 class TestKernelizeCommand:
     def test_kernel_goes_to_stdout_with_exit_zero(self, tmp_path, capsys):
@@ -127,6 +133,19 @@ class TestKernelizeCommand:
         assert code == 20
         assert data["rule5_noops"] == 1
         assert data["rule5_applications"] >= data["rule5_noops"]
+
+    def test_report_counts_rule_attempts(self, tmp_path, capsys):
+        from helpers import blob_instance
+
+        path = tmp_path / "in.hs"
+        report = tmp_path / "report.json"
+        path.write_text(write_instance(blob_instance(1, 1)))
+        code = main(["kernelize", str(path), "--report-json", str(report)])
+        capsys.readouterr()
+        data = json.loads(report.read_text())
+        assert code == 20
+        # Rules 1-5 run once; after the rule-5 no-op the next pass is rule 6.
+        assert [data[f"rule{r}_attempts"] for r in range(1, 7)] == [1] * 6
 
     def test_report_and_trace_count_lp_pivots_without_crown(self, tmp_path, capsys):
         from helpers import blob_instance

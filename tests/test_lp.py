@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from hskernel.core import Hypergraph, is_independent, normalize
+from hskernel.errors import InternalConsistencyError
 from hskernel.lp import (
     build_crown_lp,
     extract_crown_candidates,
     format_lp,
     solve_exact,
     ExactLPSolution,
+    LPProblem,
+    SimplexBackend,
 )
 from hskernel.reductions import kernelize
 
@@ -124,6 +129,42 @@ class TestSolveExact:
     def test_basis_certificate_present(self):
         sol = solve_exact(build_crown_lp(showcase_hypergraph()))
         assert len(sol.basis) == 4  # one entry per tableau row, no box rows needed
+
+
+# One triple: the crown LP asks for x0 + x1 + x2 >= 2, which implies the
+# deficit bound and the forcing property. With right-hand side 1 they can
+# each fail on their own.
+_TRIPLE = LPProblem(3, (((0, 1, 2), 2),))
+_LOOSE = LPProblem(3, (((0, 1, 2), 1),))
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+class TestPostChecks:
+    """``solve_exact`` re-checks whatever the simplex returns: a tampered
+    solution is refused with the message of the check it breaks."""
+
+    @pytest.mark.parametrize(
+        "problem, values, objective, message",
+        [
+            (_TRIPLE, (1, 1), 2, "solution length mismatch"),
+            (_TRIPLE, (Fraction(4, 3), 1, 0), Fraction(7, 3), "box bound violated"),
+            (_TRIPLE, (1, _HALF, _THIRD), Fraction(11, 6), "constraint violated"),
+            (_LOOSE, (1, 0, 0), 1, "per-edge deficit exceeds one"),
+            (_LOOSE, (0, _HALF, 1), Fraction(3, 2), "forcing property violated"),
+            (_TRIPLE, (1, _HALF, _HALF), Fraction(5, 2), "objective does not match"),
+        ],
+        ids=["length", "box", "constraint", "deficit", "forcing", "objective"],
+    )
+    def test_tampered_solution_is_refused(self, monkeypatch, problem, values, objective, message):
+        tampered = ExactLPSolution(tuple(map(Fraction, values)), Fraction(objective), ())
+        monkeypatch.setattr(SimplexBackend, "solve", lambda self, p: tampered)
+        with pytest.raises(InternalConsistencyError, match=message):
+            solve_exact(problem)
+
+    def test_untampered_solution_passes(self, monkeypatch):
+        sound = ExactLPSolution((Fraction(1), _HALF, _HALF), Fraction(2), ())
+        monkeypatch.setattr(SimplexBackend, "solve", lambda self, p: sound)
+        assert solve_exact(_TRIPLE) is sound
 
 
 class TestSparseSimplex:

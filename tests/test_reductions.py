@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hskernel import reductions
 from hskernel.core import Hypergraph, Instance, normalize
 from hskernel.crown import apply_hs_crown, validate_hs_crown
 from hskernel.errors import InternalConsistencyError
@@ -25,6 +26,7 @@ from helpers import (
     blob_instance,
     double_star_instance,
     mixed_crown_instance,
+    naive_kernelize,
     naive_rule1_vertex,
     naive_rule2_edge,
     petal_cycle_instance,
@@ -419,6 +421,77 @@ class TestKernelize:
         kernelize(inst, observer=lambda r, b, o: rules.append(r))
         for a, b in zip(rules, rules[1:]):
             assert not (a == 5 and b == 5)
+
+    def test_same_run_as_the_reference_controller(self):
+        # The controller skips rules 1-5 after a rule-5 no-op; the reference
+        # tries them all again. Verdict, kernel, steps, LP work and every
+        # observer event must agree.
+        rng = random.Random(31)
+        instances = [
+            generate(
+                GenSpec(
+                    seed=80_000 + trial,
+                    n=rng.randint(6, 24),
+                    m=rng.randint(4, 40),
+                    d=rng.choice((3, 4)),
+                    k=rng.randint(1, 4),
+                    planted=rng.choice((None, 2)),
+                )
+            )
+            for trial in range(300)
+        ]
+        for seed in range(3):
+            instances += [
+                petal_cycle_instance(seed, 2),
+                mixed_crown_instance(seed, 2),
+                blob_instance(seed, 1),
+                blob4_instance(seed, 1),
+                double_star_instance(seed, 2),
+            ]
+        seen = {"rule-5 no-op then rule 6": 0, "kernel": 0, "yes": 0, "no": 0}
+        for inst in instances:
+            events, reference_events = [], []
+            result = kernelize(inst, lambda *event: events.append(event))
+            reference = naive_kernelize(inst, lambda *event: reference_events.append(event))
+            assert result.verdict == reference.verdict
+            assert result.instance == reference.instance
+            assert result.trace.steps == reference.trace.steps
+            assert (result.trace.lp_solves, result.trace.lp_pivots) == (
+                reference.trace.lp_solves,
+                reference.trace.lp_pivots,
+            )
+            assert events == reference_events
+            seen[result.verdict] += 1
+            steps = result.trace.steps
+            seen["rule-5 no-op then rule 6"] += any(
+                a == TraceStep(5, 0, 0, 0, 0) and b.rule == 6 for a, b in zip(steps, steps[1:])
+            )
+        assert all(seen.values()), seen
+
+    def test_rule6_runs_right_after_a_rule5_noop(self, monkeypatch):
+        calls = []
+        for name in (
+            "rule1_vertex_domination",
+            "rule2_edge_domination",
+            "rule3_unit_edge",
+            "rule4_high_degree_subedge",
+            "rule5_weakly_related_counting",
+            "rule6_lp_crown",
+        ):
+            rule = getattr(reductions, name)
+            rule_id = int(name[4])
+
+            def counted(*args, rule=rule, rule_id=rule_id):
+                calls.append(rule_id)
+                return rule(*args)
+
+            monkeypatch.setattr(reductions, name, counted)
+        result = kernelize(blob_instance(1, 1))
+        assert result.verdict == "no"
+        assert result.trace.steps[0] == TraceStep(5, 0, 0, 0, 0)
+        assert [s.rule for s in result.trace.steps] == [5, 6]
+        assert calls == [1, 2, 3, 4, 5, 6]
+        assert result.trace.attempts == dict.fromkeys(range(1, 7), 1)
 
     def test_rule_order_respected(self):
         # No rule fires while a lower-numbered one is applicable.
