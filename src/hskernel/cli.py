@@ -19,9 +19,8 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 
-from .core import Instance, normalize
+from .core import MIN_D, Edge, Hypergraph, Instance, canonical_edge
 from .crown import format_crown
 from .errors import (
     FormatError,
@@ -50,7 +49,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse an instance file; errors report the offending line number."""
+    """Parse an instance file; errors report the offending line number. The
+    instance's labels are the file's 1-based vertex indices."""
     header: tuple[int, int, int, int] | None = None
     comments: list[str] = []
     edge_lines: list[tuple[int, str]] = []
@@ -78,7 +78,7 @@ def parse_instance(text: str) -> Instance:
         raise FormatError("header counts must be non-negative")
     if len(edge_lines) != m:
         raise FormatError(f"expected {m} edge lines, found {len(edge_lines)}")
-    edges: list[list[int]] = []
+    edges: list[Edge] = []
     for lineno, line in edge_lines:
         try:
             indices = [int(tok) for tok in line.split()]
@@ -87,13 +87,16 @@ def parse_instance(text: str) -> Instance:
         for idx in indices:
             if not (1 <= idx <= n):
                 raise FormatError(f"line {lineno}: vertex index {idx} outside 1..{n}")
-        if len(set(indices)) > d:
+        edge = canonical_edge(idx - 1 for idx in indices)
+        if len(edge) > d:
             raise FormatError(
-                f"line {lineno}: edge has {len(set(indices))} distinct vertices, bound is {d}"
+                f"line {lineno}: edge has {len(edge)} distinct vertices, bound is {d}"
             )
-        edges.append(indices)
-    inst = normalize(edges, d, k, labels=range(1, n + 1))
-    return Instance(inst.hypergraph, inst.k, labels=inst.labels, comments=tuple(comments))
+        edges.append(edge)
+    if d < MIN_D:  # after the edge loop: an oversized edge is reported first
+        raise UnsupportedParameterError(f"d={d} unsupported: the engine requires d >= {MIN_D}")
+    hypergraph = Hypergraph(n, tuple(edges), d)
+    return Instance(hypergraph, k, labels=range(1, n + 1), comments=tuple(comments))
 
 
 def write_instance(inst: Instance) -> str:
@@ -104,93 +107,49 @@ def write_instance(inst: Instance) -> str:
     The empty edge has no line of its own (a blank line is skipped on
     reading), so an instance holding it is refused with a
     :class:`FormatError`. Kernels never hold it: the controller decides
-    such an instance no.
+    such an instance no. A comment holding a line break (a character that
+    :meth:`str.splitlines` breaks on) is refused too: it would not read back.
     """
     if inst.edges and not inst.edges[0]:  # canonical order puts an empty edge first
         raise FormatError("the empty edge cannot be written: the instance is unhittable")
     lines = [f"p hs {inst.n} {inst.m} {inst.d} {inst.k}"]
     for comment in inst.comments:
+        if "".join(comment.splitlines()) != comment:
+            raise FormatError(f"comment {comment!r} holds a line break and would not read back")
         lines.append(f"c {comment}" if comment else "c")
     for edge in inst.edges:
         lines.append(" ".join(str(v + 1) for v in edge))
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class KernelReport:
-    """Flat summary of one kernelization run (stable JSON keys)."""
-
-    verdict: str
-    d: int
-    n_input: int
-    m_input: int
-    k_input: int
-    k_override: bool
-    n_final: int
-    m_final: int
-    k_final: int
-    vertex_bound: int
-    rule1_applications: int
-    rule2_applications: int
-    rule3_applications: int
-    rule4_applications: int
-    rule5_applications: int
-    rule6_applications: int
-    rule1_attempts: int
-    rule2_attempts: int
-    rule3_attempts: int
-    rule4_attempts: int
-    rule5_attempts: int
-    rule6_attempts: int
-    rule5_noops: int
-    lp_solves: int
-    lp_pivots: int
-    passes: int
-    wall_time_s: float
-
-    def __post_init__(self) -> None:
-        if self.verdict == "kernel" and self.n_final > self.vertex_bound:
-            raise InternalConsistencyError("kernel report violates the vertex bound")
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
-
-def _build_report(
-    original: Instance, result: ReduceResult, k_override: bool, wall: float
-) -> KernelReport:
-    counts = result.trace.rule_counts()
-    attempts = result.trace.attempts
-    final = result.instance
-    return KernelReport(
-        verdict=result.verdict,
-        d=original.d,
-        n_input=original.n,
-        m_input=original.m,
-        k_input=original.k,
-        k_override=k_override,
-        n_final=final.n,
-        m_final=final.m,
-        k_final=final.k,
-        vertex_bound=vertex_bound(final.d, final.k),
-        rule1_applications=counts[1],
-        rule2_applications=counts[2],
-        rule3_applications=counts[3],
-        rule4_applications=counts[4],
-        rule5_applications=counts[5],
-        rule6_applications=counts[6],
-        rule1_attempts=attempts[1],
-        rule2_attempts=attempts[2],
-        rule3_attempts=attempts[3],
-        rule4_attempts=attempts[4],
-        rule5_attempts=attempts[5],
-        rule6_attempts=attempts[6],
-        rule5_noops=result.trace.rule5_noops(),
-        lp_solves=result.trace.lp_solves,
-        lp_pivots=result.trace.lp_pivots,
-        passes=len(result.trace.steps),
-        wall_time_s=round(wall, 6),
-    )
+def _report(original: Instance, result: ReduceResult, k_override: bool, wall: float) -> dict:
+    """The flat ``--report-json`` object of one run (stable keys)."""
+    final, trace = result.instance, result.trace
+    bound = vertex_bound(final.d, final.k)
+    if result.verdict == "kernel" and final.n > bound:
+        raise InternalConsistencyError("kernel report violates the vertex bound")
+    report = {
+        "verdict": result.verdict,
+        "d": original.d,
+        "n_input": original.n,
+        "m_input": original.m,
+        "k_input": original.k,
+        "k_override": k_override,
+        "n_final": final.n,
+        "m_final": final.m,
+        "k_final": final.k,
+        "vertex_bound": bound,
+        "rule5_noops": trace.rule5_noops(),
+        "lp_solves": trace.lp_solves,
+        "lp_pivots": trace.lp_pivots,
+        "passes": len(trace.steps),
+        "wall_time_s": round(wall, 6),
+    }
+    applications = trace.rule_counts()
+    for r in range(1, 7):
+        report[f"rule{r}_applications"] = applications[r]
+        report[f"rule{r}_attempts"] = trace.attempts[r]
+    return report
 
 
 def _read_input(path: str | None) -> str:
@@ -233,10 +192,10 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     result = kernelize(inst, observer=observer)
     wall = time.perf_counter() - start
-    report = _build_report(parsed, result, k_override, wall)
+    report = _report(parsed, result, k_override, wall)
     if args.report_json:
         with open(args.report_json, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json() + "\n")
+            handle.write(json.dumps(report, sort_keys=True) + "\n")
     if result.verdict == "kernel":
         sys.stdout.write(write_instance(result.instance))
         return EXIT_KERNEL

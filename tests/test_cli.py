@@ -9,11 +9,135 @@ from pathlib import Path
 import pytest
 
 from hskernel.cli import main, parse_instance, write_instance
-from hskernel.core import normalize
-from hskernel.errors import FormatError
+from hskernel.core import Hypergraph, Instance, normalize
+from hskernel.errors import FormatError, UnsupportedParameterError
 from hskernel.oracle import GenSpec, generate
 
 SHOWCASE_TEXT = "p hs 5 4 3 1\n1 2 4\n1 2 5\n2 3 4\n2 3 5\n"
+
+# (id, text, expected): expected is (exception type, message) or the parsed
+# (n, edges, d, k, labels, comments).
+PARSE_CASES = [
+    ("empty", "", (FormatError, "missing 'p hs' header line")),
+    ("comment-only", "c only a comment\n", (FormatError, "missing 'p hs' header line")),
+    ("edge-first", "1 2\n", (FormatError, "line 1: expected header 'p hs <n> <m> <d> <k>'")),
+    (
+        "short-header",
+        "p hs 2 1 3\n1 2\n",
+        (FormatError, "line 1: expected header 'p hs <n> <m> <d> <k>'"),
+    ),
+    ("non-integer-header", "p hs 2 1 3 x\n1 2\n", (FormatError, "line 1: non-integer field in header")),
+    ("negative-n", "p hs -1 0 3 1\n", (FormatError, "header counts must be non-negative")),
+    ("negative-m", "p hs 2 -1 3 1\n", (FormatError, "header counts must be non-negative")),
+    ("too-few-edges", "p hs 2 2 3 1\n1 2\n", (FormatError, "expected 2 edge lines, found 1")),
+    ("too-many-edges", "p hs 2 1 3 1\n1 2\n2 1\n", (FormatError, "expected 1 edge lines, found 2")),
+    (
+        "second-header",
+        "p hs 2 1 3 1\np hs 2 1 3 1\n1 2\n",
+        (FormatError, "expected 1 edge lines, found 2"),
+    ),
+    (
+        "unicode-line-break",
+        "p hs 2 1 3 1\nc note\u2028x\n1 2\n",
+        (FormatError, "expected 1 edge lines, found 2"),
+    ),
+    ("non-integer-index", "p hs 2 1 3 1\n1 x\n", (FormatError, "line 2: non-integer vertex index")),
+    ("index-zero", "p hs 2 1 3 1\n0 2\n", (FormatError, "line 2: vertex index 0 outside 1..2")),
+    ("negative-index", "p hs 2 1 3 1\n1 -1\n", (FormatError, "line 2: vertex index -1 outside 1..2")),
+    ("index-above-n", "p hs 2 1 3 1\n1 3\n", (FormatError, "line 2: vertex index 3 outside 1..2")),
+    (
+        "range-before-size",
+        "p hs 3 2 3 1\n1 2\n4 1 2 3\n",
+        (FormatError, "line 3: vertex index 4 outside 1..3"),
+    ),
+    (
+        "oversized-edge",
+        "p hs 4 1 3 1\n1 2 3 4\n",
+        (FormatError, "line 2: edge has 4 distinct vertices, bound is 3"),
+    ),
+    (
+        "d0-with-edge",
+        "p hs 3 1 0 1\n1 2\n",
+        (FormatError, "line 2: edge has 2 distinct vertices, bound is 0"),
+    ),
+    (
+        "d0-without-edges",
+        "p hs 3 0 0 1\n",
+        (UnsupportedParameterError, "d=0 unsupported: the engine requires d >= 3"),
+    ),
+    (
+        "d2-oversized-edge",
+        "p hs 3 1 2 1\n1 2 3\n",
+        (FormatError, "line 2: edge has 3 distinct vertices, bound is 2"),
+    ),
+    (
+        "d2-with-edge",
+        "p hs 3 1 2 1\n1 2\n",
+        (UnsupportedParameterError, "d=2 unsupported: the engine requires d >= 3"),
+    ),
+    (
+        "d2-without-edges",
+        "p hs 3 0 2 1\n",
+        (UnsupportedParameterError, "d=2 unsupported: the engine requires d >= 3"),
+    ),
+    ("duplicate-index", "p hs 3 1 3 1\n1 1 2\n", (3, ((0, 1),), 3, 1, (1, 2, 3), ())),
+    (
+        "duplicates-within-bound",
+        "p hs 4 1 3 1\n3 3 2 1 2\n",
+        (4, ((0, 1, 2),), 3, 1, (1, 2, 3, 4), ()),
+    ),
+    ("duplicate-edge", "p hs 3 2 3 1\n1 2\n2 1\n", (3, ((0, 1),), 3, 1, (1, 2, 3), ())),
+    ("no-vertices", "p hs 0 0 3 0\n", (0, (), 3, 0, (), ())),
+    ("negative-k", "p hs 4 1 3 -1\n2 4\n", (4, ((1, 3),), 3, -1, (1, 2, 3, 4), ())),
+    ("crlf", "p hs 2 1 3 1\r\n1 2\r\n", (2, ((0, 1),), 3, 1, (1, 2), ())),
+    (
+        "blanks-and-comments",
+        "\n  c  spaced comment \nc\np hs 3 2 3 2\n\n  2 3  \ncall\n1 2\n",
+        (3, ((0, 1), (1, 2)), 3, 2, (1, 2, 3), ("spaced comment", "", "all")),
+    ),
+]
+
+# Every --report-json key, and the values of four runs (all but wall_time_s).
+REPORT_KEYS = [
+    "d", "k_final", "k_input", "k_override", "lp_pivots", "lp_solves", "m_final", "m_input",
+    "n_final", "n_input", "passes",
+    "rule1_applications", "rule1_attempts", "rule2_applications", "rule2_attempts",
+    "rule3_applications", "rule3_attempts", "rule4_applications", "rule4_attempts",
+    "rule5_applications", "rule5_attempts", "rule5_noops",
+    "rule6_applications", "rule6_attempts",
+    "verdict", "vertex_bound", "wall_time_s",
+]
+_NO_RULES = {f"rule{r}_{kind}": 0 for r in range(1, 7) for kind in ("applications", "attempts")}
+PINNED_REPORTS = {
+    "showcase": {
+        **_NO_RULES, "verdict": "yes", "d": 3, "n_input": 5, "m_input": 4, "k_input": 1,
+        "k_override": False, "n_final": 0, "m_final": 0, "k_final": 0, "vertex_bound": 0,
+        "rule1_applications": 4, "rule1_attempts": 5, "rule2_attempts": 1,
+        "rule3_applications": 1, "rule3_attempts": 1,
+        "rule5_noops": 0, "lp_solves": 0, "lp_pivots": 0, "passes": 5,
+    },
+    "blob": {
+        **_NO_RULES, "verdict": "no", "d": 3, "n_input": 8, "m_input": 8, "k_input": 1,
+        "k_override": False, "n_final": 8, "m_final": 8, "k_final": 1, "vertex_bound": 5,
+        "rule1_attempts": 1, "rule2_attempts": 1, "rule3_attempts": 1, "rule4_attempts": 1,
+        "rule5_applications": 1, "rule5_attempts": 1,
+        "rule6_applications": 1, "rule6_attempts": 1,
+        "rule5_noops": 1, "lp_solves": 1, "lp_pivots": 8, "passes": 2,
+    },
+    "petal": {
+        **_NO_RULES, "verdict": "kernel", "d": 3, "n_input": 22, "m_input": 36, "k_input": 2,
+        "k_override": False, "n_final": 4, "m_final": 4, "k_final": 2, "vertex_bound": 18,
+        "rule1_attempts": 2, "rule2_attempts": 2, "rule3_attempts": 2, "rule4_attempts": 2,
+        "rule5_applications": 2, "rule5_attempts": 2,
+        "rule6_applications": 1, "rule6_attempts": 2,
+        "rule5_noops": 2, "lp_solves": 1, "lp_pivots": 22, "passes": 3,
+    },
+    "showcase-k0": {
+        **_NO_RULES, "verdict": "no", "d": 3, "n_input": 5, "m_input": 4, "k_input": 1,
+        "k_override": True, "n_final": 5, "m_final": 4, "k_final": 0, "vertex_bound": 0,
+        "rule5_noops": 0, "lp_solves": 0, "lp_pivots": 0, "passes": 0,
+    },
+}
 
 
 class TestParse:
@@ -45,6 +169,19 @@ class TestParse:
     def test_comments_preserved(self):
         inst = parse_instance("p hs 2 1 3 1\nc provenance here\n1 2\n")
         assert inst.comments == ("provenance here",)
+
+    @pytest.mark.parametrize(
+        "text, expected", [case[1:] for case in PARSE_CASES], ids=[case[0] for case in PARSE_CASES]
+    )
+    def test_pinned_result(self, text, expected):
+        if isinstance(expected[0], type):
+            with pytest.raises(expected[0]) as caught:
+                parse_instance(text)
+            assert type(caught.value) is expected[0]
+            assert str(caught.value) == expected[1]
+        else:
+            inst = parse_instance(text)
+            assert (inst.n, inst.edges, inst.d, inst.k, inst.labels, inst.comments) == expected
 
 
 class TestWrite:
@@ -78,6 +215,18 @@ class TestWrite:
         inst = normalize([[], ["a", "b"]], 3, 2)
         with pytest.raises(FormatError, match="empty edge"):
             write_instance(inst)
+
+    @pytest.mark.parametrize("comment", ["note\n1 2", "note\u2028x"])
+    def test_comment_with_a_line_break_is_refused(self, comment):
+        # Each part would read back as a line of its own.
+        inst = Instance(Hypergraph(2, ((0, 1),), 3), 1, comments=(comment,))
+        with pytest.raises(FormatError, match="line break"):
+            write_instance(inst)
+
+    def test_comments_round_trip(self):
+        comments = ("gen seed=1 n=2", "", "tab\there", "ünïcode · note")
+        inst = Instance(Hypergraph(2, ((0, 1),), 3), 1, comments=comments)
+        assert parse_instance(write_instance(inst)).comments == comments
 
 
 class TestKernelizeCommand:
@@ -120,6 +269,27 @@ class TestKernelizeCommand:
         assert all(f"rule{r}_applications" in data for r in range(1, 7))
         assert data["wall_time_s"] >= 0
         assert all(not isinstance(v, (dict, list)) for v in data.values())
+
+    @pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+    def test_report_json_pinned(self, tmp_path, capsys, case):
+        from helpers import blob_instance, petal_cycle_instance
+
+        text, extra, exit_code = {
+            "showcase": (SHOWCASE_TEXT, [], 10),
+            "blob": (write_instance(blob_instance(1, 1)), [], 20),
+            "petal": (write_instance(petal_cycle_instance(11, 2)), [], 0),
+            "showcase-k0": (SHOWCASE_TEXT, ["--k", "0"], 20),
+        }[case]
+        path = tmp_path / "in.hs"
+        report = tmp_path / "report.json"
+        path.write_text(text)
+        code = main(["kernelize", str(path), "--report-json", str(report), *extra])
+        capsys.readouterr()
+        assert code == exit_code
+        data = json.loads(report.read_text())
+        assert sorted(data) == REPORT_KEYS
+        assert data.pop("wall_time_s") >= 0
+        assert data == PINNED_REPORTS[case]
 
     def test_report_counts_rule5_noops(self, tmp_path, capsys):
         from helpers import blob_instance

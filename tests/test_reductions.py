@@ -311,6 +311,35 @@ class TestKernelize:
                 got = result.verdict == "yes"
             assert got == expected, f"disagreement for {spec}"
 
+    def test_input_decision_matches_oracle_above_the_ceiling(self):
+        # The oracle is a search tree of depth k: its cost does not grow with
+        # n, so an explicit ceiling lets it decide every input here.
+        instances = [
+            generate(GenSpec(seed=seed, n=64, m=320, d=3, k=6, planted=6 if seed <= 6 else None))
+            for seed in range(1, 11)
+        ]
+        for family in (
+            petal_cycle_instance,
+            mixed_crown_instance,
+            blob_instance,
+            blob4_instance,
+            double_star_instance,
+        ):
+            instances += [family(seed, k) for seed in (1, 2) for k in (2, 3)]
+        instances.append(generate(GenSpec(seed=1, n=300, m=900, d=3, k=6, planted=6)))
+        verdicts = set()
+        for inst in instances:
+            expected = decide_brute_force(inst, ceiling=inst.n)
+            result = kernelize(inst)
+            final = result.instance
+            if result.verdict == "kernel":
+                got = decide_brute_force(final, ceiling=final.n)
+            else:
+                got = result.verdict == "yes"
+            assert got == expected, f"disagreement on {inst.comments or (inst.n, inst.m, inst.k)}"
+            verdicts.add(result.verdict)
+        assert verdicts == {"kernel", "yes", "no"}
+
     def test_kernel_bound_holds(self):
         rng = random.Random(10)
         instances = [petal_cycle_instance(seed, 2) for seed in range(12)]
