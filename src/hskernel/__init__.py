@@ -24,7 +24,7 @@ from .matching import (
     find_bipartite_crown,
     hopcroft_karp,
 )
-from .oracle import GenSpec, check_equivalence, decide_brute_force, generate, min_hitting_set
+from .oracle import GenSpec, decide_brute_force, generate, min_hitting_set
 from .reductions import ReduceResult, ReductionTrace, RuleOutcome, kernelize, vertex_bound
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "apply_hs_crown",
     "blossom_max_matching",
     "build_crown_lp",
-    "check_equivalence",
     "decide_brute_force",
     "extract_crown_candidates",
     "find_bipartite_crown",

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .lp import format_lp
 from .oracle import GenSpec, decide_brute_force, generate
-from .reductions import ReduceResult, RuleOutcome, kernelize, vertex_bound
+from .reductions import ReduceResult, RuleOutcome, TraceStep, kernelize, vertex_bound
 
 EXIT_KERNEL = 0
 EXIT_YES = 10
@@ -50,11 +50,13 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_instance(text: str) -> Instance:
     """Parse an instance file; errors report the offending line number. The
-    instance's labels are the file's 1-based vertex indices."""
+    instance's labels are the file's 1-based vertex indices. Lines end at
+    CR LF, CR or LF only, and one leading byte-order mark is dropped."""
     header: tuple[int, int, int, int] | None = None
     comments: list[str] = []
     edge_lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line:
             continue
@@ -70,6 +72,8 @@ def parse_instance(text: str) -> Instance:
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer field in header") from None
             continue
+        if line[0] == "p" and line.split()[:2] == ["p", "hs"]:
+            raise FormatError(f"line {lineno}: second 'p hs' header line")
         edge_lines.append((lineno, line))
     if header is None:
         raise FormatError("missing 'p hs' header line")
@@ -107,15 +111,15 @@ def write_instance(inst: Instance) -> str:
     The empty edge has no line of its own (a blank line is skipped on
     reading), so an instance holding it is refused with a
     :class:`FormatError`. Kernels never hold it: the controller decides
-    such an instance no. A comment holding a line break (a character that
-    :meth:`str.splitlines` breaks on) is refused too: it would not read back.
+    such an instance no. A comment holding CR or LF, or with leading or
+    trailing whitespace, is refused too: it would not read back as itself.
     """
     if inst.edges and not inst.edges[0]:  # canonical order puts an empty edge first
         raise FormatError("the empty edge cannot be written: the instance is unhittable")
     lines = [f"p hs {inst.n} {inst.m} {inst.d} {inst.k}"]
     for comment in inst.comments:
-        if "".join(comment.splitlines()) != comment:
-            raise FormatError(f"comment {comment!r} holds a line break and would not read back")
+        if "\r" in comment or "\n" in comment or comment != comment.strip():
+            raise FormatError(f"comment {comment!r} has a line break or outer whitespace")
         lines.append(f"c {comment}" if comment else "c")
     for edge in inst.edges:
         lines.append(" ".join(str(v + 1) for v in edge))
@@ -159,10 +163,9 @@ def _read_input(path: str | None) -> str:
         return handle.read()
 
 
-def _format_step(rule: int, outcome: RuleOutcome) -> str:
-    s = outcome.step
+def _format_step(s: TraceStep) -> str:
     return (
-        f"rule{rule}: -{s.vertices_removed} vertices, -{s.edges_removed}/+{s.edges_added} "
+        f"rule{s.rule}: -{s.vertices_removed} vertices, -{s.edges_removed}/+{s.edges_added} "
         f"edges, k{s.k_delta:+d}"
     )
 
@@ -177,7 +180,7 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
             if outcome.verdict_no:
                 print(f"rule{rule}: concluded no", file=sys.stderr)
             else:
-                print(_format_step(rule, outcome), file=sys.stderr)
+                print(_format_step(outcome.step), file=sys.stderr)
             solution = outcome.lp_solution
             if solution is not None:
                 print(
@@ -228,11 +231,7 @@ def _run_trial(spec: GenSpec) -> tuple[bool, str]:
         got = result.verdict == "yes"
         description = f"verdict {result.verdict}"
     if expected != got:
-        steps = "; ".join(
-            f"rule{s.rule}(-{s.vertices_removed}v,-{s.edges_removed}/+{s.edges_added}e,"
-            f"k{s.k_delta:+d})"
-            for s in result.trace.steps
-        )
+        steps = "; ".join(map(_format_step, result.trace.steps))
         description += f" ORACLE {'yes' if expected else 'no'} trace[{steps}]"
     return expected == got, description
 
@@ -248,7 +247,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise _UsageError(f"{name} must be at least {least}, got {value}")
     master = random.Random(args.seed)
     failures = []
-    agree = skipped = 0
+    skipped = 0
     for _ in range(args.trials):
         n = master.randint(least_n, args.n)
         m = master.randint(1, max(2, 2 * n))
@@ -260,12 +259,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except OracleCeilingError:
             skipped += 1
             continue
-        if ok:
-            agree += 1
-        else:
+        if not ok:
             failures.append((spec, desc))
     note = f", {skipped} skipped above the oracle ceiling" if skipped else ""
-    print(f"{agree}/{args.trials} agree{note}")
+    print(f"{args.trials - skipped - len(failures)}/{args.trials} agree{note}")
     if skipped and skipped == args.trials:
         print("error: every trial was above the oracle ceiling", file=sys.stderr)
         return EXIT_USAGE

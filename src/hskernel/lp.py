@@ -44,14 +44,16 @@ class LPProblem:
 class ExactLPSolution:
     """An optimal basic feasible solution in exact rationals.
 
-    ``basis`` describes the final simplex basis, one entry per tableau row;
-    optimality was certified by nonnegative reduced costs at termination.
-    ``pivots`` counts the simplex pivots that reached it.
+    ``basis`` holds the basic column of each :class:`SimplexBackend` tableau
+    row at the optimum, which nonnegative reduced costs certified. Of ``n``
+    variables and ``r`` kept edge rows, column ``v < n`` is ``y_v = 1 - x_v``,
+    ``n + i`` the slack of kept row ``i`` and ``n + r + b`` that of the cap
+    row of the ``b``-th variable in no kept row. ``pivots`` counts pivots.
     """
 
     values: tuple[Fraction, ...]
     objective: Fraction
-    basis: tuple[str, ...]
+    basis: tuple[int, ...]
     pivots: int = 0
 
 
@@ -178,15 +180,7 @@ class SimplexBackend:
             if b < n:
                 y[b] = Fraction(rows[i].get(rhs, 0), rows[i][b])
         values = tuple(_ONE - yv for yv in y)
-        names = []
-        for b in basis:
-            if b < n:
-                names.append(f"headroom[{b}]")
-            elif b < n + len(kept):
-                names.append(f"slack[{b - n}]")
-            else:
-                names.append(f"cap[{boxed[b - n - len(kept)]}]")
-        return ExactLPSolution(values, sum(values, _ZERO), tuple(names), pivots)
+        return ExactLPSolution(values, sum(values, _ZERO), tuple(basis), pivots)
 
     @staticmethod
     def _pivot(

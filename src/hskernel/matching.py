@@ -298,9 +298,8 @@ def max_extension_packing(
     """
     cap = None
     if stop_above is not None:
-        remaining = stop_above + 1 - len(singletons)
-        if remaining <= 0:
+        cap = stop_above + 1 - len(singletons)
+        if cap <= 0:
             return len(singletons)
-        cap = remaining
     best = blossom_max_matching(pair_graph, max_size=cap)
     return len(singletons) + best.size

@@ -1,4 +1,4 @@
-"""Ground-truth exact solving, instance generation, and equivalence checks.
+"""Ground-truth exact solving and instance generation.
 
 The decision oracle is a plain branch-on-first-unhit-edge search with depth
 bounded by the budget; it exists to verify the kernelizer differentially, so
@@ -21,17 +21,12 @@ DEFAULT_CEILING = 25
 CEILING_ENV_VAR = "HSK_ORACLE_CEILING"
 
 
-def _resolve_ceiling(ceiling: int | None) -> int:
-    if ceiling is not None:
-        return ceiling
-    return int(os.environ.get(CEILING_ENV_VAR, DEFAULT_CEILING))
-
-
 def _check_ceiling(n: int, ceiling: int | None) -> None:
-    limit = _resolve_ceiling(ceiling)
-    if n > limit:
+    if ceiling is None:
+        ceiling = int(os.environ.get(CEILING_ENV_VAR, DEFAULT_CEILING))
+    if n > ceiling:
         raise OracleCeilingError(
-            f"instance has {n} vertices, oracle ceiling is {limit} "
+            f"instance has {n} vertices, oracle ceiling is {ceiling} "
             f"(override with {CEILING_ENV_VAR} or the ceiling argument)"
         )
 
@@ -79,11 +74,6 @@ def min_hitting_set(
         if witness is not None:
             return (k, tuple(sorted(witness)))
     raise AssertionError("unreachable: the full vertex set hits everything")
-
-
-def check_equivalence(a: Instance, b: Instance, *, ceiling: int | None = None) -> bool:
-    """True iff both instances decide the same way."""
-    return decide_brute_force(a, ceiling=ceiling) == decide_brute_force(b, ceiling=ceiling)
 
 
 @dataclass(frozen=True)

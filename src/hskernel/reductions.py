@@ -44,14 +44,13 @@ class TraceStep:
 
 @dataclass
 class ReductionTrace:
-    """Ordered log of rule applications plus the final verdict.
+    """Ordered log of rule applications; the verdict is in :class:`ReduceResult`.
 
     ``attempts[r]`` counts the controller's calls of rule ``r``, declined
     ones included.
     """
 
     steps: list[TraceStep] = field(default_factory=list)
-    verdict: str = "undecided"  # undecided | yes | no
     attempts: dict[int, int] = field(default_factory=lambda: dict.fromkeys(range(1, 7), 0))
     lp_solves: int = 0  # crown LPs solved by rule 6
     lp_pivots: int = 0  # simplex pivots summed over those solves
@@ -345,7 +344,7 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     concludes no; rule 5 declines when it was the most recent rule applied.
     After a rule-5 no-op the next pass starts at rule 6: rules 1 to 4 have
     just declined on that very instance and rule 5 declines after itself.
-    An explicit iteration ceiling of ``3n + 4m + 4`` applications guards
+    An explicit iteration ceiling of ``3n + 4m + 4`` trace steps guards
     termination.
 
     ``observer(rule, before, outcome)`` is called for every rule event,
@@ -356,11 +355,9 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     last_rule: int | None = None
     rule5_noop = False
     ceiling = 3 * inst.n + 4 * inst.m + 4
-    applications = 0
     while True:
         verdict = _quick_verdict(current)
         if verdict is not None:
-            trace.verdict = verdict
             return ReduceResult(verdict, current, trace)
 
         # Looked up on every pass: the rules are module globals that a
@@ -390,11 +387,9 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
             trace.lp_solves += 1
             trace.lp_pivots += outcome.lp_solution.pivots
         if outcome.verdict_no:
-            trace.verdict = "no"
             return ReduceResult("no", current, trace)
         rule5_noop = rule_id == 5 and outcome.new_instance is current
         current = outcome.new_instance
         last_rule = rule_id
-        applications += 1
-        if applications > ceiling:
+        if len(trace.steps) > ceiling:
             raise InternalConsistencyError("iteration ceiling exceeded; reduction diverged")

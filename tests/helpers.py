@@ -258,15 +258,7 @@ def naive_dense_simplex(problem: LPProblem) -> tuple[ExactLPSolution, int]:
         if b < n:
             y[b] = matrix[i][-1]
     values = tuple(_ONE - yv for yv in y)
-    names = []
-    for b in basis:
-        if b < n:
-            names.append(f"headroom[{b}]")
-        elif b < n + len(kept):
-            names.append(f"slack[{b - n}]")
-        else:
-            names.append(f"cap[{boxed[b - n - len(kept)]}]")
-    return ExactLPSolution(values, sum(values, _ZERO), tuple(names), pivots), ties
+    return ExactLPSolution(values, sum(values, _ZERO), tuple(basis), pivots), ties
 
 
 def _dense_pivot(
@@ -351,11 +343,9 @@ def naive_kernelize(inst: Instance, observer=None) -> ReduceResult:
     current = inst
     last_rule: int | None = None
     ceiling = 3 * inst.n + 4 * inst.m + 4
-    applications = 0
     while True:
         verdict = _quick_verdict(current)
         if verdict is not None:
-            trace.verdict = verdict
             return ReduceResult(verdict, current, trace)
 
         for rule_id, rule in (
@@ -381,12 +371,10 @@ def naive_kernelize(inst: Instance, observer=None) -> ReduceResult:
             trace.lp_solves += 1
             trace.lp_pivots += outcome.lp_solution.pivots
         if outcome.verdict_no:
-            trace.verdict = "no"
             return ReduceResult("no", current, trace)
         current = outcome.new_instance
         last_rule = rule_id
-        applications += 1
-        if applications > ceiling:
+        if len(trace.steps) > ceiling:
             raise InternalConsistencyError("iteration ceiling exceeded; reduction diverged")
 
 

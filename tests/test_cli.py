@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from hskernel import cli
 from hskernel.cli import main, parse_instance, write_instance
 from hskernel.core import Hypergraph, Instance, normalize
 from hskernel.errors import FormatError, UnsupportedParameterError
 from hskernel.oracle import GenSpec, generate
+from hskernel.reductions import ReduceResult
 
 SHOWCASE_TEXT = "p hs 5 4 3 1\n1 2 4\n1 2 5\n2 3 4\n2 3 5\n"
 
@@ -34,12 +36,32 @@ PARSE_CASES = [
     (
         "second-header",
         "p hs 2 1 3 1\np hs 2 1 3 1\n1 2\n",
-        (FormatError, "expected 1 edge lines, found 2"),
+        (FormatError, "line 2: second 'p hs' header line"),
     ),
+    (
+        "second-header-after-edges",
+        "p hs 2 1 3 1\n1 2\np hs 2 1 3 1\n",
+        (FormatError, "line 3: second 'p hs' header line"),
+    ),
+    ("p-edge-line", "p hs 2 1 3 1\np 1 2\n", (FormatError, "line 2: non-integer vertex index")),
+    # Only CR LF, CR and LF end a line; other line breaks are whitespace.
     (
         "unicode-line-break",
         "p hs 2 1 3 1\nc note\u2028x\n1 2\n",
-        (FormatError, "expected 1 edge lines, found 2"),
+        (2, ((0, 1),), 3, 1, (1, 2), ("note\u2028x",)),
+    ),
+    ("form-feed-edge", "p hs 3 1 3 1\n1 2\f3\n", (3, ((0, 1, 2),), 3, 1, (1, 2, 3), ())),
+    ("vertical-tab-edge", "p hs 3 1 3 1\n1\v2 3\n", (3, ((0, 1, 2),), 3, 1, (1, 2, 3), ())),
+    (
+        "form-feed-is-no-line-end",
+        "p hs 3 2 3 1\n1 2\f3\n",
+        (FormatError, "expected 2 edge lines, found 1"),
+    ),
+    ("cr", "p hs 2 1 3 1\r1 2\r", (2, ((0, 1),), 3, 1, (1, 2), ())),
+    (
+        "two-byte-order-marks",
+        "\ufeff\ufeffp hs 2 1 3 1\n1 2\n",
+        (FormatError, "line 1: expected header 'p hs <n> <m> <d> <k>'"),
     ),
     ("non-integer-index", "p hs 2 1 3 1\n1 x\n", (FormatError, "line 2: non-integer vertex index")),
     ("index-zero", "p hs 2 1 3 1\n0 2\n", (FormatError, "line 2: vertex index 0 outside 1..2")),
@@ -170,6 +192,18 @@ class TestParse:
         inst = parse_instance("p hs 2 1 3 1\nc provenance here\n1 2\n")
         assert inst.comments == ("provenance here",)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        plain = parse_instance(SHOWCASE_TEXT)
+        marked = parse_instance("\ufeff" + SHOWCASE_TEXT)
+        assert (marked, marked.labels, marked.comments) == (plain, plain.labels, plain.comments)
+        runs = []
+        for name, data in (("plain.hs", b""), ("marked.hs", b"\xef\xbb\xbf")):
+            path = tmp_path / name
+            path.write_bytes(data + SHOWCASE_TEXT.encode())
+            runs.append((main(["solve", str(path)]), capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 10
+
     @pytest.mark.parametrize(
         "text, expected", [case[1:] for case in PARSE_CASES], ids=[case[0] for case in PARSE_CASES]
     )
@@ -216,15 +250,26 @@ class TestWrite:
         with pytest.raises(FormatError, match="empty edge"):
             write_instance(inst)
 
-    @pytest.mark.parametrize("comment", ["note\n1 2", "note\u2028x"])
+    @pytest.mark.parametrize("comment", ["note\n1 2", "note\rx"])
     def test_comment_with_a_line_break_is_refused(self, comment):
         # Each part would read back as a line of its own.
         inst = Instance(Hypergraph(2, ((0, 1),), 3), 1, comments=(comment,))
         with pytest.raises(FormatError, match="line break"):
             write_instance(inst)
 
+    @pytest.mark.parametrize("comment", [" padded ", "padded ", "\tpadded", "\u2028"])
+    def test_padded_comment_is_refused(self, comment):
+        # Reading strips the line, so the comment would come back trimmed.
+        inst = Instance(Hypergraph(2, ((0, 1),), 3), 1, comments=(comment,))
+        with pytest.raises(FormatError, match="outer whitespace"):
+            write_instance(inst)
+
     def test_comments_round_trip(self):
-        comments = ("gen seed=1 n=2", "", "tab\there", "ünïcode · note")
+        # Only CR and LF end a line: the other line separators stay inside.
+        comments = (
+            "gen seed=1 n=2", "", "tab\there", "ünïcode · note",
+            "note\u2028x", "sep\u2029para", "next\x85line", "form\ffeed", "v\vtab",
+        )
         inst = Instance(Hypergraph(2, ((0, 1),), 3), 1, comments=comments)
         assert parse_instance(write_instance(inst)).comments == comments
 
@@ -508,6 +553,35 @@ class TestVerifyCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith(f"usage error: {flag} must be at least")
+
+    def test_disagreement_prints_the_trace_and_exits_two(self, capsys, monkeypatch):
+        real = cli.kernelize
+
+        def flipped(inst, observer=None):
+            result = real(inst, observer)
+            if result.verdict == "kernel":
+                return result
+            wrong = "no" if result.verdict == "yes" else "yes"
+            return ReduceResult(wrong, result.instance, result.trace)
+
+        monkeypatch.setattr(cli, "kernelize", flipped)
+        code = main(
+            ["verify", "--trials", "1", "--seed", "2", "--n", "8", "--d", "3", "--kmax", "2"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "0/1 agree\n"
+        spec = "GenSpec(seed=1559521054175740196, n=4, m=2, d=3, k=1, planted=None)"
+        steps = [
+            "rule1: -1 vertices, -1/+1 edges, k+0",
+            "rule1: -1 vertices, -1/+1 edges, k+0",
+            "rule1: -1 vertices, -1/+0 edges, k+0",
+            "rule3: -1 vertices, -1/+0 edges, k-1",
+        ]
+        assert captured.err == (
+            f"DISAGREE seed=1559521054175740196 spec={spec} kernelizer=verdict no "
+            f"ORACLE yes trace[{'; '.join(steps)}]\n"
+        )
 
 
 def test_module_entry_point_runs_commands():

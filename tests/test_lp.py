@@ -127,8 +127,13 @@ class TestSolveExact:
         assert solve_exact(prob) == solve_exact(prob)
 
     def test_basis_certificate_present(self):
+        # One basic column per tableau row, no box rows needed: columns 0-4
+        # are y_v = 1 - x_v, 5-8 the slacks of the four edge rows, and the
+        # optimum is x = (1, 1, 0, 0, 1).
         sol = solve_exact(build_crown_lp(showcase_hypergraph()))
-        assert len(sol.basis) == 4  # one entry per tableau row, no box rows needed
+        assert sol.basis == (2, 3, 4, 8)
+        # Three isolated vertices: three cap rows, each made basic in y_v.
+        assert solve_exact(build_crown_lp(Hypergraph(3, (), 3))).basis == (0, 1, 2)
 
 
 # One triple: the crown LP asks for x0 + x1 + x2 >= 2, which implies the

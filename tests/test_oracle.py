@@ -7,7 +7,6 @@ from hskernel.core import Hypergraph, Instance, normalize
 from hskernel.errors import OracleCeilingError, UnsupportedParameterError
 from hskernel.oracle import (
     GenSpec,
-    check_equivalence,
     decide_brute_force,
     generate,
     min_hitting_set,
@@ -129,19 +128,3 @@ class TestGenerate:
     def test_requested_edge_count_reached_when_space_allows(self):
         inst = generate(GenSpec(seed=8, n=12, m=20, d=3, k=1))
         assert inst.m == 20
-
-
-class TestCheckEquivalence:
-    def test_instance_equals_itself(self):
-        inst = normalize(SHOWCASE_EDGES, 3, 1)
-        assert check_equivalence(inst, inst)
-
-    def test_showcase_vs_its_crown_reduction(self):
-        inst = normalize(SHOWCASE_EDGES, 3, 1)
-        reduced = normalize([["v1", "v2"], ["v2", "v3"]], 3, 1)
-        assert check_equivalence(inst, reduced)
-
-    def test_detects_disagreement(self):
-        a = normalize([["a", "b"]], 3, 1)
-        b = normalize([["a", "b"], ["c", "d"]], 3, 1)
-        assert not check_equivalence(a, b)

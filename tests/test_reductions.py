@@ -311,6 +311,45 @@ class TestKernelize:
                 got = result.verdict == "yes"
             assert got == expected, f"disagreement for {spec}"
 
+    def test_decisions_match_oracle_at_d5_and_d6(self):
+        # The engine and its bound cover every d >= 3, not only d in {3, 4}.
+        for d in (5, 6):
+            rng = random.Random(d)
+            verdicts = set()
+            for trial in range(400):
+                spec = GenSpec(
+                    seed=100_000 * d + trial,
+                    n=rng.randint(d, 18),
+                    m=rng.randint(1, 40),
+                    d=d,
+                    k=rng.randint(1, 3),
+                    planted=rng.choice((None, None, 2)),
+                )
+                inst = generate(spec)
+                expected = decide_brute_force(inst)
+                result = kernelize(inst)
+                final = result.instance
+                if result.verdict == "kernel":
+                    assert final.n <= vertex_bound(final.d, final.k)
+                    got = decide_brute_force(final)
+                else:
+                    got = result.verdict == "yes"
+                assert got == expected, f"disagreement for {spec}"
+                verdicts.add(result.verdict)
+            assert verdicts == {"kernel", "yes", "no"}, d
+
+    def test_rule5_called_right_after_a_rule5_step_at_d5(self):
+        # Rule 5 changes edges, rules 1-4 decline, and rule 5 is called right
+        # after itself and declines; no d in {3, 4} input is known to do this.
+        inst = generate(GenSpec(seed=1423, n=11, m=27, d=5, k=2))
+        result = kernelize(inst)
+        reference = naive_kernelize(inst)
+        assert result.verdict == reference.verdict == "kernel"
+        assert result.instance == reference.instance
+        assert result.trace.steps == reference.trace.steps
+        assert result.trace.steps == [TraceStep(2, 0, 1, 0, 0)] * 7 + [TraceStep(5, 0, 5, 1, 0)]
+        assert result.trace.attempts == {1: 9, 2: 9, 3: 2, 4: 2, 5: 2, 6: 1}
+
     def test_input_decision_matches_oracle_above_the_ceiling(self):
         # The oracle is a search tree of depth k: its cost does not grow with
         # n, so an explicit ceiling lets it decide every input here.
