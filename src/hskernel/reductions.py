@@ -13,9 +13,9 @@ the controller, not in any rule.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Callable, Iterable
 
 from .core import Edge, Hypergraph, Instance, subedge_groups
 from .crown import HSCrown, validate_hs_crown, _crown_via_matching
@@ -139,13 +139,20 @@ def _rebuild(
 
 def weakly_related_family(h: Hypergraph) -> list[Edge]:
     """A maximal family of edges pairwise overlapping in at most d-2 vertices,
-    chosen greedily in canonical edge order (deterministic)."""
+    chosen greedily in canonical edge order (deterministic).
+
+    Two edges overlap in more than d-2 vertices exactly when they share a
+    (d-1)-subset, so an edge joins iff none of its (d-1)-subsets is taken
+    yet; an edge with fewer than d-1 vertices has none and always joins.
+    That is O(m*d) subset lookups in place of a scan of the chosen edges.
+    """
     chosen: list[Edge] = []
-    chosen_sets: list[frozenset[int]] = []
-    for e, es in zip(h.edges, h.edge_sets):
-        if all(len(es & f) <= h.d - 2 for f in chosen_sets):
+    taken: set[Edge] = set()
+    for e in h.edges:
+        subsets = list(combinations(e, h.d - 1))
+        if taken.isdisjoint(subsets):
             chosen.append(e)
-            chosen_sets.append(es)
+            taken.update(subsets)
     return chosen
 
 
@@ -184,13 +191,16 @@ def rule1_vertex_domination(inst: Instance) -> RuleOutcome:
 
 def rule2_edge_domination(inst: Instance) -> RuleOutcome:
     """Remove one edge that strictly contains another (the superset is
-    redundant: hitting the subset hits it too). Each edge's proper subsets,
-    the empty one included, are looked up in the edge index; the first edge
-    in canonical order with a hit is removed."""
+    redundant: hitting the subset hits it too). Each edge's proper subsets
+    are looked up in the edge index, from the smallest edge size present
+    upwards (no smaller subset can be an edge; the empty edge makes that
+    size 0); the first edge in canonical order with a hit is removed. When
+    all edges have one size, no edge is looked up at all."""
     h = inst.hypergraph
     index = h.edge_index
+    least = min(map(len, h.edges), default=0)
     for j, e in enumerate(h.edges):
-        if any(s in index for r in range(len(e)) for s in combinations(e, r)):
+        if any(s in index for r in range(least, len(e)) for s in combinations(e, r)):
             return _rebuild(inst, 2, h.edges[:j] + h.edges[j + 1 :])
     return _NOT_APPLIED
 
@@ -223,6 +233,12 @@ def rule4_high_degree_subedge(inst: Instance) -> RuleOutcome:
     or two vertices; with supersets already removed the packing decomposes as
     singleton count plus a maximum matching over the two-vertex extensions.
     The first triggering subedge in canonical order is applied.
+
+    A greedy maximal matching ``M`` over the two-vertex extensions, taken in
+    list order, brackets the maximum ``nu``: ``|M| <= nu <= 2|M|``. So a
+    subedge is declined when singles plus ``2|M|`` is at most ``k``, applied
+    when singles plus ``|M|`` exceeds ``k``, and only in between does the
+    blossom matching decide.
     """
     h = inst.hypergraph
     k = inst.k
@@ -232,24 +248,30 @@ def rule4_high_degree_subedge(inst: Instance) -> RuleOutcome:
         s_set = frozenset(s)
         singles: set[int] = set()
         pair_edges: list[tuple[int, int]] = []
-        pair_vertices: set[int] = set()
+        matched: set[int] = set()
         for e in containing:
             ext = tuple(v for v in e if v not in s_set)
             if len(ext) == 1:
                 singles.add(ext[0])
             elif len(ext) == 2:
                 pair_edges.append(ext)
-                pair_vertices.update(ext)
-        local = {v: i for i, v in enumerate(sorted(pair_vertices))}
-        graph = SimpleGraph(
-            len(local), tuple((local[u], local[v]) for u, v in pair_edges)
-        )
-        packing = max_extension_packing(singles, graph, stop_above=k)
-        if packing > k:
-            removed = set(containing)
-            new_edges = [e for e in h.edges if e not in removed]
-            new_edges.append(s)
-            return _rebuild(inst, 4, new_edges)
+                if matched.isdisjoint(ext):
+                    matched.update(ext)
+        greedy = len(matched) // 2
+        if len(singles) + 2 * greedy <= k:
+            continue
+        if len(singles) + greedy <= k:
+            pair_vertices = sorted({v for ext in pair_edges for v in ext})
+            local = {v: i for i, v in enumerate(pair_vertices)}
+            graph = SimpleGraph(
+                len(local), tuple((local[u], local[v]) for u, v in pair_edges)
+            )
+            if max_extension_packing(singles, graph, stop_above=k) <= k:
+                continue
+        removed = set(containing)
+        new_edges = [e for e in h.edges if e not in removed]
+        new_edges.append(s)
+        return _rebuild(inst, 4, new_edges)
     return _NOT_APPLIED
 
 

@@ -16,7 +16,7 @@ from itertools import combinations
 from hskernel.core import Edge, Hypergraph, Instance, canonical_edge
 from hskernel.errors import InternalConsistencyError
 from hskernel.lp import ExactLPSolution, LPProblem
-from hskernel.matching import BipartiteGraph
+from hskernel.matching import BipartiteGraph, SimpleGraph, blossom_max_matching
 from hskernel.reductions import (
     ReduceResult,
     ReductionTrace,
@@ -335,6 +335,42 @@ def naive_rule2_edge(inst: Instance) -> tuple[Edge, TraceStep, Instance] | None:
     return None
 
 
+def naive_extension_packing(subedge: Edge, containing) -> int:
+    """Rule 4's packing of ``subedge``'s extensions in the ``containing``
+    edges: the one-vertex extensions plus a maximum (blossom) matching of
+    the two-vertex ones."""
+    extensions = [tuple(v for v in e if v not in subedge) for e in containing]
+    singles = {x[0] for x in extensions if len(x) == 1}
+    pairs = [x for x in extensions if len(x) == 2]
+    local = {v: i for i, v in enumerate(sorted({v for p in pairs for v in p}))}
+    graph = SimpleGraph(len(local), tuple((local[u], local[v]) for u, v in pairs))
+    return len(singles) + blossom_max_matching(graph).size
+
+
+def naive_rule4(inst: Instance) -> tuple[Edge, TraceStep, Instance] | None:
+    """Rule 4 with a blossom matching on every (d-2)-subset that more than
+    ``k`` edges contain: the first such subset in sorted order whose
+    extensions pack more than ``k``, its step and successor."""
+    h = inst.hypergraph
+    subsets = sorted({s for e in h.edges for s in combinations(e, h.d - 2)})
+    for s in subsets:
+        containing = [e for e in h.edges if set(s) <= set(e)]
+        if len(containing) > inst.k and naive_extension_packing(s, containing) > inst.k:
+            new_edges = [e for e in h.edges if e not in containing] + [s]
+            return (s, *_naive_successor(inst, 4, new_edges))
+    return None
+
+
+def naive_weakly_related_family(h: Hypergraph) -> list[Edge]:
+    """The greedy weakly related family by intersecting each edge, in
+    canonical order, with every edge chosen before it."""
+    chosen: list[Edge] = []
+    for e in h.edges:
+        if all(len(set(e) & set(f)) <= h.d - 2 for f in chosen):
+            chosen.append(e)
+    return chosen
+
+
 def naive_kernelize(inst: Instance, observer=None) -> ReduceResult:
     """The controller without the skip after a rule-5 no-op: every pass
     tries the rules from rule 1, and rule 5 declines right after itself.
@@ -400,6 +436,17 @@ def random_rule_instance(rng: random.Random) -> Instance:
                     e.discard(rng.choice(sorted(e - {a, b})))
     labels = tuple(f"v{i}" for i in range(n))
     return Instance(Hypergraph(n, tuple(tuple(e) for e in edges), d), rng.randint(0, 3), labels)
+
+
+def one_size_rule_instance(rng: random.Random) -> Instance:
+    """A small labelled instance whose edges all have one size (from 1 to
+    d), so no edge can contain another."""
+    d = rng.choice((3, 4))
+    n = rng.randint(1, 9)
+    size = rng.randint(1, min(d, n))
+    edges = tuple(tuple(rng.sample(range(n), size)) for _ in range(rng.randint(0, 12)))
+    labels = tuple(f"v{i}" for i in range(n))
+    return Instance(Hypergraph(n, edges, d), rng.randint(0, 3), labels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """The benchmark's tracer patches engine attributes by name; a rename that
 drops a patch point must fail here rather than only in the benchmark."""
 
+import gc
 import importlib
 import sys
+import weakref
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,8 +23,8 @@ def _is_engine(name):
     return name == "hskernel" or name.startswith("hskernel.")
 
 
-@pytest.fixture
-def fresh_hk():
+@contextmanager
+def _fresh_engine():
     """The engine imported afresh, as the benchmark does; the modules the
     rest of the suite imported are put back afterwards."""
     saved = {name: mod for name, mod in sys.modules.items() if _is_engine(name)}
@@ -33,6 +36,25 @@ def fresh_hk():
         for name in [name for name in sys.modules if _is_engine(name)]:
             del sys.modules[name]
         sys.modules.update(saved)
+
+
+@pytest.fixture
+def fresh_hk():
+    with _fresh_engine() as hk:
+        yield hk
+
+
+def test_a_fresh_import_leaves_the_previous_copy_collectable():
+    # typing caches subscripted aliases such as typing.Callable[[...], None]
+    # with their arguments, so an alias over engine classes would keep every
+    # imported copy of the engine alive; the benchmark imports it seven times.
+    with _fresh_engine() as hk:
+        first = weakref.ref(hk.core.Instance)
+    del hk
+    with _fresh_engine():
+        pass
+    gc.collect()
+    assert first() is None
 
 
 def test_tracer_installs_counts_and_restores(fresh_hk, monkeypatch):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hskernel import reductions
-from hskernel.core import Hypergraph, Instance, normalize
+from hskernel.core import Hypergraph, Instance, normalize, subedge_groups
 from hskernel.crown import apply_hs_crown, validate_hs_crown
 from hskernel.errors import InternalConsistencyError
 from hskernel.oracle import GenSpec, decide_brute_force, generate
@@ -29,6 +29,10 @@ from helpers import (
     naive_kernelize,
     naive_rule1_vertex,
     naive_rule2_edge,
+    naive_extension_packing,
+    naive_rule4,
+    naive_weakly_related_family,
+    one_size_rule_instance,
     petal_cycle_instance,
     random_rule_instance,
 )
@@ -95,10 +99,14 @@ class TestDominationRulesAgainstPairScans:
 
     def test_same_target_step_and_successor(self):
         rng = random.Random(2024)
-        seen = {key: 0 for key in ("n=1", "isolated", "singleton", "twins", "d=3", "d=4", "empty")}
+        instances = [random_rule_instance(rng) for _ in range(6000)]
+        instances += [one_size_rule_instance(rng) for _ in range(1000)]
+        seen = {
+            key: 0
+            for key in ("n=1", "isolated", "singleton", "twins", "d=3", "d=4", "empty", "one size")
+        }
         applied = {1: 0, 2: 0}
-        for _ in range(6000):
-            inst = random_rule_instance(rng)
+        for inst in instances:
             h = inst.hypergraph
             through = [frozenset(i for i, e in enumerate(h.edges) if v in e) for v in range(h.n)]
             seen["n=1"] += h.n == 1
@@ -107,6 +115,7 @@ class TestDominationRulesAgainstPairScans:
             seen["twins"] += len({t for t in through if t}) < sum(1 for t in through if t)
             seen[f"d={h.d}"] += 1
             seen["empty"] += () in h.edges
+            seen["one size"] += h.m > 1 and len({len(e) for e in h.edges}) == 1
 
             out = rule1_vertex_domination(inst)
             expected = naive_rule1_vertex(inst)
@@ -179,6 +188,93 @@ class TestRule4:
         assert (0, 1) in out.new_instance.edges
 
 
+def _bracket_cases(inst):
+    """The cases rule 4's bracket meets on ``inst``, from the first
+    over-full (d-2)-subedge up to the one it applies: more than ``k``
+    singles, a greedy maximal matching too small even doubled (upper skip)
+    or large enough alone (lower apply), or neither (blossom)."""
+    cases = set()
+    k = inst.k
+    h = inst.hypergraph
+    for s, containing in subedge_groups(h.edges, h.d - 2).items():
+        if len(containing) <= k:
+            continue
+        extensions = [tuple(v for v in e if v not in s) for e in containing]
+        singles = {x[0] for x in extensions if len(x) == 1}
+        pairs = [x for x in extensions if len(x) == 2]
+        covered, greedy = set(), 0
+        for u, v in pairs:
+            if u not in covered and v not in covered:
+                covered |= {u, v}
+                greedy += 1
+        if len(singles) > k:
+            cases.add("singles alone")
+        elif len(singles) + 2 * greedy <= k:
+            cases.add("upper skip")
+            continue
+        elif len(singles) + greedy > k:
+            cases.add("lower apply")
+        else:
+            cases.add("blossom")
+            if naive_extension_packing(s, containing) <= k:
+                continue
+        return cases
+    return cases
+
+
+class TestRule4AgainstBlossomOnEveryGroup:
+    """Rule 4 brackets each group's packing with a greedy maximal matching
+    and runs the blossom only in between; a blossom on every over-full group
+    must give the same decision, step and successor."""
+
+    def test_same_outcome(self):
+        rng = random.Random(404)
+        starts = [
+            generate(
+                GenSpec(
+                    seed=40_000 + trial,
+                    n=rng.randint(5, 16),
+                    m=rng.randint(4, 40),
+                    d=d,
+                    k=rng.randint(1, 4),
+                    planted=rng.choice((None, 2)),
+                )
+            )
+            for trial in range(60)
+            for d in (3, 4, 5)
+        ]
+        for seed in range(3):
+            starts += [
+                petal_cycle_instance(seed, 2),
+                mixed_crown_instance(seed, 2),
+                blob_instance(seed, 1),
+                blob4_instance(seed, 1),
+                double_star_instance(seed, 2),
+            ]
+        cases = {"singles alone": 0, "upper skip": 0, "lower apply": 0, "blossom": 0}
+        applied = {3: 0, 4: 0, 5: 0}
+        for start in starts:
+            # Every state of the run, so rule 4 also meets the instances the
+            # controller hands it after rules 1 to 3 decline.
+            states = [start]
+            kernelize(start, lambda rule, before, out: states.append(out.new_instance))
+            for inst in states:
+                if inst is None:
+                    continue
+                out = rule4_high_degree_subedge(inst)
+                expected = naive_rule4(inst)
+                assert out.applied == (expected is not None) and not out.verdict_no, inst
+                if expected is not None:
+                    _, step, successor = expected
+                    assert out.step == step
+                    assert out.new_instance == successor
+                    applied[inst.d] += 1
+                for case in _bracket_cases(inst):
+                    cases[case] += 1
+        assert all(cases.values()), cases
+        assert all(applied.values()), applied
+
+
 class TestRule5:
     def test_overloaded_single_vertex_fires(self):
         inst = inst_of([["u", "a", "b"], ["u", "c", "dd"]], 1)
@@ -213,6 +309,22 @@ class TestRule5:
         assert decide_brute_force(inst, ceiling=40) == decide_brute_force(
             out.new_instance, ceiling=40
         )
+
+    def test_family_equals_the_pairwise_scan(self):
+        rng = random.Random(55)
+        seen = {"short edge joins": 0, "edge refused": 0}
+        for trial in range(2000):
+            d = (3, 4, 5, 6)[trial % 4]
+            n = rng.randint(d, 12)
+            edges = tuple(
+                tuple(rng.sample(range(n), rng.randint(1, d))) for _ in range(rng.randint(1, 30))
+            )
+            h = Hypergraph(n, edges, d)
+            family = weakly_related_family(h)
+            assert family == naive_weakly_related_family(h), h
+            seen["short edge joins"] += any(len(e) < d - 1 for e in family)
+            seen["edge refused"] += len(family) < h.m
+        assert all(seen.values()), seen
 
     def test_greedy_family_is_maximal_and_weakly_related(self):
         rng = random.Random(7)
