@@ -156,6 +156,20 @@ def _report(original: Instance, result: ReduceResult, k_override: bool, wall: fl
     return report
 
 
+def _report_text(report: dict) -> str:
+    """``report`` as one JSON line with every integer in full. The vertex
+    bound can run past the interpreter's int-to-str digit limit, so a set
+    limit (0 is none) is lifted for this one dump only."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(report, sort_keys=True) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _read_input(path: str | None) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
@@ -198,7 +212,7 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     report = _report(parsed, result, k_override, wall)
     if args.report_json:
         with open(args.report_json, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(report, sort_keys=True) + "\n")
+            handle.write(_report_text(report))
     if result.verdict == "kernel":
         sys.stdout.write(write_instance(result.instance))
         return EXIT_KERNEL

@@ -4,7 +4,8 @@ Everything here is deterministic: vertices are processed in increasing index
 order and adjacency lists are sorted, so repeated runs produce identical
 matchings and crowns. The bipartite crown finder only emits Hall-deficient
 crowns (an unmatched left vertex must exist); saturated crowns are invisible
-to it by design.
+to it by design. The blossom matching always runs to a full maximum: rule 4
+calls it only for a subedge its greedy bracket leaves undecided.
 """
 
 from __future__ import annotations
@@ -158,13 +159,8 @@ def hopcroft_karp(g: BipartiteGraph) -> Matching:
     return Matching(pairs)
 
 
-def blossom_max_matching(g: SimpleGraph, *, max_size: int | None = None) -> Matching:
-    """Maximum matching in a general graph via blossom contraction.
-
-    ``max_size`` stops augmenting once the matching reaches that many pairs;
-    callers that only test a threshold use it, everybody else gets the true
-    maximum.
-    """
+def blossom_max_matching(g: SimpleGraph) -> Matching:
+    """Maximum matching in a general graph via blossom contraction."""
     n = g.vertex_count
     adj = g.adjacency
     match = [-1] * n
@@ -231,12 +227,9 @@ def blossom_max_matching(g: SimpleGraph, *, max_size: int | None = None) -> Matc
                     q.append(match[to])
         return False
 
-    size = 0
     for v in range(n):
-        if match[v] == -1 and find_augmenting(v):
-            size += 1
-            if max_size is not None and size >= max_size:
-                break
+        if match[v] == -1:
+            find_augmenting(v)
     pairs = tuple((v, match[v]) for v in range(n) if match[v] > v)
     return Matching(pairs)
 
@@ -278,28 +271,3 @@ def find_bipartite_crown(g: BipartiteGraph) -> BipartiteCrown | None:
         raise InternalConsistencyError("crown lost its Hall deficiency")
     return crown
 
-
-def max_extension_packing(
-    singletons: frozenset[int] | set[int],
-    pair_graph: SimpleGraph,
-    *,
-    stop_above: int | None = None,
-) -> int:
-    """Largest family of extensions that pairwise share nothing.
-
-    ``singletons`` are one-vertex extensions (mutually disjoint by
-    definition); ``pair_graph`` has the two-vertex extensions as edges, so
-    a maximum matching picks the most pairwise-disjoint ones. Callers must
-    guarantee no pair extension touches a singleton vertex (edge-domination
-    removal provides this), which lets the packing decompose as a plain sum.
-
-    With ``stop_above`` the result is only exact up to that threshold: any
-    return value above it certifies the threshold is exceeded.
-    """
-    cap = None
-    if stop_above is not None:
-        cap = stop_above + 1 - len(singletons)
-        if cap <= 0:
-            return len(singletons)
-    best = blossom_max_matching(pair_graph, max_size=cap)
-    return len(singletons) + best.size

@@ -23,7 +23,11 @@ CEILING_ENV_VAR = "HSK_ORACLE_CEILING"
 
 def _check_ceiling(n: int, ceiling: int | None) -> None:
     if ceiling is None:
-        ceiling = int(os.environ.get(CEILING_ENV_VAR, DEFAULT_CEILING))
+        raw = os.environ.get(CEILING_ENV_VAR, str(DEFAULT_CEILING))
+        try:
+            ceiling = int(raw)
+        except ValueError:
+            raise ValueError(f"{CEILING_ENV_VAR}={raw!r} is not an integer") from None
     if n > ceiling:
         raise OracleCeilingError(
             f"instance has {n} vertices, oracle ceiling is {ceiling} "

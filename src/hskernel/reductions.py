@@ -28,7 +28,8 @@ from .lp import (
     extract_crown_candidates,
     solve_exact,
 )
-from .matching import SimpleGraph, max_extension_packing
+from . import matching  # the blossom is looked up at call time; bench/tracing.py patches it
+from .matching import SimpleGraph
 
 
 @dataclass(frozen=True)
@@ -229,15 +230,19 @@ def rule4_high_degree_subedge(inst: Instance) -> RuleOutcome:
 
     If more than ``k`` hyperedges pairwise intersect in exactly the subedge
     ``e``, any budget-k solution must hit ``e`` itself, so all edges through
-    ``e`` collapse to the single new edge ``e``. Extensions of ``e`` have one
-    or two vertices; with supersets already removed the packing decomposes as
-    singleton count plus a maximum matching over the two-vertex extensions.
-    The first triggering subedge in canonical order is applied.
+    ``e`` collapse to the single new edge ``e``. The first triggering
+    subedge in canonical order is applied.
+
+    Extensions of ``e`` have one or two vertices. One-vertex extensions are
+    mutually disjoint; a largest disjoint family of two-vertex extensions is
+    a maximum matching ``nu`` over them. Rule 2 has already removed every
+    superset, so no two-vertex extension contains a one-vertex one, and the
+    packing is exactly the number of singles plus ``nu``.
 
     A greedy maximal matching ``M`` over the two-vertex extensions, taken in
-    list order, brackets the maximum ``nu``: ``|M| <= nu <= 2|M|``. So a
-    subedge is declined when singles plus ``2|M|`` is at most ``k``, applied
-    when singles plus ``|M|`` exceeds ``k``, and only in between does the
+    list order, brackets ``nu``: ``|M| <= nu <= 2|M|``. So a subedge is
+    declined when singles plus ``2|M|`` is at most ``k``, applied when
+    singles plus ``|M|`` exceeds ``k``, and only in between does a maximum
     blossom matching decide.
     """
     h = inst.hypergraph
@@ -266,7 +271,7 @@ def rule4_high_degree_subedge(inst: Instance) -> RuleOutcome:
             graph = SimpleGraph(
                 len(local), tuple((local[u], local[v]) for u, v in pair_edges)
             )
-            if max_extension_packing(singles, graph, stop_above=k) <= k:
+            if len(singles) + matching.blossom_max_matching(graph).size <= k:
                 continue
         removed = set(containing)
         new_edges = [e for e in h.edges if e not in removed]
@@ -279,12 +284,13 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None) -> Rule
     """Count subedge occurrences inside a maximal weakly related family.
 
     A greedy maximal family ``W`` of pairwise weakly related edges (overlap
-    at most d-2) is built in canonical order; then for subedge sizes
-    ``d-2`` down to ``1``, any subedge contained in more than ``k**(d-1-i)``
-    family members forces itself into every budget-k solution: all edges
-    through it are deleted and the subedge becomes an edge. The family is
-    viewed live (deleted edges leave it; inserted subedges do not join it)
-    and the budget never changes.
+    at most d-2) is built in canonical order; then for subedge sizes ``i``
+    from ``d-2`` (or the longest member's size, if smaller) down to ``1``,
+    any subedge contained in more than ``k**(d-1-i)`` family members forces
+    itself into every budget-k solution: all edges through it are deleted
+    and the subedge becomes an edge. The family is viewed live (deleted
+    edges leave it; inserted subedges do not join it) and the budget never
+    changes.
 
     The attempt itself counts as an application even when nothing changes;
     such a no-op returns ``inst`` itself as the successor. So that the
@@ -297,7 +303,9 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None) -> Rule
     k = inst.k
     family = set(weakly_related_family(h))
     live = set(h.edges)
-    for i in range(h.d - 2, 0, -1):
+    # No subedge is larger than the longest family member, however large d.
+    top = min(h.d - 2, max(map(len, family), default=0))
+    for i in range(top, 0, -1):
         threshold = k ** (h.d - 1 - i)
         for s, members in subedge_groups(sorted(family), i).items():
             # The family only shrinks, so its members containing s are the

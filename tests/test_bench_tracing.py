@@ -123,3 +123,21 @@ def test_engine_attempts_equal_the_traced_attempts(fresh_hk, monkeypatch, instan
     traced = {r: values[f"reductions.rule{r}.attempts"] for r in range(1, 7)}
     assert result.trace.attempts == traced
     assert traced[6] >= 1
+
+
+def test_traced_blossom_counts_rule_4s_undecided_groups(fresh_hk, monkeypatch):
+    # On this blob some over-full subedge has a greedy bracket that straddles
+    # k, so rule 4 runs the blossom. The tracer patches the blossom on
+    # hskernel.matching; a rule 4 that bound it at import would dodge it.
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer(fresh_hk)
+    tracer.install()
+    try:
+        fresh_hk.reductions.kernelize(
+            fresh_hk.cli.parse_instance(write_instance(blob_instance(1, 1)))
+        )
+        values = tracer.collect()
+    finally:
+        tracer.uninstall()
+    assert values["matching.blossom.calls"] >= 1

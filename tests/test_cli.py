@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hskernel.cli import main, parse_instance, write_instance
 from hskernel.core import Hypergraph, Instance, normalize
 from hskernel.errors import FormatError, UnsupportedParameterError
 from hskernel.oracle import GenSpec, generate
-from hskernel.reductions import ReduceResult
+from hskernel.reductions import ReduceResult, vertex_bound
 
 SHOWCASE_TEXT = "p hs 5 4 3 1\n1 2 4\n1 2 5\n2 3 4\n2 3 5\n"
 
@@ -396,6 +397,24 @@ class TestKernelizeCommand:
         assert int(parsed[0][1]) == inst.m  # every edge is a triple: one row each
         assert sum(int(match[2]) for match in parsed) == data["lp_pivots"] > 0
 
+    def test_report_json_writes_a_vertex_bound_past_the_digit_limit(self, tmp_path, capsys):
+        # The final bound (2d-2)*k**(d-1) + k has 4393 digits here, above
+        # the interpreter's default int-to-str limit of 4300.
+        path = tmp_path / "in.hs"
+        report = tmp_path / "report.json"
+        path.write_text("p hs 3 1 2200 100\n1 2 3\n")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        code = main(["kernelize", str(path), "--report-json", str(report)])
+        assert capsys.readouterr().err == "decided yes\n"
+        assert code == 10
+        assert limit() == before
+        # Decimal parses the digits without the int-from-str limit. The bound
+        # is the final instance's: rule 3 spent one unit of the budget.
+        data = json.loads(report.read_text(), parse_int=Decimal)
+        assert data["k_final"] == 99
+        assert int(data["vertex_bound"]) == vertex_bound(2200, 99)
+
     def test_k_override_recorded(self, tmp_path, capsys):
         path = tmp_path / "in.hs"
         report = tmp_path / "report.json"
@@ -485,6 +504,16 @@ class TestSolveCommand:
         path = tmp_path / "in.hs"
         path.write_text(SHOWCASE_TEXT)
         assert main(["solve", str(path)]) == 1
+
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_non_integer_ceiling_names_the_variable(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("HSK_ORACLE_CEILING", value)
+        path = tmp_path / "in.hs"
+        path.write_text(SHOWCASE_TEXT)
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: HSK_ORACLE_CEILING={value!r} is not an integer\n"
 
 
 class TestGenCommand:
@@ -582,6 +611,17 @@ class TestVerifyCommand:
             f"DISAGREE seed=1559521054175740196 spec={spec} kernelizer=verdict no "
             f"ORACLE yes trace[{'; '.join(steps)}]\n"
         )
+
+
+def test_console_script_entry_exits_with_mains_code(tmp_path, capsys, monkeypatch):
+    # entry() is the target of the installed `hskernel` script.
+    path = tmp_path / "in.hs"
+    path.write_text(SHOWCASE_TEXT)
+    monkeypatch.setattr(sys, "argv", ["hskernel", "solve", str(path)])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert capsys.readouterr().out == "yes\n"
+    assert exc.value.code == 10
 
 
 def test_module_entry_point_runs_commands():

@@ -310,6 +310,26 @@ class TestRule5:
             out.new_instance, ceiling=40
         )
 
+    def test_subedge_sizes_stop_at_the_longest_family_member(self, monkeypatch):
+        # Six disjoint 4-cliques of triples under a huge declared d: no group
+        # has more than 3 vertices, so only sizes 3, 2 and 1 are grouped.
+        edges = [
+            [f"{c}{v}" for v in triple]
+            for c in "abcdef"
+            for triple in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+        ]
+        inst = inst_of(edges, 2, d=10_000)
+        sizes = []
+
+        def counted(edges, size):
+            sizes.append(size)
+            return subedge_groups(edges, size)
+
+        monkeypatch.setattr(reductions, "subedge_groups", counted)
+        out = rule5_weakly_related_counting(inst, last_rule=None)
+        assert sizes == [3, 2, 1]
+        assert out.applied and out.new_instance is inst
+
     def test_family_equals_the_pairwise_scan(self):
         rng = random.Random(55)
         seen = {"short edge joins": 0, "edge refused": 0}
