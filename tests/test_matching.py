@@ -1,5 +1,7 @@
 import random
 
+from hskernel import matching
+from hskernel.core import Hypergraph, Instance
 from hskernel.matching import (
     BipartiteGraph,
     Matching,
@@ -8,6 +10,7 @@ from hskernel.matching import (
     find_bipartite_crown,
     hopcroft_karp,
 )
+from hskernel.reductions import rule4_high_degree_subedge
 
 from helpers import (
     bipartite_augmenting_path_exists,
@@ -153,6 +156,38 @@ class TestFindBipartiteCrown:
             unmatched = crown.crown - set(mapping.values())
             assert unmatched
         assert found >= 30
+
+
+class TestExtensionPacking:
+    """The extension packing of a subedge, as rule 4 decides it: singles
+    plus a maximum matching over the two-vertex extensions."""
+
+    def test_three_disjoint_pairs(self, monkeypatch):
+        g = SimpleGraph(6, ((0, 1), (2, 3), (4, 5)))
+        assert blossom_max_matching(g).size == 3
+        # Subedge (0,) has the three disjoint extensions (1,2), (3,4), (5,6)
+        # and a fourth, (1,3), that crosses two of them: the packing is 3.
+        h = Hypergraph(7, ((0, 1, 2), (0, 1, 3), (0, 3, 4), (0, 5, 6)), 3)
+        out = rule4_high_degree_subedge(Instance(h, 2))
+        assert out.applied
+        assert out.new_instance.hypergraph.edges == ((0,),)
+        # At k = 3 the group of four is over-full, the greedy bracket [3, 6]
+        # straddles k, and the blossom decides: 3 does not exceed k.
+        sizes = []
+
+        def counted(graph):
+            m = blossom_max_matching(graph)
+            sizes.append(m.size)
+            return m
+
+        monkeypatch.setattr(matching, "blossom_max_matching", counted)
+        assert not rule4_high_degree_subedge(Instance(h, 3)).applied
+        assert sizes == [3]
+
+    def test_both_empty(self):
+        assert blossom_max_matching(SimpleGraph(0, ())).size == 0
+        # With no edges no subedge has an extension, and rule 4 declines.
+        assert not rule4_high_degree_subedge(Instance(Hypergraph(0, (), 3), 0)).applied
 
 
 def test_hopcroft_karp_long_augmenting_path():
