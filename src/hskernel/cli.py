@@ -19,6 +19,7 @@ import json
 import random
 import sys
 import time
+from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded, localcontext
 
 from .core import MIN_D, Edge, Hypergraph, Instance, canonical_edge
 from .crown import format_crown
@@ -129,7 +130,7 @@ def write_instance(inst: Instance) -> str:
 def _report(original: Instance, result: ReduceResult, k_override: bool, wall: float) -> dict:
     """The flat ``--report-json`` object of one run (stable keys)."""
     final, trace = result.instance, result.trace
-    bound = vertex_bound(final.d, final.k)
+    bound = _exact_bound(final.d, final.k)
     if result.verdict == "kernel" and final.n > bound:
         raise InternalConsistencyError("kernel report violates the vertex bound")
     report = {
@@ -156,18 +157,21 @@ def _report(original: Instance, result: ReduceResult, k_override: bool, wall: fl
     return report
 
 
+def _exact_bound(d: int, k: int) -> Decimal:
+    """``vertex_bound(d, k)`` in decimal arithmetic, whose digits print in
+    linear time; an int of millions of digits prints in quadratic time. The
+    context holds every digit of the result and traps any rounding."""
+    digits = (d - 1) * len(str(k)) + len(str(2 * d)) + 1
+    with localcontext(Context(prec=digits, Emax=MAX_EMAX, traps=[Inexact, Rounded])):
+        return vertex_bound(Decimal(d), Decimal(k))
+
+
 def _report_text(report: dict) -> str:
-    """``report`` as one JSON line with every integer in full. The vertex
-    bound can run past the interpreter's int-to-str digit limit, so a set
-    limit (0 is none) is lifted for this one dump only."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        return json.dumps(report, sort_keys=True) + "\n"
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    """``report`` as one JSON line, its decimal vertex bound written as the
+    exact integer its digits spell."""
+    text = json.dumps({**report, "vertex_bound": None}, sort_keys=True)
+    bound = f'"vertex_bound": {report["vertex_bound"]}'
+    return text.replace('"vertex_bound": null', bound, 1) + "\n"
 
 
 def _read_input(path: str | None) -> str:

@@ -9,7 +9,9 @@ the upper bound is enforced. The empty edge is permitted as an explicit
 infeasibility witness and makes the instance unhittable.
 
 All types here are immutable after construction and safe to share between
-threads; every transformation produces a new value.
+threads; every transformation produces a new value. A successor
+(:meth:`Instance.successor`) checks only what its parent did not: the edges
+it adds, the vertices it removes, ``d`` and the label table.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ class Hypergraph:
 
     Edges are canonicalized (sorted, deduplicated, set semantics) at
     construction. Every edge must have at most ``d`` vertices and reference
-    only ids below ``n``.
+    only ids below ``n``. :meth:`Instance.successor` builds through
+    :meth:`_trusted` once it has checked the edges itself.
     """
 
     n: int
@@ -57,6 +60,16 @@ class Hypergraph:
             if e and (e[0] < 0 or e[-1] >= self.n):
                 raise ValueError(f"edge {e} references a vertex outside 0..{self.n - 1}")
         object.__setattr__(self, "edges", tuple(canon))
+
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[Edge, ...], d: int) -> "Hypergraph":
+        """A hypergraph whose ``edges`` are already canonical, sorted,
+        distinct, at most ``d`` long and below ``n``; nothing is checked."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "n", n)
+        object.__setattr__(h, "edges", edges)
+        object.__setattr__(h, "d", d)
+        return h
 
     @cached_property
     def edge_sets(self) -> tuple[frozenset[int], ...]:
@@ -124,17 +137,42 @@ class Instance:
     ) -> "Instance":
         """The instance with ``edges`` (in this instance's ids, avoiding
         ``removed``) and budget ``k``, surviving vertices renumbered densely in
-        their old order; labels and comments carry over."""
+        their old order; labels and comments carry over.
+
+        An edge of this instance is canonical, at most ``d`` long and in
+        range, as its construction checked, and the monotone renumbering
+        keeps it so; such edges are not checked again. Every other edge is
+        canonicalised and checked as :class:`Hypergraph` does: one longer
+        than ``d`` raises :class:`FormatError`, one outside ``0..n-1``
+        raises :class:`ValueError`. An edge that keeps a ``removed`` vertex
+        raises :class:`ValueError`, and :meth:`__post_init__` checks ``d``
+        and the labels as for any instance.
+        """
+        h = self.hypergraph
+        index = h.edge_index
+        new = set(map(tuple, edges))
+        added = new - index
+        if added:
+            added = set(Hypergraph(self.n, tuple(added), self.d).edges)
+            new |= added
+            added -= index
+        canon = list(filter(new.__contains__, h.edges))
+        if added:
+            canon += sorted(added)
+            canon.sort()  # two sorted runs: a linear merge
         labels = self.labels
         n = self.n
         if removed:
             keep = [v for v in range(n) if v not in removed]
             remap = {v: i for i, v in enumerate(keep)}
-            edges = [tuple(remap[v] for v in e) for e in edges]
+            try:
+                canon = [tuple(map(remap.__getitem__, e)) for e in canon]
+            except KeyError as exc:
+                raise ValueError(f"an edge keeps the removed vertex {exc.args[0]}") from None
             labels = tuple(labels[v] for v in keep) if labels is not None else None
             n = len(keep)
         return Instance(
-            Hypergraph(n, tuple(edges), self.d), k, labels=labels, comments=self.comments
+            Hypergraph._trusted(n, tuple(canon), self.d), k, labels=labels, comments=self.comments
         )
 
 

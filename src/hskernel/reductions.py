@@ -105,7 +105,9 @@ _NOT_APPLIED = RuleOutcome(applied=False)
 
 
 def vertex_bound(d: int, k: int) -> int:
-    """The kernel guarantee: at most ``(2d-2)*k**(d-1) + k`` vertices."""
+    """The kernel guarantee: at most ``(2d-2)*k**(d-1) + k`` vertices.
+
+    The CLI report evaluates the same formula on exact decimals."""
     return (2 * d - 2) * k ** (d - 1) + k
 
 
@@ -123,9 +125,10 @@ def _rebuild(
     canonical edges (sorted vertex tuples), as every rule builds them by
     filtering or taking subsets of canonical edges; duplicates are allowed.
     Edge deltas are set differences taken there, then
-    :meth:`Instance.successor` compacts the surviving vertices.
+    :meth:`Instance.successor` compacts the surviving vertices. A successor
+    it refuses is the rule's fault, not the input's.
     """
-    old = set(inst.edges)
+    old = inst.hypergraph.edge_index
     new = set(new_edges)
     step = TraceStep(
         rule=rule,
@@ -134,7 +137,10 @@ def _rebuild(
         edges_added=len(new - old),
         k_delta=k_delta,
     )
-    successor = inst.successor(new, inst.k + k_delta, remove_vertices)
+    try:
+        successor = inst.successor(new, inst.k + k_delta, remove_vertices)
+    except ValueError as exc:
+        raise InternalConsistencyError(f"rule {rule} built an invalid successor: {exc}") from exc
     return RuleOutcome(applied=True, new_instance=successor, step=step)
 
 

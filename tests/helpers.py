@@ -299,6 +299,25 @@ def naive_is_independent(h: Hypergraph, vertices) -> bool:
     return not any(len(set(e) & x) >= 2 for e in h.edges)
 
 
+def naive_successor(
+    inst: Instance, edges, k: int, removed: frozenset[int] = frozenset()
+) -> Instance:
+    """``Instance.successor`` by renumbering every edge and building the
+    successor's hypergraph from scratch, so every edge is canonicalised and
+    checked again."""
+    labels = inst.labels
+    n = inst.n
+    if removed:
+        keep = [v for v in range(n) if v not in removed]
+        remap = {v: i for i, v in enumerate(keep)}
+        edges = [tuple(remap[v] for v in e) for e in edges]
+        labels = tuple(labels[v] for v in keep) if labels is not None else None
+        n = len(keep)
+    return Instance(
+        Hypergraph(n, tuple(edges), inst.d), k, labels=labels, comments=inst.comments
+    )
+
+
 def _naive_successor(
     inst: Instance, rule: int, new_edges, removed: frozenset[int] = frozenset()
 ) -> tuple[TraceStep, Instance]:
@@ -307,7 +326,7 @@ def _naive_successor(
     old = set(inst.edges)
     new = {canonical_edge(e) for e in new_edges}
     step = TraceStep(rule, len(removed), len(old - new), len(new - old), 0)
-    return step, inst.successor(new, inst.k, removed)
+    return step, naive_successor(inst, new, inst.k, removed)
 
 
 def naive_rule1_vertex(inst: Instance) -> tuple[int, TraceStep, Instance] | None:
@@ -453,30 +472,31 @@ def one_size_rule_instance(rng: random.Random) -> Instance:
 # structured instance families (reach the crown rule reliably)
 
 
-def petal_cycle_instance(seed: int, k: int) -> Instance:
+def petal_cycle_instance(seed: int, k: int, d: int = 3) -> Instance:
     """Yes-instance above the crown threshold on which no earlier rule fires.
 
-    A cycle of 2k core vertices provides the head pairs; each petal vertex
-    joins two vertex-disjoint pairs, so no vertex dominates another, no edge
-    contains another, packings stay at most k, and family counts stay at
-    most k. An alternating core cover of size k hits everything. Needs
-    k >= 2: a two-vertex core has no disjoint pairs.
+    A cycle of (d-1)k core vertices provides the heads, its cyclic windows
+    of d-1 consecutive vertices; each petal vertex joins two vertex-disjoint
+    windows, so no vertex dominates another, no edge contains another,
+    packings stay at most k, and family counts stay within their
+    thresholds. Every (d-1)-th core vertex, k in all, hits everything.
+    Needs k >= 2: a core of d-1 vertices has no disjoint windows.
     """
     if k < 2:
         raise ValueError("petal-cycle construction needs k >= 2")
     rng = random.Random(seed)
-    core = 2 * k
-    t = vertex_bound(3, k) + 1 - core + rng.randint(0, 6)
-    pairs = [(i, (i + 1) % core) for i in range(core)]
+    core = (d - 1) * k
+    t = vertex_bound(d, k) + 1 - core + rng.randint(0, 6)
+    windows = [tuple((i + j) % core for j in range(d - 1)) for i in range(core)]
     edges = []
     for j in range(t):
         v = core + j
         p = j % core if j < core else rng.randrange(core)
-        choices = [q for q in range(core) if q != p and not (set(pairs[q]) & set(pairs[p]))]
+        choices = [q for q in range(core) if q != p and not (set(windows[q]) & set(windows[p]))]
         q = rng.choice(choices)
-        edges.append(tuple(sorted((*pairs[p], v))))
-        edges.append(tuple(sorted((*pairs[q], v))))
-    return Instance(Hypergraph(core + t, tuple(edges), 3), k)
+        edges.append(tuple(sorted((*windows[p], v))))
+        edges.append(tuple(sorted((*windows[q], v))))
+    return Instance(Hypergraph(core + t, tuple(edges), d), k)
 
 
 def blob_instance(seed: int, k: int) -> Instance:
@@ -495,15 +515,16 @@ def blob_instance(seed: int, k: int) -> Instance:
     return Instance(Hypergraph(4 * blobs, tuple(edges), 3), k)
 
 
-def mixed_crown_instance(seed: int, k: int) -> Instance:
-    """Petal-cycle plus a disjoint blob: the crown fires, the verdict is no."""
-    petal = petal_cycle_instance(seed, k)
+def mixed_crown_instance(seed: int, k: int, d: int = 3) -> Instance:
+    """Petal-cycle plus a disjoint blob, every d-subset of d+1 vertices: the
+    crown fires, the verdict is no."""
+    petal = petal_cycle_instance(seed, k, d)
     offset = petal.n
     blob_edges = [
-        tuple(v + offset for v in e) for e in combinations(range(4), 3)
+        tuple(v + offset for v in e) for e in combinations(range(d + 1), d)
     ]
     edges = petal.edges + tuple(blob_edges)
-    return Instance(Hypergraph(offset + 4, edges, 3), k)
+    return Instance(Hypergraph(offset + d + 1, edges, d), k)
 
 
 def blob4_instance(seed: int, k: int) -> Instance:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hskernel import cli
+from hskernel import reductions
 from hskernel.cli import main, parse_instance, write_instance
 from hskernel.core import Hypergraph, Instance, normalize
 from hskernel.errors import FormatError, UnsupportedParameterError
@@ -414,6 +415,40 @@ class TestKernelizeCommand:
         data = json.loads(report.read_text(), parse_int=Decimal)
         assert data["k_final"] == 99
         assert int(data["vertex_bound"]) == vertex_bound(2200, 99)
+
+    def test_report_json_leaves_the_digit_limit_alone(self, tmp_path, capsys, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("the report changed the int-to-str digit limit")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+        path = tmp_path / "in.hs"
+        report = tmp_path / "report.json"
+        path.write_text("p hs 3 1 2200 100\n1 2 3\n")
+        code = main(["kernelize", str(path), "--report-json", str(report)])
+        assert capsys.readouterr().err == "decided yes\n"
+        assert code == 10
+        data = json.loads(report.read_text(), parse_int=Decimal)
+        assert int(data["vertex_bound"]) == vertex_bound(2200, 99)
+
+    def test_exact_bound_equals_the_integer_formula(self):
+        for d in range(3, 40):
+            for k in range(-2, 13):
+                assert cli._exact_bound(d, k) == vertex_bound(d, k), (d, k)
+
+    def test_rule_that_builds_an_oversized_edge_is_an_internal_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def oversized(inst):
+            return reductions._rebuild(inst, 1, [*inst.edges, tuple(range(inst.d + 1))])
+
+        monkeypatch.setattr(reductions, "rule1_vertex_domination", oversized)
+        path = tmp_path / "in.hs"
+        path.write_text(SHOWCASE_TEXT)
+        code = main(["kernelize", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: rule 1 built an invalid successor")
 
     def test_k_override_recorded(self, tmp_path, capsys):
         path = tmp_path / "in.hs"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hskernel.core import Hypergraph, is_independent, normalize, subedge_groups
+from hskernel.core import Hypergraph, Instance, is_independent, normalize, subedge_groups
 from hskernel.errors import FormatError, UnsupportedParameterError
 
 from helpers import naive_incident_edges, naive_is_independent
@@ -174,6 +174,39 @@ class TestHypergraph:
         edges = [tuple(rng.sample(range(8), rng.randint(1, 3))) for _ in range(12)]
         h = Hypergraph(8, tuple(edges), 3)
         assert list(h.edges) == sorted(set(tuple(sorted(set(e))) for e in edges))
+
+
+class TestSuccessor:
+    """The public contract of ``Instance.successor``: edges its parent does
+    not hold are canonicalised and checked as at construction."""
+
+    def parent(self):
+        return Instance(Hypergraph(5, ((0, 1, 2), (1, 2, 3)), 3), 2, labels=tuple("abcde"))
+
+    def test_new_edges_are_canonicalised(self):
+        succ = self.parent().successor([(0, 1, 2), (1, 2, 3), (4, 3, 3), (2, 1, 0)], 2)
+        assert succ.edges == ((0, 1, 2), (1, 2, 3), (3, 4))
+        assert succ.labels == tuple("abcde")
+
+    def test_new_edges_are_canonicalised_before_renumbering(self):
+        succ = self.parent().successor([(1, 2, 3), (4, 2, 2)], 1, frozenset({0}))
+        assert succ.edges == ((0, 1, 2), (1, 3))
+        assert (succ.n, succ.k, succ.labels) == (4, 1, tuple("bcde"))
+
+    @pytest.mark.parametrize("removed", [frozenset(), frozenset({4})])
+    def test_oversized_new_edge_is_a_format_error(self, removed):
+        with pytest.raises(FormatError, match="bound is 3"):
+            self.parent().successor([(0, 1, 2, 3)], 2, removed)
+
+    @pytest.mark.parametrize("removed", [frozenset(), frozenset({4})])
+    def test_new_edge_out_of_range_is_a_value_error(self, removed):
+        with pytest.raises(ValueError, match="outside 0..4"):
+            self.parent().successor([(1, 2, 3), (0, 5)], 2, removed)
+
+    def test_edge_that_keeps_a_removed_vertex_is_a_value_error(self):
+        inst = Instance(Hypergraph(4, ((0, 1, 2), (1, 2, 3)), 3), 2)
+        with pytest.raises(ValueError, match="removed vertex 1"):
+            inst.successor([(0, 1, 2)], 2, frozenset({1}))
 
 
 def test_every_exported_name_resolves():

@@ -31,6 +31,7 @@ from helpers import (
     naive_rule2_edge,
     naive_extension_packing,
     naive_rule4,
+    naive_successor,
     naive_weakly_related_family,
     one_size_rule_instance,
     petal_cycle_instance,
@@ -138,6 +139,59 @@ class TestDominationRulesAgainstPairScans:
                 applied[2] += 1
         assert all(count > 0 for count in seen.values()), seen
         assert min(applied.values()) > 1000, applied
+
+
+class TestSuccessorAgainstFullRebuild:
+    """``Instance.successor`` checks only the edges its parent lacks and
+    merges the rest in order; renumbering and rebuilding every edge from
+    scratch must give the same instance, edge order included, on every call
+    the controller makes."""
+
+    def test_every_call_equals_the_full_rebuild(self, monkeypatch):
+        original = Instance.successor
+        calls = {d: 0 for d in (3, 4, 5, 6)}
+
+        def checked(self, edges, k, removed=frozenset()):
+            edges = list(edges)
+            got = original(self, edges, k, removed)
+            expected = naive_successor(self, edges, k, removed)
+            assert got == expected, (self, edges, k, removed)
+            assert got.comments == expected.comments
+            calls[self.d] += 1
+            return got
+
+        monkeypatch.setattr(Instance, "successor", checked)
+        rng = random.Random(2024)
+        instances = [random_rule_instance(rng) for _ in range(6000)]
+        instances += [one_size_rule_instance(rng) for _ in range(1000)]
+        instances += [
+            generate(
+                GenSpec(
+                    seed=90_000 + trial,
+                    n=rng.randint(d, 20),
+                    m=rng.randint(4, 40),
+                    d=d,
+                    k=rng.randint(1, 4),
+                    planted=rng.choice((None, 2)),
+                )
+            )
+            for trial in range(40)
+            for d in (3, 4, 5, 6)
+        ]
+        for seed in range(3):
+            instances += [
+                petal_cycle_instance(seed, 2),
+                mixed_crown_instance(seed, 2),
+                blob_instance(seed, 1),
+                blob4_instance(seed, 1),
+                double_star_instance(seed, 2),
+            ]
+        applied = dict.fromkeys(range(1, 7), 0)
+        for inst in instances:
+            for step in kernelize(inst).trace.steps:
+                applied[step.rule] += step.vertices_removed + step.edges_removed > 0
+        assert all(calls.values()), calls
+        assert all(applied.values()), applied
 
 
 class TestRule3:
@@ -398,6 +452,28 @@ class TestRule6:
         assert applications
         for before, outcome in applications:
             assert outcome.new_instance == apply_hs_crown(before, outcome.crown)
+
+    @pytest.mark.parametrize("d, k", [(4, 2), (4, 3), (5, 2), (5, 3), (6, 2)])
+    def test_crowns_above_d3_are_valid_and_keep_the_decision(self, d, k):
+        for seed in range(2):
+            for family, answer in ((petal_cycle_instance, True), (mixed_crown_instance, False)):
+                inst = family(seed, k, d)
+                assert inst.n > vertex_bound(d, k)
+                crowns = []
+
+                def observer(rule, before, outcome):
+                    if rule == 6 and outcome.applied:
+                        crowns.append((before, outcome))
+
+                result = kernelize(inst, observer)
+                assert crowns, (family.__name__, seed)
+                for before, outcome in crowns:
+                    verdict = validate_hs_crown(before.hypergraph, outcome.crown)
+                    assert verdict.valid and verdict.strict and outcome.crown.crown
+                    assert outcome.new_instance == apply_hs_crown(before, outcome.crown)
+                assert decide_brute_force(inst, ceiling=inst.n) is answer
+                kernel = result.instance
+                assert decide_brute_force(kernel, ceiling=kernel.n) is answer
 
     def test_no_instance_with_fractional_optimum_concludes_no(self):
         inst = blob_instance(5, 1)
