@@ -10,8 +10,9 @@ infeasibility witness and makes the instance unhittable.
 
 All types here are immutable after construction and safe to share between
 threads; every transformation produces a new value. A successor
-(:meth:`Instance.successor`) checks only what its parent did not: the edges
-it adds, the vertices it removes, ``d`` and the label table.
+(:meth:`Instance.successor`) is its parent's edges less some plus others, and
+checks only what its parent did not: the edges it drops and adds, the
+vertices it removes, ``d`` and the label table.
 """
 
 from __future__ import annotations
@@ -133,15 +134,17 @@ class Instance:
         return replace(self, k=k)
 
     def successor(
-        self, edges: Iterable[Edge], k: int, removed: frozenset[int] = frozenset()
+        self, drop: Iterable[Edge], add: Iterable[Edge], k: int, removed: frozenset[int] = frozenset()
     ) -> "Instance":
-        """The instance with ``edges`` (in this instance's ids, avoiding
-        ``removed``) and budget ``k``, surviving vertices renumbered densely in
-        their old order; labels and comments carry over.
+        """This instance less the edges ``drop``, plus the edges ``add`` (both
+        in this instance's ids; an edge in both stays), with budget ``k`` and
+        the vertices outside ``removed`` renumbered densely in their old
+        order; labels and comments carry over.
 
-        An edge of this instance is canonical, at most ``d`` long and in
-        range, as its construction checked, and the monotone renumbering
-        keeps it so; such edges are not checked again. Every other edge is
+        A dropped edge this instance lacks raises :class:`ValueError`. An
+        edge of this instance is canonical, at most ``d`` long and in range,
+        as its construction checked, and the monotone renumbering keeps it
+        so; such edges are not checked again. Every other added edge is
         canonicalised and checked as :class:`Hypergraph` does: one longer
         than ``d`` raises :class:`FormatError`, one outside ``0..n-1``
         raises :class:`ValueError`. An edge that keeps a ``removed`` vertex
@@ -150,15 +153,19 @@ class Instance:
         """
         h = self.hypergraph
         index = h.edge_index
-        new = set(map(tuple, edges))
-        added = new - index
-        if added:
-            added = set(Hypergraph(self.n, tuple(added), self.d).edges)
-            new |= added
-            added -= index
-        canon = list(filter(new.__contains__, h.edges))
-        if added:
-            canon += sorted(added)
+        drop = set(drop)
+        if not drop <= index:
+            raise ValueError(f"the dropped edge {min(drop - index)} is not an edge")
+        add = set(map(tuple, add))
+        new = add - index
+        if new:
+            new = set(Hypergraph(self.n, tuple(new), self.d).edges)
+            add |= new
+            new -= index
+        drop -= add
+        canon = [e for e in h.edges if e not in drop]
+        if new:
+            canon += sorted(new)
             canon.sort()  # two sorted runs: a linear merge
         labels = self.labels
         n = self.n

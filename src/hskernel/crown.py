@@ -114,9 +114,8 @@ def apply_hs_crown(inst: Instance, c: HSCrown) -> Instance:
     if not verdict.valid:
         raise InvalidCrownError(verdict)
     h = inst.hypergraph
-    new_edges = [e for e, es in zip(h.edges, h.edge_sets) if not (es & c.crown)]
-    new_edges.extend(c.head)
-    return inst.successor(new_edges, inst.k, c.crown)
+    meeting = [e for e, es in zip(h.edges, h.edge_sets) if es & c.crown]
+    return inst.successor(meeting, c.head, inst.k, c.crown)
 
 
 def _crown_via_matching(

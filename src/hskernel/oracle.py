@@ -13,6 +13,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import Edge, Hypergraph, Instance
 from .errors import OracleCeilingError, UnsupportedParameterError
@@ -36,19 +37,27 @@ def _check_ceiling(n: int, ceiling: int | None) -> None:
 
 
 def _branch(edges: tuple[Edge, ...], k: int) -> tuple[int, ...] | None:
-    """A hitting set of size <= k, or None. Branches on the first unhit edge."""
-    if not edges:
-        return ()
-    if not edges[0]:  # canonical order puts an empty edge first: unhittable
-        return None
-    if k <= 0:
-        return None
-    for v in edges[0]:
-        rest = tuple(e for e in edges if v not in e)
-        sub = _branch(rest, k - 1)
-        if sub is not None:
-            return (v, *sub)
-    return None
+    """A hitting set of size <= k, or None. Branches on the first unhit edge,
+    trying its vertices in order, depth first; the stack holds one frame per
+    chosen vertex, so a deep branch needs no recursion."""
+    path: list[int] = []  # the vertex tried at each frame
+    stack: list[tuple[tuple[Edge, ...], Iterator[int]]] = []  # edges, untried vertices
+    while edges:
+        # Canonical order puts an empty edge first: unhittable.
+        if edges[0] and len(path) < k:
+            stack.append((edges, iter(edges[0])))
+        while stack:
+            unhit, untried = stack[-1]
+            v = next(untried, None)
+            if v is not None:
+                break
+            stack.pop()
+        else:
+            return None
+        del path[len(stack) - 1 :]
+        path.append(v)
+        edges = tuple(e for e in unhit if v not in e)
+    return tuple(path)
 
 
 def decide_brute_force(inst: Instance, *, ceiling: int | None = None) -> bool:
@@ -100,7 +109,8 @@ def generate(spec: GenSpec) -> Instance:
     every edge is forced to contain at least one of its vertices, so the
     instance is a yes-instance for any budget >= ``planted``. When the edge
     space is too small to reach ``m`` distinct edges the instance simply has
-    fewer; the draw sequence is still fully seed-determined.
+    fewer; the draw sequence is still fully seed-determined, and stops once
+    every edge that can be drawn has been.
     """
     if spec.d < 3:
         raise UnsupportedParameterError(f"d={spec.d} unsupported: need d >= 3")
@@ -114,10 +124,18 @@ def generate(spec: GenSpec) -> Instance:
         if spec.planted is not None
         else None
     )
+    # Every edge of sizes 2..d can be drawn (with a planted solution, every
+    # one through a planted vertex); counted only as far as m.
+    unplanted = spec.n - len(planted) if planted is not None else 0
+    space = 0
+    for size in range(2, spec.d + 1):
+        space += math.comb(spec.n, size) - math.comb(unplanted, size)
+        if space >= spec.m:
+            break
     edges: list[Edge] = []
     seen: set[Edge] = set()
     attempts = 0
-    while len(edges) < spec.m and attempts < 50 * spec.m + 200:
+    while len(edges) < min(spec.m, space) and attempts < 50 * spec.m + 200:
         attempts += 1
         size = rng.randint(2, spec.d)
         if planted is not None:

@@ -111,36 +111,44 @@ def vertex_bound(d: int, k: int) -> int:
     return (2 * d - 2) * k ** (d - 1) + k
 
 
+def exceeds_power(x: int, k: int, e: int) -> bool:
+    """``x > k ** e`` for ``e >= 0``. When ``k >= 2`` and ``e >=
+    x.bit_length()``, ``k ** e >= 2 ** e > |x|`` decides it without building
+    a power that, at a huge declared ``d``, has millions of digits."""
+    if k >= 2 and e >= x.bit_length():
+        return False
+    return x > k ** e
+
+
 def _rebuild(
     inst: Instance,
     rule: int,
-    new_edges: Iterable[Edge],
+    drop: Iterable[Edge],
+    add: Iterable[Edge] = (),
     *,
     remove_vertices: frozenset[int] = frozenset(),
     k_delta: int = 0,
 ) -> RuleOutcome:
-    """Assemble the successor instance and its trace step.
-
-    ``new_edges`` is expressed in the current (old) id space and must hold
-    canonical edges (sorted vertex tuples), as every rule builds them by
-    filtering or taking subsets of canonical edges; duplicates are allowed.
-    Edge deltas are set differences taken there, then
-    :meth:`Instance.successor` compacts the surviving vertices. A successor
-    it refuses is the rule's fault, not the input's.
+    """Assemble the successor instance and its trace step from the rule's
+    delta in the current (old) ids: the edges of ``inst`` it drops and the
+    canonical edges it adds. :meth:`Instance.successor` checks and applies
+    the delta and compacts the surviving vertices; a successor it refuses is
+    the rule's fault, not the input's. The step counts as added the edges
+    ``inst`` lacks, and as removed the rest of the change in the edge count.
     """
-    old = inst.hypergraph.edge_index
-    new = set(new_edges)
+    add = set(add)
+    try:
+        successor = inst.successor(drop, add, inst.k + k_delta, remove_vertices)
+    except ValueError as exc:
+        raise InternalConsistencyError(f"rule {rule} built an invalid successor: {exc}") from exc
+    edges_added = len(add - inst.hypergraph.edge_index)
     step = TraceStep(
         rule=rule,
         vertices_removed=len(remove_vertices),
-        edges_removed=len(old - new),
-        edges_added=len(new - old),
+        edges_removed=inst.m + edges_added - successor.m,
+        edges_added=edges_added,
         k_delta=k_delta,
     )
-    try:
-        successor = inst.successor(new, inst.k + k_delta, remove_vertices)
-    except ValueError as exc:
-        raise InternalConsistencyError(f"rule {rule} built an invalid successor: {exc}") from exc
     return RuleOutcome(applied=True, new_instance=successor, step=step)
 
 
@@ -188,11 +196,9 @@ def rule1_vertex_domination(inst: Instance) -> RuleOutcome:
     for x, c in enumerate(common):
         dominated = h.n > 1 if c is None else len(c) > 1
         if dominated:
-            new_edges = [
-                tuple(v for v in e if v != x) if x in es else e
-                for e, es in zip(h.edges, sets)
-            ]
-            return _rebuild(inst, 1, new_edges, remove_vertices=frozenset((x,)))
+            through = [e for e, es in zip(h.edges, sets) if x in es]
+            shrunk = [tuple(v for v in e if v != x) for e in through]
+            return _rebuild(inst, 1, through, shrunk, remove_vertices=frozenset((x,)))
     return _NOT_APPLIED
 
 
@@ -206,9 +212,9 @@ def rule2_edge_domination(inst: Instance) -> RuleOutcome:
     h = inst.hypergraph
     index = h.edge_index
     least = min(map(len, h.edges), default=0)
-    for j, e in enumerate(h.edges):
+    for e in h.edges:
         if any(s in index for r in range(least, len(e)) for s in combinations(e, r)):
-            return _rebuild(inst, 2, h.edges[:j] + h.edges[j + 1 :])
+            return _rebuild(inst, 2, (e,))
     return _NOT_APPLIED
 
 
@@ -224,10 +230,8 @@ def rule3_unit_edge(inst: Instance) -> RuleOutcome:
     for e in h.edges:
         if len(e) == 1:
             v = e[0]
-            new_edges = [f for f, fs in zip(h.edges, h.edge_sets) if v not in fs]
-            return _rebuild(
-                inst, 3, new_edges, remove_vertices=frozenset((v,)), k_delta=-1
-            )
+            through = [f for f, fs in zip(h.edges, h.edge_sets) if v in fs]
+            return _rebuild(inst, 3, through, remove_vertices=frozenset((v,)), k_delta=-1)
     return _NOT_APPLIED
 
 
@@ -279,10 +283,7 @@ def rule4_high_degree_subedge(inst: Instance) -> RuleOutcome:
             )
             if len(singles) + matching.blossom_max_matching(graph).size <= k:
                 continue
-        removed = set(containing)
-        new_edges = [e for e in h.edges if e not in removed]
-        new_edges.append(s)
-        return _rebuild(inst, 4, new_edges)
+        return _rebuild(inst, 4, containing, (s,))
     return _NOT_APPLIED
 
 
@@ -312,7 +313,9 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None) -> Rule
     # No subedge is larger than the longest family member, however large d.
     top = min(h.d - 2, max(map(len, family), default=0))
     for i in range(top, 0, -1):
-        threshold = k ** (h.d - 1 - i)
+        # No count exceeds the family's size, so a power above it need not be built.
+        e = h.d - 1 - i
+        threshold = k**e if exceeds_power(len(family), k, e) else len(family)
         for s, members in subedge_groups(sorted(family), i).items():
             # The family only shrinks, so its members containing s are the
             # group's members still in it.
@@ -325,7 +328,7 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None) -> Rule
                 live.add(s)
     if live == h.edge_index:
         return RuleOutcome(applied=True, new_instance=inst, step=TraceStep(5, 0, 0, 0, 0))
-    return _rebuild(inst, 5, live)
+    return _rebuild(inst, 5, h.edge_index - live, live - h.edge_index)
 
 
 def rule6_lp_crown(inst: Instance) -> RuleOutcome:
@@ -338,7 +341,8 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
     instance cannot be a yes-instance and the rule concludes no.
     """
     h = inst.hypergraph
-    if h.n < vertex_bound(h.d, inst.k) + 1:
+    # The bound is at least k**(d-1); an n no larger needs no bound built.
+    if not (exceeds_power(h.n, inst.k, h.d - 1) and h.n > vertex_bound(h.d, inst.k)):
         return _NOT_APPLIED
     problem = build_crown_lp(h)
     solution = solve_exact(problem)
@@ -354,9 +358,8 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
         raise InternalConsistencyError(
             f"LP crown failed validation: {verdict.problems}"
         )
-    new_edges = [e for e, es in zip(h.edges, h.edge_sets) if not (es & crown.crown)]
-    new_edges.extend(crown.head)
-    outcome = _rebuild(inst, 6, new_edges, remove_vertices=crown.crown)
+    meeting = [e for e, es in zip(h.edges, h.edge_sets) if es & crown.crown]
+    outcome = _rebuild(inst, 6, meeting, crown.head, remove_vertices=crown.crown)
     return replace(outcome, crown=crown, lp_problem=problem, lp_solution=solution)
 
 
@@ -412,7 +415,8 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
             if outcome.applied or outcome.verdict_no:
                 break
         else:
-            if current.n > vertex_bound(current.d, current.k):
+            n, d, k = current.n, current.d, current.k
+            if exceeds_power(n, k, d - 1) and n > vertex_bound(d, k):
                 raise InternalConsistencyError("exited above the kernel bound")
             return ReduceResult("kernel", current, trace)
 

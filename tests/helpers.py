@@ -52,6 +52,41 @@ def exhaustive_min_hitting_set(h: Hypergraph) -> int | None:
     raise AssertionError("unreachable")
 
 
+def recursive_branch(edges: tuple[Edge, ...], k: int) -> tuple[int, ...] | None:
+    """The oracle's search as plain recursion, one call per chosen vertex:
+    a hitting set of size <= k, branching on the first unhit edge."""
+    if not edges:
+        return ()
+    if not edges[0] or k <= 0:
+        return None
+    for v in edges[0]:
+        sub = recursive_branch(tuple(e for e in edges if v not in e), k - 1)
+        if sub is not None:
+            return (v, *sub)
+    return None
+
+
+def unbounded_generate_edges(spec) -> tuple[Edge, ...]:
+    """The generator's edges by drawing until ``m`` distinct edges or
+    ``50m + 200`` draws, however small the edge space."""
+    rng = random.Random(spec.seed)
+    planted = None
+    if spec.planted is not None:
+        planted = tuple(sorted(rng.sample(range(spec.n), spec.planted)))
+    seen: set[Edge] = set()
+    for _ in range(50 * spec.m + 200):
+        if len(seen) == spec.m:
+            break
+        size = rng.randint(2, spec.d)
+        if planted is not None:
+            anchor = planted[rng.randrange(len(planted))]
+            others = rng.sample([v for v in range(spec.n) if v != anchor], size - 1)
+            seen.add(tuple(sorted((anchor, *others))))
+        else:
+            seen.add(tuple(sorted(rng.sample(range(spec.n), size))))
+    return tuple(sorted(seen))
+
+
 def exhaustive_decide(h: Hypergraph, k: int) -> bool:
     if k < 0:
         return False

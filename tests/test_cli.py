@@ -439,7 +439,7 @@ class TestKernelizeCommand:
         self, tmp_path, capsys, monkeypatch
     ):
         def oversized(inst):
-            return reductions._rebuild(inst, 1, [*inst.edges, tuple(range(inst.d + 1))])
+            return reductions._rebuild(inst, 1, (), [tuple(range(inst.d + 1))])
 
         monkeypatch.setattr(reductions, "rule1_vertex_domination", oversized)
         path = tmp_path / "in.hs"
@@ -449,6 +449,22 @@ class TestKernelizeCommand:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("internal error: rule 1 built an invalid successor")
+
+    def test_rule_that_drops_a_missing_edge_is_an_internal_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def phantom(inst):
+            return reductions._rebuild(inst, 1, [tuple(range(inst.d + 1))])
+
+        monkeypatch.setattr(reductions, "rule1_vertex_domination", phantom)
+        path = tmp_path / "in.hs"
+        path.write_text(SHOWCASE_TEXT)
+        code = main(["kernelize", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: rule 1 built an invalid successor")
+        assert "is not an edge" in captured.err
 
     def test_k_override_recorded(self, tmp_path, capsys):
         path = tmp_path / "in.hs"

@@ -177,36 +177,48 @@ class TestHypergraph:
 
 
 class TestSuccessor:
-    """The public contract of ``Instance.successor``: edges its parent does
-    not hold are canonicalised and checked as at construction."""
+    """The public contract of ``Instance.successor``: the parent's edges less
+    the dropped ones plus the added ones; a dropped edge must be the
+    parent's, and added edges it does not hold are canonicalised and checked
+    as at construction."""
 
     def parent(self):
         return Instance(Hypergraph(5, ((0, 1, 2), (1, 2, 3)), 3), 2, labels=tuple("abcde"))
 
     def test_new_edges_are_canonicalised(self):
-        succ = self.parent().successor([(0, 1, 2), (1, 2, 3), (4, 3, 3), (2, 1, 0)], 2)
+        succ = self.parent().successor((), [(4, 3, 3), (2, 1, 0)], 2)
         assert succ.edges == ((0, 1, 2), (1, 2, 3), (3, 4))
         assert succ.labels == tuple("abcde")
 
     def test_new_edges_are_canonicalised_before_renumbering(self):
-        succ = self.parent().successor([(1, 2, 3), (4, 2, 2)], 1, frozenset({0}))
+        succ = self.parent().successor([(0, 1, 2)], [(4, 2, 2)], 1, frozenset({0}))
         assert succ.edges == ((0, 1, 2), (1, 3))
         assert (succ.n, succ.k, succ.labels) == (4, 1, tuple("bcde"))
 
     @pytest.mark.parametrize("removed", [frozenset(), frozenset({4})])
     def test_oversized_new_edge_is_a_format_error(self, removed):
         with pytest.raises(FormatError, match="bound is 3"):
-            self.parent().successor([(0, 1, 2, 3)], 2, removed)
+            self.parent().successor(self.parent().edges, [(0, 1, 2, 3)], 2, removed)
 
     @pytest.mark.parametrize("removed", [frozenset(), frozenset({4})])
     def test_new_edge_out_of_range_is_a_value_error(self, removed):
         with pytest.raises(ValueError, match="outside 0..4"):
-            self.parent().successor([(1, 2, 3), (0, 5)], 2, removed)
+            self.parent().successor([(0, 1, 2)], [(0, 5)], 2, removed)
 
     def test_edge_that_keeps_a_removed_vertex_is_a_value_error(self):
         inst = Instance(Hypergraph(4, ((0, 1, 2), (1, 2, 3)), 3), 2)
         with pytest.raises(ValueError, match="removed vertex 1"):
-            inst.successor([(0, 1, 2)], 2, frozenset({1}))
+            inst.successor([(1, 2, 3)], (), 2, frozenset({1}))
+
+    @pytest.mark.parametrize("added", [(0, 1, 2), (2, 1, 0)])
+    def test_edge_both_dropped_and_added_stays(self, added):
+        parent = self.parent()
+        assert parent.successor([(0, 1, 2)], [added], 2) == parent
+
+    @pytest.mark.parametrize("dropped", [(0, 1), (2, 1, 0), (0, 1, 2, 3)])
+    def test_dropped_edge_the_parent_lacks_is_a_value_error(self, dropped):
+        with pytest.raises(ValueError, match="is not an edge"):
+            self.parent().successor([(1, 2, 3), dropped], (), 2)
 
 
 def test_every_exported_name_resolves():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from hskernel.core import Hypergraph, Instance, normalize
 from hskernel.errors import OracleCeilingError, UnsupportedParameterError
+from hskernel import oracle
 from hskernel.oracle import (
     GenSpec,
     decide_brute_force,
@@ -12,7 +14,12 @@ from hskernel.oracle import (
     min_hitting_set,
 )
 
-from helpers import exhaustive_decide, exhaustive_min_hitting_set
+from helpers import (
+    exhaustive_decide,
+    exhaustive_min_hitting_set,
+    recursive_branch,
+    unbounded_generate_edges,
+)
 
 SHOWCASE_EDGES = [["v1", "v2", "v4"], ["v1", "v2", "v5"], ["v2", "v3", "v4"], ["v2", "v3", "v5"]]
 
@@ -94,6 +101,34 @@ class TestMinHittingSet:
             assert decide_brute_force(Instance(h, k)) == (k >= size)
 
 
+class TestIterativeSearch:
+    def test_a_deep_first_branch_needs_no_recursion(self):
+        # The first branch takes one vertex of each pair: 1500 levels deep,
+        # past the interpreter's default recursion limit.
+        pairs = tuple((2 * i, 2 * i + 1) for i in range(1500))
+        inst = Instance(Hypergraph(3000, pairs, 3), 1500)
+        assert decide_brute_force(inst, ceiling=3000) is True
+
+    def test_witnesses_equal_the_recursive_search(self):
+        rng = random.Random(40)
+        graphs = [normalize(SHOWCASE_EDGES, 3, 1).hypergraph]
+        for trial in range(150):
+            spec = GenSpec(seed=trial, n=rng.randint(3, 15), m=rng.randint(1, 16), d=3, k=1)
+            graphs.append(generate(spec).hypergraph)
+        rng = random.Random(41)
+        for trial in range(60):
+            spec = GenSpec(seed=500 + trial, n=rng.randint(3, 10), m=rng.randint(1, 12), d=3, k=1)
+            graphs.append(generate(spec).hypergraph)
+        graphs.append(Hypergraph(2, ((), (0, 1)), 3))
+        found = 0
+        for h in graphs:
+            for k in range(-1, h.n + 1):
+                witness = oracle._branch(h.edges, k)
+                assert witness == recursive_branch(h.edges, k), (h, k)
+                found += witness is not None
+        assert found > 1000
+
+
 class TestGenerate:
     def test_planted_instances_are_yes(self):
         for trial in range(40):
@@ -128,3 +163,35 @@ class TestGenerate:
     def test_requested_edge_count_reached_when_space_allows(self):
         inst = generate(GenSpec(seed=8, n=12, m=20, d=3, k=1))
         assert inst.m == 20
+
+    def test_edges_equal_those_of_drawing_to_the_attempt_limit(self):
+        rng = random.Random(13)
+        full = 0
+        for trial in range(300):
+            d = rng.randint(3, 5)
+            n = rng.randint(d, 7)
+            planted = rng.choice((None, 1, 2, n))
+            spec = GenSpec(seed=trial, n=n, m=rng.randint(1, 40), d=d, k=1, planted=planted)
+            edges = generate(spec).edges
+            assert edges == unbounded_generate_edges(spec), spec
+            full += len(edges) < spec.m
+        assert full > 50, full
+
+    def test_stops_once_every_edge_is_drawn(self, monkeypatch):
+        draws = 0
+
+        class Counted(random.Random):
+            def randint(self, a, b):
+                nonlocal draws
+                draws += 1
+                assert draws < 10_000, "kept drawing from an exhausted edge space"
+                return super().randint(a, b)
+
+        monkeypatch.setattr(oracle.random, "Random", Counted)
+        inst = generate(GenSpec(seed=1, n=4, m=100_000, d=3, k=1))
+        assert set(inst.edges) == {
+            e for size in (2, 3) for e in itertools.combinations(range(4), size)
+        }
+        inst = generate(GenSpec(seed=1, n=6, m=100_000, d=3, k=1, planted=1))
+        assert len(set.intersection(*map(set, inst.edges))) == 1
+        assert inst.m == 5 + 10  # every pair and triple through the planted vertex

@@ -10,6 +10,7 @@ from hskernel.oracle import GenSpec, decide_brute_force, generate
 from hskernel.reductions import (
     RuleOutcome,
     TraceStep,
+    exceeds_power,
     kernelize,
     rule1_vertex_domination,
     rule2_edge_domination,
@@ -151,11 +152,12 @@ class TestSuccessorAgainstFullRebuild:
         original = Instance.successor
         calls = {d: 0 for d in (3, 4, 5, 6)}
 
-        def checked(self, edges, k, removed=frozenset()):
-            edges = list(edges)
-            got = original(self, edges, k, removed)
+        def checked(self, drop, add, k, removed=frozenset()):
+            drop, add = list(drop), list(add)
+            got = original(self, drop, add, k, removed)
+            edges = [e for e in self.edges if e not in drop] + add
             expected = naive_successor(self, edges, k, removed)
-            assert got == expected, (self, edges, k, removed)
+            assert got == expected, (self, drop, add, k, removed)
             assert got.comments == expected.comments
             calls[self.d] += 1
             return got
@@ -192,6 +194,17 @@ class TestSuccessorAgainstFullRebuild:
                 applied[step.rule] += step.vertices_removed + step.edges_removed > 0
         assert all(calls.values()), calls
         assert all(applied.values()), applied
+
+
+def test_an_edge_both_dropped_and_added_counts_as_neither():
+    inst = inst_of([["a", "b", "c"], ["b", "c", "d"]], 2)
+    kept = inst.edges[0]
+    out = reductions._rebuild(inst, 4, [kept], [kept])
+    assert out.new_instance == inst
+    assert out.step == TraceStep(4, 0, 0, 0, 0)
+    out = reductions._rebuild(inst, 4, inst.edges, [kept, kept[:2]])
+    assert out.new_instance.edges == (kept[:2], kept)
+    assert out.step == TraceStep(4, 0, 1, 1, 0)
 
 
 class TestRule3:
@@ -482,6 +495,34 @@ class TestRule6:
         assert decide_brute_force(inst, ceiling=60) is False
 
 
+class TestHugeDeclaredD:
+    """At a huge declared ``d`` the kernel bound and rule 5's thresholds
+    have millions of digits; the comparisons that use them must not build
+    them when the instance is far smaller."""
+
+    def test_exceeds_power_equals_the_plain_comparison(self):
+        for x in range(-5, 300):
+            for k in range(-3, 7):
+                for e in range(0, 10):
+                    assert exceeds_power(x, k, e) == (x > k**e), (x, k, e)
+
+    def test_a_huge_d_never_builds_the_bound(self, monkeypatch):
+        def triangle(d):
+            return normalize([["a", "b"], ["b", "c"], ["a", "c"]], d, 5)
+
+        expected = kernelize(triangle(60))
+        calls = []
+        monkeypatch.setattr(
+            reductions, "vertex_bound", lambda d, k: calls.append((d, k)) or 0
+        )
+        result = kernelize(triangle(10**6))
+        assert calls == []
+        assert result.verdict == expected.verdict == "kernel"
+        assert result.trace == expected.trace
+        assert result.trace.steps == [TraceStep(5, 0, 0, 0, 0)]
+        assert result.instance.edges == expected.instance.edges
+
+
 class TestKernelize:
     def test_empty_instance_is_yes(self):
         assert kernelize(Instance(Hypergraph(0, (), 3), 0)).verdict == "yes"
@@ -627,10 +668,11 @@ class TestKernelize:
             )
 
     def test_trace_counts_equal_label_set_differences(self):
-        # _rebuild takes edge deltas as plain set differences, trusting every
-        # rule to hand it canonical edges; recount them on the labels. A
-        # non-canonical edge miscounts when it stands for an edge already
-        # there (or given twice), which this comparison catches.
+        # _rebuild counts the added edges the parent lacks and takes the
+        # rest of the change in the edge count as removed, trusting every
+        # rule to hand it canonical edges; recount both on the labels. A
+        # non-canonical added edge miscounts when it stands for an edge
+        # already there (or given twice), which this comparison catches.
         def labelled(inst):
             names = [f"v{v}" for v in range(inst.n)]
             raw = [[names[v] for v in e] for e in inst.edges]
