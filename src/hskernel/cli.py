@@ -213,8 +213,8 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     result = kernelize(inst, observer=observer)
     wall = time.perf_counter() - start
-    report = _report(parsed, result, k_override, wall)
     if args.report_json:
+        report = _report(parsed, result, k_override, wall)
         with open(args.report_json, "w", encoding="utf-8") as handle:
             handle.write(_report_text(report))
     if result.verdict == "kernel":

@@ -243,11 +243,15 @@ def is_independent(h: Hypergraph, vertices: Iterable[int]) -> bool:
 def subedge_groups(edges: Iterable[Edge], size: int) -> dict[Edge, list[Edge]]:
     """Every ``size``-vertex subset of one of ``edges`` (canonical edges),
     mapped to the edges that contain it. Keys are sorted; each list keeps
-    the order in which ``edges`` gives them."""
+    the order in which ``edges`` gives them. An edge shorter than ``size``
+    has no such subset and is skipped before ``combinations`` allocates
+    its ``size``-long index array."""
     if size < 1:
         raise ValueError("subedge size must be at least 1")
     groups: dict[Edge, list[Edge]] = {}
     for e in edges:
+        if len(e) < size:
+            continue
         for s in combinations(e, size):
             groups.setdefault(s, []).append(e)
     return {s: groups[s] for s in sorted(groups)}

@@ -82,19 +82,22 @@ def validate_hs_crown(h: Hypergraph, c: HSCrown) -> CrownVerdict:
         if extra:
             problems.append(f"head contains foreign subedges {sorted(extra)}")
 
-    mapping = dict(c.matching)
+    keys = [y for y, _ in c.matching]
+    values = [v for _, v in c.matching]
     matching_valid = True
-    if set(mapping) != set(c.head):
+    if len(set(keys)) != len(keys):
+        matching_valid = False
+        problems.append("matching lists a head subedge more than once")
+    if set(keys) != set(c.head):
         matching_valid = False
         problems.append("matching does not cover the head exactly")
-    values = list(mapping.values())
     if len(set(values)) != len(values):
         matching_valid = False
         problems.append("matching is not injective")
     if not set(values) <= set(c.crown):
         matching_valid = False
         problems.append("matching image leaves the crown")
-    for y, v in mapping.items():
+    for y, v in c.matching:
         if canonical_edge((*y, v)) not in h.edge_index:
             matching_valid = False
             problems.append(f"matched pair {y} -> {v} is not a hyperedge")

@@ -48,13 +48,19 @@ class ReductionTrace:
     """Ordered log of rule applications; the verdict is in :class:`ReduceResult`.
 
     ``attempts[r]`` counts the controller's calls of rule ``r``, declined
-    ones included.
+    ones included. Everything else is read off the steps, except
+    ``lp_pivots``, which the steps do not hold.
     """
 
     steps: list[TraceStep] = field(default_factory=list)
     attempts: dict[int, int] = field(default_factory=lambda: dict.fromkeys(range(1, 7), 0))
-    lp_solves: int = 0  # crown LPs solved by rule 6
-    lp_pivots: int = 0  # simplex pivots summed over those solves
+    lp_pivots: int = 0  # simplex pivots summed over the crown LP solves
+
+    @property
+    def lp_solves(self) -> int:
+        """Crown LPs solved: rule 6 records a step, an application or its
+        no verdict, only after solving exactly one."""
+        return sum(1 for s in self.steps if s.rule == 6)
 
     def rule_counts(self) -> dict[int, int]:
         counts = {r: 0 for r in range(1, 7)}
@@ -72,21 +78,24 @@ class ReductionTrace:
 
 @dataclass(frozen=True)
 class RuleOutcome:
-    """Result of attempting one rule. ``applied`` and ``verdict_no`` are
-    mutually exclusive; rule 6 additionally carries the crown it applied and
-    the LP it solved with its solution, for tracing and debugging."""
+    """Result of attempting one rule: nothing when it declines; the
+    successor and its step when it applies; a step alone when it concludes
+    no. Rule 6 additionally carries the crown it applied and the LP it
+    solved with its solution, for tracing and debugging."""
 
-    applied: bool
     new_instance: Instance | None = None
-    verdict_no: bool = False
     step: TraceStep | None = None
     crown: HSCrown | None = None
     lp_problem: LPProblem | None = None
     lp_solution: ExactLPSolution | None = None
 
-    def __post_init__(self) -> None:
-        if self.applied and self.verdict_no:
-            raise InternalConsistencyError("a rule cannot both apply and conclude no")
+    @property
+    def applied(self) -> bool:
+        return self.new_instance is not None
+
+    @property
+    def verdict_no(self) -> bool:
+        return self.step is not None and self.new_instance is None
 
 
 @dataclass(frozen=True)
@@ -101,7 +110,7 @@ class ReduceResult:
 
 Observer = Callable[[int, Instance, RuleOutcome], None]
 
-_NOT_APPLIED = RuleOutcome(applied=False)
+_NOT_APPLIED = RuleOutcome()
 
 
 def vertex_bound(d: int, k: int) -> int:
@@ -149,7 +158,7 @@ def _rebuild(
         edges_added=edges_added,
         k_delta=k_delta,
     )
-    return RuleOutcome(applied=True, new_instance=successor, step=step)
+    return RuleOutcome(successor, step)
 
 
 def weakly_related_family(h: Hypergraph) -> list[Edge]:
@@ -158,13 +167,15 @@ def weakly_related_family(h: Hypergraph) -> list[Edge]:
 
     Two edges overlap in more than d-2 vertices exactly when they share a
     (d-1)-subset, so an edge joins iff none of its (d-1)-subsets is taken
-    yet; an edge with fewer than d-1 vertices has none and always joins.
-    That is O(m*d) subset lookups in place of a scan of the chosen edges.
+    yet; an edge with fewer than d-1 vertices has none and always joins,
+    without a ``combinations`` call that at a huge ``d`` would allocate a
+    (d-1)-long index array. That is O(m*d) subset lookups in place of a
+    scan of the chosen edges.
     """
     chosen: list[Edge] = []
     taken: set[Edge] = set()
     for e in h.edges:
-        subsets = list(combinations(e, h.d - 1))
+        subsets = list(combinations(e, h.d - 1)) if len(e) >= h.d - 1 else []
         if taken.isdisjoint(subsets):
             chosen.append(e)
             taken.update(subsets)
@@ -327,7 +338,7 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None) -> Rule
                 family -= hit
                 live.add(s)
     if live == h.edge_index:
-        return RuleOutcome(applied=True, new_instance=inst, step=TraceStep(5, 0, 0, 0, 0))
+        return RuleOutcome(inst, TraceStep(5, 0, 0, 0, 0))
     return _rebuild(inst, 5, h.edge_index - live, live - h.edge_index)
 
 
@@ -350,9 +361,7 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
     crown = _crown_via_matching(h, sorted(candidates.zeros), sorted(candidates.subedges))
     if crown is None:
         step = TraceStep(rule=6, vertices_removed=0, edges_removed=0, edges_added=0, k_delta=0)
-        return RuleOutcome(
-            applied=False, verdict_no=True, step=step, lp_problem=problem, lp_solution=solution
-        )
+        return RuleOutcome(step=step, lp_problem=problem, lp_solution=solution)
     verdict = validate_hs_crown(h, crown)
     if not (verdict.valid and verdict.strict and crown.crown):
         raise InternalConsistencyError(
@@ -384,31 +393,31 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     After a rule-5 no-op the next pass starts at rule 6: rules 1 to 4 have
     just declined on that very instance and rule 5 declines after itself.
     An explicit iteration ceiling of ``3n + 4m + 4`` trace steps guards
-    termination.
+    termination. The rules are the module's globals as they stand when the
+    call starts, so a tracer installed before the call sees every attempt.
 
     ``observer(rule, before, outcome)`` is called for every rule event,
-    including no-op rule-5 attempts and rule-6 no-verdicts.
+    including no-op rule-5 attempts and rule-6 no-verdicts. The trace
+    records the events in order; its counts are derived from them.
     """
     trace = ReductionTrace()
     current = inst
     last_rule: int | None = None
     rule5_noop = False
     ceiling = 3 * inst.n + 4 * inst.m + 4
+    rules = (
+        (1, rule1_vertex_domination),
+        (2, rule2_edge_domination),
+        (3, rule3_unit_edge),
+        (4, rule4_high_degree_subedge),
+        (5, lambda i: rule5_weakly_related_counting(i, last_rule)),
+        (6, rule6_lp_crown),
+    )
     while True:
         verdict = _quick_verdict(current)
         if verdict is not None:
             return ReduceResult(verdict, current, trace)
 
-        # Looked up on every pass: the rules are module globals that a
-        # tracer may replace.
-        rules = (
-            (1, rule1_vertex_domination),
-            (2, rule2_edge_domination),
-            (3, rule3_unit_edge),
-            (4, rule4_high_degree_subedge),
-            (5, lambda i: rule5_weakly_related_counting(i, last_rule)),
-            (6, rule6_lp_crown),
-        )
         for rule_id, rule in rules[5:] if rule5_noop else rules:
             trace.attempts[rule_id] += 1
             outcome = rule(current)
@@ -424,7 +433,6 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
             observer(rule_id, current, outcome)
         trace.steps.append(outcome.step)
         if outcome.lp_solution is not None:
-            trace.lp_solves += 1
             trace.lp_pivots += outcome.lp_solution.pivots
         if outcome.verdict_no:
             return ReduceResult("no", current, trace)

@@ -458,7 +458,6 @@ def naive_kernelize(inst: Instance, observer=None) -> ReduceResult:
             observer(rule_id, current, outcome)
         trace.steps.append(outcome.step)
         if outcome.lp_solution is not None:
-            trace.lp_solves += 1
             trace.lp_pivots += outcome.lp_solution.pivots
         if outcome.verdict_no:
             return ReduceResult("no", current, trace)
@@ -507,7 +506,7 @@ def one_size_rule_instance(rng: random.Random) -> Instance:
 # structured instance families (reach the crown rule reliably)
 
 
-def petal_cycle_instance(seed: int, k: int, d: int = 3) -> Instance:
+def petal_cycle_instance(seed: int, k: int, d: int = 3, petals: int | None = None) -> Instance:
     """Yes-instance above the crown threshold on which no earlier rule fires.
 
     A cycle of (d-1)k core vertices provides the heads, its cyclic windows
@@ -516,12 +515,15 @@ def petal_cycle_instance(seed: int, k: int, d: int = 3) -> Instance:
     packings stay at most k, and family counts stay within their
     thresholds. Every (d-1)-th core vertex, k in all, hits everything.
     Needs k >= 2: a core of d-1 vertices has no disjoint windows.
+
+    By default the petals take the instance 1 to 7 vertices above the
+    kernel bound; ``petals`` sets their number instead.
     """
     if k < 2:
         raise ValueError("petal-cycle construction needs k >= 2")
     rng = random.Random(seed)
     core = (d - 1) * k
-    t = vertex_bound(d, k) + 1 - core + rng.randint(0, 6)
+    t = vertex_bound(d, k) + 1 - core + rng.randint(0, 6) if petals is None else petals
     windows = [tuple((i + j) % core for j in range(d - 1)) for i in range(core)]
     edges = []
     for j in range(t):
@@ -534,15 +536,18 @@ def petal_cycle_instance(seed: int, k: int, d: int = 3) -> Instance:
     return Instance(Hypergraph(core + t, tuple(edges), d), k)
 
 
-def blob_instance(seed: int, k: int) -> Instance:
+def blob_instance(seed: int, k: int, blobs: int | None = None) -> Instance:
     """No-instance above the crown threshold with a fully fractional optimum.
 
     Disjoint 4-cliques of triples need two hits each, so b blobs cost 2b > k;
     the LP settles at two-thirds everywhere, leaving no zero vertices and no
-    crown, which is exactly the no-verdict path of the final rule.
+    crown, which is exactly the no-verdict path of the final rule. By
+    default the blobs take the instance above the kernel bound; ``blobs``
+    sets their number instead.
     """
     rng = random.Random(seed)
-    blobs = max(2, -(-(vertex_bound(3, k) + 1) // 4)) + rng.randint(0, 2)
+    if blobs is None:
+        blobs = max(2, -(-(vertex_bound(3, k) + 1) // 4)) + rng.randint(0, 2)
     edges = []
     for i in range(blobs):
         base = 4 * i
@@ -562,11 +567,13 @@ def mixed_crown_instance(seed: int, k: int, d: int = 3) -> Instance:
     return Instance(Hypergraph(offset + d + 1, edges, d), k)
 
 
-def blob4_instance(seed: int, k: int) -> Instance:
+def blob4_instance(seed: int, k: int, blobs: int | None = None) -> Instance:
     """d=4 no-instance above the crown threshold: disjoint 5-cliques of
-    quadruples, fractional optimum three-quarters everywhere."""
+    quadruples, fractional optimum three-quarters everywhere. ``blobs``
+    sets their number in place of the default."""
     rng = random.Random(seed)
-    blobs = max(2, -(-(vertex_bound(4, k) + 1) // 5)) + rng.randint(0, 1)
+    if blobs is None:
+        blobs = max(2, -(-(vertex_bound(4, k) + 1) // 5)) + rng.randint(0, 1)
     edges = []
     for i in range(blobs):
         base = 5 * i

@@ -430,6 +430,21 @@ class TestKernelizeCommand:
         data = json.loads(report.read_text(), parse_int=Decimal)
         assert int(data["vertex_bound"]) == vertex_bound(2200, 99)
 
+    def test_report_is_computed_only_with_report_json(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        exact = cli._exact_bound
+        monkeypatch.setattr(cli, "_exact_bound", lambda d, k: calls.append((d, k)) or exact(d, k))
+        path = tmp_path / "in.hs"
+        path.write_text("p hs 4 4 3 2\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n")
+        assert main(["kernelize", str(path)]) == 0
+        plain = capsys.readouterr()
+        assert calls == []
+        report = tmp_path / "report.json"
+        assert main(["kernelize", str(path), "--report-json", str(report)]) == 0
+        assert capsys.readouterr() == plain
+        assert calls == [(3, 2)]
+        assert json.loads(report.read_text())["vertex_bound"] == vertex_bound(3, 2)
+
     def test_exact_bound_equals_the_integer_formula(self):
         for d in range(3, 40):
             for k in range(-2, 13):

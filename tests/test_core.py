@@ -176,6 +176,43 @@ class TestHypergraph:
         assert list(h.edges) == sorted(set(tuple(sorted(set(e))) for e in edges))
 
 
+class TestInputChecks:
+    """Each constructor check raises its exact exception type and message."""
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (
+                lambda: Hypergraph(-1, (), 3),
+                ValueError,
+                "vertex count must be non-negative, got -1",
+            ),
+            (lambda: Hypergraph(2, (), 0), ValueError, "edge size bound must be positive, got 0"),
+            (
+                lambda: Instance(Hypergraph(2, ((0, 1),), 2), 1),
+                UnsupportedParameterError,
+                "d=2 unsupported: the engine requires d >= 3",
+            ),
+            (
+                lambda: Instance(Hypergraph(2, ((0, 1),), 3), 1, labels=("a",)),
+                ValueError,
+                "label table must have one entry per vertex",
+            ),
+            (
+                lambda: Instance(Hypergraph(2, ((0, 1),), 3), 1, labels=("a", "a")),
+                ValueError,
+                "label table must be a bijection",
+            ),
+        ],
+        ids=["negative-n", "d-below-one", "instance-d-below-three", "label-count", "label-repeat"],
+    )
+    def test_refused_with_its_type_and_message(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+
 class TestSuccessor:
     """The public contract of ``Instance.successor``: the parent's edges less
     the dropped ones plus the added ones; a dropped edge must be the

@@ -74,6 +74,30 @@ class TestValidate:
         verdict = validate_hs_crown(h, bad)
         assert not verdict.head_exact
 
+    def test_head_subedge_matched_twice_fails_condition_three(self):
+        # Three petals {0,1,x}: crown {3,4,5} over the one head subedge {0,1}.
+        inst = Instance(Hypergraph(6, ((0, 1, 3), (0, 1, 4), (0, 1, 5)), 3), 1)
+        crown, head = frozenset({3, 4, 5}), frozenset({(0, 1)})
+        bad = HSCrown(crown, head, (((0, 1), 3), ((0, 1), 4)))
+        verdict = validate_hs_crown(inst.hypergraph, bad)
+        assert verdict.independent and verdict.head_exact and verdict.strict
+        assert not verdict.matching_valid and not verdict.valid
+        assert verdict.problems == ("matching lists a head subedge more than once",)
+        with pytest.raises(InvalidCrownError) as exc:
+            apply_hs_crown(inst, bad)
+        assert exc.value.verdict == verdict
+        good = HSCrown(crown, head, (((0, 1), 3),))
+        assert apply_hs_crown(inst, good).edges == ((0, 1),)
+
+    def test_matching_that_misses_a_head_subedge_fails_condition_three(self, showcase_instance):
+        bad = HSCrown(SHOWCASE_CROWN.crown, SHOWCASE_CROWN.head, (((0, 1), 2),))
+        verdict = validate_hs_crown(showcase_instance.hypergraph, bad)
+        assert verdict.independent and verdict.head_exact
+        assert not verdict.matching_valid
+        assert verdict.problems == ("matching does not cover the head exactly",)
+        with pytest.raises(InvalidCrownError):
+            apply_hs_crown(showcase_instance, bad)
+
 
 class TestApply:
     def test_showcase_reduction_exact(self, showcase_instance):

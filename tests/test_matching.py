@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from hskernel import matching
 from hskernel.core import Hypergraph, Instance
 from hskernel.matching import (
@@ -204,3 +206,24 @@ class TestMatchingType:
         m = Matching(((2, 0), (1, 1)))
         assert m.pairs == ((1, 1), (2, 0))
         assert dict(m.pairs) == {1: 1, 2: 0}
+
+
+class TestGraphInputChecks:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: BipartiteGraph(2, 1, ((0,),)), "adjacency must have one row per left vertex"),
+            (
+                lambda: BipartiteGraph(1, 2, ((0, 2),)),
+                "neighbor list (0, 2) references an invalid right vertex",
+            ),
+            (lambda: SimpleGraph(3, ((1, 1),)), "self-loop at 1"),
+            (lambda: SimpleGraph(3, ((0, 3),)), "edge (0,3) outside vertex range"),
+        ],
+        ids=["bipartite-row-count", "bipartite-neighbour", "self-loop", "simple-edge-range"],
+    )
+    def test_refused_with_a_value_error_and_its_message(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message

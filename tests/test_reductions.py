@@ -1,13 +1,15 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from hskernel import reductions
+from hskernel import core, reductions
 from hskernel.core import Hypergraph, Instance, normalize, subedge_groups
 from hskernel.crown import apply_hs_crown, validate_hs_crown
 from hskernel.errors import InternalConsistencyError
 from hskernel.oracle import GenSpec, decide_brute_force, generate
 from hskernel.reductions import (
+    ReductionTrace,
     RuleOutcome,
     TraceStep,
     exceeds_power,
@@ -205,6 +207,21 @@ def test_an_edge_both_dropped_and_added_counts_as_neither():
     out = reductions._rebuild(inst, 4, inst.edges, [kept, kept[:2]])
     assert out.new_instance.edges == (kept[:2], kept)
     assert out.step == TraceStep(4, 0, 1, 1, 0)
+
+
+def test_outcome_flags_and_lp_solves_are_read_off_the_events():
+    inst = petal_cycle_instance(11, 2)
+    step = TraceStep(6, 0, 0, 0, 0)
+    declined, applied, concluded = RuleOutcome(), RuleOutcome(inst, step), RuleOutcome(step=step)
+    assert (declined.applied, declined.verdict_no) == (False, False)
+    assert (applied.applied, applied.verdict_no) == (True, False)
+    assert (concluded.applied, concluded.verdict_no) == (False, True)
+    with pytest.raises(TypeError):
+        RuleOutcome(applied=True, new_instance=inst, step=step)
+    trace = ReductionTrace(steps=[step, TraceStep(1, 1, 0, 0, 0), step])
+    assert trace.lp_solves == trace.rule_counts()[6] == 2
+    result = kernelize(mixed_crown_instance(8, 2))
+    assert result.trace.lp_solves == result.trace.rule_counts()[6] >= 1
 
 
 class TestRule3:
@@ -495,6 +512,65 @@ class TestRule6:
         assert decide_brute_force(inst, ceiling=60) is False
 
 
+class TestPaperThresholdBand:
+    """The paper's threshold ``(2d-2)k^(d-1) + k`` against Abu-Khzam's
+    ``(2d-1)k^(d-1) + k``: rule 6 declines at the bound and acts from one
+    vertex above it up to the top of the band, where only the paper's
+    threshold acts. The exact oracle checks each decision."""
+
+    CASES = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2)]
+
+    @staticmethod
+    def band(d, k):
+        return vertex_bound(d, k), (2 * d - 1) * k ** (d - 1) + k
+
+    @staticmethod
+    def answer(result):
+        """The engine's decision: its verdict, or the oracle's on its kernel."""
+        if result.verdict == "kernel":
+            return decide_brute_force(result.instance, ceiling=result.instance.n)
+        return result.verdict == "yes"
+
+    @pytest.mark.parametrize("d, k", CASES)
+    def test_petals_at_the_bound_above_it_and_at_the_top_of_the_band(self, d, k):
+        bound, top = self.band(d, k)
+        for n in (bound, bound + 1, top):
+            inst = petal_cycle_instance(0, k, d, petals=n - (d - 1) * k)
+            assert inst.n == n
+            out = rule6_lp_crown(inst)
+            result = kernelize(inst)
+            expected = decide_brute_force(inst, ceiling=n)
+            assert expected is True
+            if n == bound:
+                assert out == RuleOutcome()
+                assert result.verdict == "kernel"
+            else:
+                assert out.applied, n
+                verdict = validate_hs_crown(inst.hypergraph, out.crown)
+                assert verdict.valid and verdict.strict and out.crown.crown
+                successor = out.new_instance
+                assert decide_brute_force(successor, ceiling=successor.n) is expected
+            assert self.answer(result) is expected, n
+
+    @pytest.mark.parametrize(
+        "d, k, family",
+        [
+            (3, 2, blob_instance),
+            (3, 3, blob_instance),
+            (4, 2, blob4_instance),
+            (4, 3, blob4_instance),
+        ],
+    )
+    def test_blobs_in_the_band_conclude_no(self, d, k, family):
+        bound, top = self.band(d, k)
+        inst = family(0, k, blobs=bound // (d + 1) + 1)
+        assert bound < inst.n <= top
+        out = rule6_lp_crown(inst)
+        assert out.verdict_no and not out.applied
+        assert kernelize(inst).verdict == "no"
+        assert decide_brute_force(inst, ceiling=inst.n) is False
+
+
 class TestHugeDeclaredD:
     """At a huge declared ``d`` the kernel bound and rule 5's thresholds
     have millions of digits; the comparisons that use them must not build
@@ -521,6 +597,35 @@ class TestHugeDeclaredD:
         assert result.trace == expected.trace
         assert result.trace.steps == [TraceStep(5, 0, 0, 0, 0)]
         assert result.instance.edges == expected.instance.edges
+
+    def test_no_combinations_call_on_an_edge_shorter_than_the_subset(self, monkeypatch):
+        calls = []
+
+        def spy(e, r):
+            calls.append((len(e), r))
+            return combinations(e, r)
+
+        monkeypatch.setattr(core, "combinations", spy)
+        monkeypatch.setattr(reductions, "combinations", spy)
+        rng = random.Random(13)
+        for _ in range(200):
+            d = rng.randint(3, 8)
+            n = rng.randint(d, 10)
+            edges = tuple(
+                tuple(rng.sample(range(n), rng.randint(1, d))) for _ in range(rng.randint(1, 20))
+            )
+            h = Hypergraph(n, edges, d)
+            assert weakly_related_family(h) == naive_weakly_related_family(h), h
+            for size in range(1, d + 1):
+                expected = {
+                    s: [e for e in h.edges if set(s) <= set(e)]
+                    for s in sorted({s for e in h.edges for s in combinations(e, size)})
+                }
+                assert subedge_groups(h.edges, size) == expected, (h, size)
+        result = kernelize(normalize([["a", "b"], ["b", "c"], ["a", "c"]], 8, 5))
+        assert result.verdict == "kernel" and result.instance.m == 3
+        assert calls
+        assert all(r <= length for length, r in calls), max(calls, key=lambda c: c[1] - c[0])
 
 
 class TestKernelize:
@@ -850,7 +955,7 @@ class TestKernelize:
         # A rule that "applies" forever without changing anything must be
         # stopped after exactly 3n + 4m + 5 applications.
         def stuck(inst):
-            return RuleOutcome(applied=True, new_instance=inst, step=TraceStep(1, 0, 0, 0, 0))
+            return RuleOutcome(new_instance=inst, step=TraceStep(1, 0, 0, 0, 0))
 
         monkeypatch.setattr("hskernel.reductions.rule1_vertex_domination", stuck)
         inst = petal_cycle_instance(6, 2)
