@@ -29,7 +29,7 @@ from .errors import (
     OracleCeilingError,
     UnsupportedParameterError,
 )
-from .lp import format_lp
+from .lp import build_crown_lp, format_lp
 from .oracle import GenSpec, decide_brute_force, generate
 from .reductions import ReduceResult, RuleOutcome, TraceStep, kernelize, vertex_bound
 
@@ -207,8 +207,8 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
                 )
             if outcome.crown is not None:
                 print(f"  {format_crown(outcome.crown)}", file=sys.stderr)
-        if args.dump_lp and outcome.lp_problem is not None:
-            print(format_lp(outcome.lp_problem), file=sys.stderr)
+        if args.dump_lp and outcome.lp_solution is not None:
+            print(format_lp(build_crown_lp(before.hypergraph)), file=sys.stderr)
 
     start = time.perf_counter()
     result = kernelize(inst, observer=observer)

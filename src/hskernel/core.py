@@ -12,7 +12,7 @@ All types here are immutable after construction and safe to share between
 threads; every transformation produces a new value. A successor
 (:meth:`Instance.successor`) is its parent's edges less some plus others, and
 checks only what its parent did not: the edges it drops and adds, the
-vertices it removes, ``d`` and the label table.
+vertices it removes (each one of the parent's), ``d`` and the label table.
 """
 
 from __future__ import annotations
@@ -147,9 +147,10 @@ class Instance:
         so; such edges are not checked again. Every other added edge is
         canonicalised and checked as :class:`Hypergraph` does: one longer
         than ``d`` raises :class:`FormatError`, one outside ``0..n-1``
-        raises :class:`ValueError`. An edge that keeps a ``removed`` vertex
-        raises :class:`ValueError`, and :meth:`__post_init__` checks ``d``
-        and the labels as for any instance.
+        raises :class:`ValueError`. A ``removed`` vertex outside
+        ``0..n-1``, or an edge that keeps a ``removed`` vertex, raises
+        :class:`ValueError`, and :meth:`__post_init__` checks ``d`` and the
+        labels as for any instance.
         """
         h = self.hypergraph
         index = h.edge_index
@@ -171,6 +172,9 @@ class Instance:
         n = self.n
         if removed:
             keep = [v for v in range(n) if v not in removed]
+            if len(keep) + len(removed) != n:
+                stray = min(v for v in removed if not 0 <= v < n)
+                raise ValueError(f"the removed vertex {stray} is outside 0..{n - 1}")
             remap = {v: i for i, v in enumerate(keep)}
             try:
                 canon = [tuple(map(remap.__getitem__, e)) for e in canon]

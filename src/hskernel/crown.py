@@ -63,12 +63,20 @@ def induced_head(h: Hypergraph, crown_vertices: frozenset[int]) -> tuple[set[Edg
 
 
 def validate_hs_crown(h: Hypergraph, c: HSCrown) -> CrownVerdict:
-    """Check the three crown conditions independently and report failures."""
+    """Check the three crown conditions independently and report failures.
+
+    A crown vertex outside ``0..n-1`` is reported as such and fails the
+    independence condition."""
     problems: list[str] = []
 
-    independent = is_independent(h, c.crown)
-    if not independent:
-        problems.append("crown vertices are not independent")
+    stray = sorted(v for v in c.crown if not 0 <= v < h.n)
+    if stray:
+        independent = False
+        problems.extend(f"crown vertex {v} is outside 0..{h.n - 1}" for v in stray)
+    else:
+        independent = is_independent(h, c.crown)
+        if not independent:
+            problems.append("crown vertices are not independent")
 
     induced, has_empty = induced_head(h, c.crown)
     head_exact = not has_empty and induced == set(c.head)
@@ -121,17 +129,19 @@ def apply_hs_crown(inst: Instance, c: HSCrown) -> Instance:
     return inst.successor(meeting, c.head, inst.k, c.crown)
 
 
-def _crown_via_matching(
-    h: Hypergraph, candidates: list[int], subedges: list[Edge]
-) -> HSCrown | None:
-    """Rule 6's crown finder: match subedges into candidate vertices, keep
-    the Hall-deficient part, translate back to hypergraph terms."""
-    sub_pos = {y: j for j, y in enumerate(subedges)}
+def _crown_via_matching(h: Hypergraph, candidates: list[int]) -> HSCrown | None:
+    """Rule 6's crown finder: match the head subedges -- the non-empty
+    remainders of the edges through the ``candidates`` -- into the candidate
+    vertices, keep the Hall-deficient part, translate back to hypergraph
+    terms. The subedges are collected in the walk that builds the bipartite
+    rows, and numbered in sorted order."""
     cand_pos = {v: i for i, v in enumerate(candidates)}
+    pairs = [(cand_pos[x], rest) for x, rest in remainders(h, cand_pos) if rest]
+    subedges = sorted({rest for _, rest in pairs})
+    sub_pos = {y: j for j, y in enumerate(subedges)}
     rows: list[set[int]] = [set() for _ in candidates]
-    for x, rest in remainders(h, cand_pos):
-        if rest in sub_pos:
-            rows[cand_pos[x]].add(sub_pos[rest])
+    for i, rest in pairs:
+        rows[i].add(sub_pos[rest])
     found = find_bipartite_crown(
         BipartiteGraph(len(candidates), len(subedges), tuple(map(tuple, rows)))
     )

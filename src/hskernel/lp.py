@@ -4,8 +4,8 @@ The model has one variable per vertex, one constraint per hyperedge requiring
 ``sum(x_v for v in e) >= |e| - 1`` (each edge may leave at most one unit of
 load uncovered -- deliberately NOT the hitting-set relaxation, whose right
 hand side would be 1), box bounds ``0 <= x <= 1``, and objective
-``min sum(x)``. The zero-valued and one-valued vertices of an optimal basic
-solution seed the crown search.
+``min sum(x)``. The zero-valued vertices of an optimal basic solution seed
+the crown search; every other vertex of an edge through one sits at one.
 
 Arithmetic is exact throughout: the simplex pivots a sparse tableau of
 integer rows without division, and the optimum is read out as exact
@@ -29,15 +29,17 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class LPProblem:
-    """One variable per vertex; per-edge constraint ``sum >= |e| - 1``;
-    boxes ``[0, 1]``; objective = minimize the sum of all variables.
+    """The crown LP of ``var_count`` vertices and the hyperedges ``edges``:
+    one variable per vertex, per edge ``e`` the constraint
+    ``sum(x_v for v in e) >= |e| - 1``, boxes ``[0, 1]``, objective =
+    minimize the sum of all variables.
 
-    ``constraints`` mirrors the source edge set one-to-one, in canonical
-    edge order.
+    Each right-hand side is implied by its edge, so only the edges are
+    stored, in canonical edge order.
     """
 
     var_count: int
-    constraints: tuple[tuple[Edge, int], ...]
+    edges: tuple[Edge, ...]
 
 
 @dataclass(frozen=True)
@@ -57,24 +59,13 @@ class ExactLPSolution:
     pivots: int = 0
 
 
-@dataclass(frozen=True)
-class CrownCandidates:
-    """LP-highlighted crown material: ``zeros`` are the vertices at exactly 0
-    (always independent), ``ones`` the vertices at exactly 1, and
-    ``subedges`` the edge remainders ``e - {x}`` over zero vertices ``x``."""
-
-    zeros: frozenset[int]
-    ones: frozenset[int]
-    subedges: frozenset[Edge]
-
-
 def build_crown_lp(h: Hypergraph) -> LPProblem:
     """Encode ``h``: one constraint per edge with right-hand side ``|e| - 1``.
 
     Edges of size one yield the vacuous constraint ``x >= 0`` and are legal;
-    they are carried so the constraint list matches the edge set exactly.
+    they are carried so the model's edges are exactly the hypergraph's.
     """
-    return LPProblem(h.n, tuple((e, len(e) - 1) for e in h.edges))
+    return LPProblem(h.n, h.edges)
 
 
 class _Tableau:
@@ -107,12 +98,12 @@ class SimplexBackend:
     anti-cycling rule.
 
     The tableau is built on complemented variables (``y_v = 1 - x_v``), which
-    turns every meaningful row into ``sum(y_v for v in e) <= 1``: the
-    all-slack basis is then feasible from the start and no artificial
-    variables or separate feasibility phase are ever needed. Rows made
-    redundant by the boxes (right-hand side <= 0 in the original orientation)
-    are dropped; variables in no surviving row get an explicit ``y <= 1``
-    row so the box stays active.
+    turns the row of every edge of two or more vertices into
+    ``sum(y_v for v in e) <= 1``: the all-slack basis is then feasible from
+    the start and no artificial variables or separate feasibility phase are
+    ever needed. The row of a shorter edge (right-hand side <= 0) is implied
+    by the boxes and dropped; variables in no kept row get an explicit
+    ``y <= 1`` cap row so the box stays active.
 
     Rows are integer numerator maps (see :class:`_Tableau`); a pivot touches
     only the rows with a nonzero in the pivot column, eliminates
@@ -129,18 +120,8 @@ class SimplexBackend:
 
     def solve(self, problem: LPProblem) -> ExactLPSolution:
         n = problem.var_count
-        kept: list[Edge] = []
-        covered: set[int] = set()
-        for variables, rhs in problem.constraints:
-            cap = len(variables) - rhs
-            if cap < 0:
-                raise InternalConsistencyError("constraint infeasible on its own row")
-            if cap >= len(variables):
-                continue  # implied by the boxes once every variable is capped
-            if cap != 1:
-                raise InternalConsistencyError("unexpected row capacity in crown LP")
-            kept.append(tuple(variables))
-            covered.update(variables)
+        kept = [e for e in problem.edges if len(e) >= 2]
+        covered = {v for e in kept for v in e}
         boxed = [v for v in range(n) if v not in covered]
         m = len(kept) + len(boxed)
         rhs = n + m
@@ -246,11 +227,12 @@ def solve_exact(problem: LPProblem) -> ExactLPSolution:
 
     Infeasibility is impossible by construction (the all-ones point satisfies
     every constraint); any violation detected here is an internal error.
-    After every solve the boxes, every constraint, the forcing property (a
-    zero on an edge forces every other vertex of that edge to one), the
-    per-edge deficit bound and the objective are checked in exact integers:
-    each value ``v`` is read as the numerator ``v * den`` over ``den``, the
-    least common multiple of the value denominators.
+    After every solve the solution length, the boxes, the forcing property
+    (a zero on an edge forces every other vertex of that edge to one), every
+    constraint and the objective are checked in exact integers: each value
+    ``v`` is read as the numerator ``v * den`` over ``den``, the least common
+    multiple of the value denominators. The forcing property is checked
+    before its edge's constraint, which a forcing violation also breaks.
     """
     sol = SimplexBackend().solve(problem)
     values = sol.values
@@ -261,48 +243,42 @@ def solve_exact(problem: LPProblem) -> ExactLPSolution:
     for x in nums:
         if x < 0 or x > den:
             raise InternalConsistencyError("box bound violated")
-    for variables, rhs in problem.constraints:
-        xs = [nums[v] for v in variables]
-        total = sum(xs)
-        if total < rhs * den:
-            raise InternalConsistencyError("constraint violated in exact arithmetic")
+    for e in problem.edges:
+        xs = [nums[v] for v in e]
         if 0 in xs and any(x != den for x in xs if x):
             raise InternalConsistencyError("forcing property violated")
-        if len(xs) * den - total > den:
-            raise InternalConsistencyError("per-edge deficit exceeds one")
+        if sum(xs) < (len(e) - 1) * den:
+            raise InternalConsistencyError("constraint violated in exact arithmetic")
     if sol.objective * den != sum(nums):
         raise InternalConsistencyError("objective does not match the assignment")
     return sol
 
 
-def extract_crown_candidates(h: Hypergraph, sol: ExactLPSolution) -> CrownCandidates:
-    """Split vertices by exact value and collect the candidate head subedges.
+def extract_crown_candidates(h: Hypergraph, sol: ExactLPSolution) -> list[int]:
+    """The vertices at exactly zero, in increasing order: rule 6's crown
+    candidates.
 
     For every edge through a zero vertex the remaining vertices must sit at
-    exactly one; that consequence of the constraints is asserted, not assumed.
-    A vertex with a fractional value lands in neither set.
+    exactly one, and the zero vertices must be independent; both
+    consequences of the constraints are asserted, not assumed.
     """
     values = sol.values
-    zeros = frozenset(v for v in range(h.n) if values[v] == 0)
-    ones = frozenset(v for v in range(h.n) if values[v] == 1)
-    subedges: set[Edge] = set()
-    for x, rest in remainders(h, zeros):
-        if any(u not in ones for u in rest):
+    zeros = [v for v in range(h.n) if values[v] == 0]
+    for x, rest in remainders(h, frozenset(zeros)):
+        if any(values[u] != 1 for u in rest):
             raise InternalConsistencyError(
                 f"edge {canonical_edge((x, *rest))} has a zero vertex but a non-one companion"
             )
-        if rest:
-            subedges.add(rest)
     if not is_independent(h, zeros):
         raise InternalConsistencyError("zero-valued vertices are not independent")
-    return CrownCandidates(zeros, ones, frozenset(subedges))
+    return zeros
 
 
 def format_lp(problem: LPProblem) -> str:
     """Human-readable listing of the model, one constraint per line."""
     lines = [f"minimize x[0] + ... + x[{problem.var_count - 1}]"]
-    for variables, rhs in problem.constraints:
-        terms = " + ".join(f"x[{v}]" for v in variables) or "0"
-        lines.append(f"  {terms} >= {rhs}")
+    for e in problem.edges:
+        terms = " + ".join(f"x[{v}]" for v in e) or "0"
+        lines.append(f"  {terms} >= {len(e) - 1}")
     lines.append(f"  0 <= x[v] <= 1 for all {problem.var_count} variables")
     return "\n".join(lines)

@@ -21,13 +21,7 @@ from .core import Edge, Hypergraph, Instance, subedge_groups
 from .crown import HSCrown, validate_hs_crown, _crown_via_matching
 from .crown import apply_hs_crown  # noqa: F401  unused here; bench/tracing.py patches it
 from .errors import InternalConsistencyError
-from .lp import (
-    ExactLPSolution,
-    LPProblem,
-    build_crown_lp,
-    extract_crown_candidates,
-    solve_exact,
-)
+from .lp import ExactLPSolution, build_crown_lp, extract_crown_candidates, solve_exact
 from . import matching  # the blossom is looked up at call time; bench/tracing.py patches it
 from .matching import SimpleGraph
 
@@ -80,13 +74,13 @@ class ReductionTrace:
 class RuleOutcome:
     """Result of attempting one rule: nothing when it declines; the
     successor and its step when it applies; a step alone when it concludes
-    no. Rule 6 additionally carries the crown it applied and the LP it
-    solved with its solution, for tracing and debugging."""
+    no. Rule 6 additionally carries the crown it applied and the solution
+    of the LP it solved, for tracing and debugging; that LP is
+    ``build_crown_lp`` of the instance the rule was given."""
 
     new_instance: Instance | None = None
     step: TraceStep | None = None
     crown: HSCrown | None = None
-    lp_problem: LPProblem | None = None
     lp_solution: ExactLPSolution | None = None
 
     @property
@@ -346,30 +340,29 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
     """LP-guided crown reduction, the final rule.
 
     Below the vertex threshold nothing happens: the instance is already a
-    kernel. Otherwise the crown LP is solved exactly; its zero vertices and
-    their completing subedges feed the bipartite crown finder. A found crown
-    is validated and applied (budget unchanged); when no crown exists the
-    instance cannot be a yes-instance and the rule concludes no.
+    kernel. Otherwise the crown LP is solved exactly; its zero vertices feed
+    the bipartite crown finder, which matches their completing subedges into
+    them. A found crown is validated and applied (budget unchanged); when no
+    crown exists the instance cannot be a yes-instance and the rule
+    concludes no.
     """
     h = inst.hypergraph
     # The bound is at least k**(d-1); an n no larger needs no bound built.
     if not (exceeds_power(h.n, inst.k, h.d - 1) and h.n > vertex_bound(h.d, inst.k)):
         return _NOT_APPLIED
-    problem = build_crown_lp(h)
-    solution = solve_exact(problem)
-    candidates = extract_crown_candidates(h, solution)
-    crown = _crown_via_matching(h, sorted(candidates.zeros), sorted(candidates.subedges))
+    solution = solve_exact(build_crown_lp(h))
+    crown = _crown_via_matching(h, extract_crown_candidates(h, solution))
     if crown is None:
         step = TraceStep(rule=6, vertices_removed=0, edges_removed=0, edges_added=0, k_delta=0)
-        return RuleOutcome(step=step, lp_problem=problem, lp_solution=solution)
+        return RuleOutcome(step=step, lp_solution=solution)
     verdict = validate_hs_crown(h, crown)
-    if not (verdict.valid and verdict.strict and crown.crown):
+    if not (verdict.valid and verdict.strict):
         raise InternalConsistencyError(
             f"LP crown failed validation: {verdict.problems}"
         )
     meeting = [e for e, es in zip(h.edges, h.edge_sets) if es & crown.crown]
     outcome = _rebuild(inst, 6, meeting, crown.head, remove_vertices=crown.crown)
-    return replace(outcome, crown=crown, lp_problem=problem, lp_solution=solution)
+    return replace(outcome, crown=crown, lp_solution=solution)
 
 
 def _quick_verdict(inst: Instance) -> str | None:

@@ -146,7 +146,7 @@ def polytope_min_objective(problem: LPProblem) -> Fraction:
     for feasibility; the minimum objective over them is the LP optimum.
     """
     n = problem.var_count
-    cons = [(list(vs), Fraction(rhs)) for vs, rhs in problem.constraints]
+    cons = [(list(e), Fraction(len(e) - 1)) for e in problem.edges]
     best: Fraction | None = None
 
     def feasible(x: list[Fraction]) -> bool:
@@ -230,18 +230,9 @@ def naive_dense_simplex(problem: LPProblem) -> tuple[ExactLPSolution, int]:
     by the lowest basic index.
     """
     n = problem.var_count
-    kept: list[Edge] = []
-    covered: set[int] = set()
-    for variables, rhs in problem.constraints:
-        cap = len(variables) - rhs
-        if cap < 0:
-            raise InternalConsistencyError("constraint infeasible on its own row")
-        if cap >= len(variables):
-            continue  # implied by the boxes once every variable is capped
-        if cap != 1:
-            raise InternalConsistencyError("unexpected row capacity in crown LP")
-        kept.append(tuple(variables))
-        covered.update(variables)
+    # A row of fewer than two vertices is implied by the boxes.
+    kept = [e for e in problem.edges if len(e) >= 2]
+    covered = {v for e in kept for v in e}
     boxed = [v for v in range(n) if v not in covered]
     m = len(kept) + len(boxed)
     width = n + m + 1

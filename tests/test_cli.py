@@ -13,9 +13,10 @@ from hskernel import cli
 from hskernel import reductions
 from hskernel.cli import main, parse_instance, write_instance
 from hskernel.core import Hypergraph, Instance, normalize
+from hskernel.crown import HSCrown
 from hskernel.errors import FormatError, UnsupportedParameterError
 from hskernel.oracle import GenSpec, generate
-from hskernel.reductions import ReduceResult, vertex_bound
+from hskernel.reductions import ReduceResult, ReductionTrace, vertex_bound
 
 SHOWCASE_TEXT = "p hs 5 4 3 1\n1 2 4\n1 2 5\n2 3 4\n2 3 5\n"
 
@@ -445,6 +446,23 @@ class TestKernelizeCommand:
         assert calls == [(3, 2)]
         assert json.loads(report.read_text())["vertex_bound"] == vertex_bound(3, 2)
 
+    def test_report_refuses_a_kernel_above_the_bound(self, tmp_path, capsys, monkeypatch):
+        from helpers import petal_cycle_instance
+
+        inst = petal_cycle_instance(11, 2)  # 22 vertices, bound 18
+        monkeypatch.setattr(
+            cli, "kernelize", lambda i, observer=None: ReduceResult("kernel", i, ReductionTrace())
+        )
+        path = tmp_path / "in.hs"
+        report = tmp_path / "report.json"
+        path.write_text(write_instance(inst))
+        code = main(["kernelize", str(path), "--report-json", str(report)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "internal error: kernel report violates the vertex bound\n"
+        assert not report.exists()
+
     def test_exact_bound_equals_the_integer_formula(self):
         for d in range(3, 40):
             for k in range(-2, 13):
@@ -508,6 +526,57 @@ class TestKernelizeCommand:
         captured = capsys.readouterr()
         assert code == 20
         assert "minimize" in captured.err
+
+    @pytest.mark.parametrize(
+        "case, exit_code",
+        [("petal", 0), ("blob", 20), ("petal4", 0)],
+    )
+    def test_rule6_trace_and_lp_dump_pinned(self, tmp_path, capsys, case, exit_code):
+        # A crown applied at d = 3 and d = 4, and rule 6's no verdict: exit
+        # code, stdout and the whole --trace --dump-lp stderr are pinned to
+        # the files under tests/data.
+        from helpers import blob_instance, petal_cycle_instance
+
+        inst = {
+            "petal": petal_cycle_instance(11, 2),
+            "blob": blob_instance(1, 1),
+            "petal4": petal_cycle_instance(11, 2, d=4),
+        }[case]
+        path = tmp_path / "in.hs"
+        path.write_text(write_instance(inst))
+        code = main(["kernelize", str(path), "--trace", "--dump-lp"])
+        captured = capsys.readouterr()
+        data = Path(__file__).parent / "data"
+        assert code == exit_code
+        assert captured.out == (data / f"rule6-{case}.stdout").read_text()
+        assert captured.err == (data / f"rule6-{case}.stderr").read_text()
+
+    @pytest.mark.parametrize(
+        "crown, problems",
+        [
+            # Valid but empty, so not strict.
+            (HSCrown(frozenset(), frozenset(), ()), "()"),
+            # The lowest petal alone, without its head.
+            (
+                HSCrown(frozenset({4}), frozenset(), ()),
+                "('head misses induced subedges [(0, 1), (2, 3)]',)",
+            ),
+        ],
+        ids=["not-strict", "invalid"],
+    )
+    def test_lp_crown_that_fails_validation_exits_two(
+        self, tmp_path, capsys, monkeypatch, crown, problems
+    ):
+        from helpers import petal_cycle_instance
+
+        monkeypatch.setattr(reductions, "_crown_via_matching", lambda h, candidates: crown)
+        path = tmp_path / "in.hs"
+        path.write_text(write_instance(petal_cycle_instance(11, 2)))
+        code = main(["kernelize", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"internal error: LP crown failed validation: {problems}\n"
 
     def test_trace_shows_the_rule6_verdict_no(self, tmp_path, capsys):
         from helpers import blob_instance

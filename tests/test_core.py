@@ -242,6 +242,14 @@ class TestSuccessor:
         with pytest.raises(ValueError, match="outside 0..4"):
             self.parent().successor([(0, 1, 2)], [(0, 5)], 2, removed)
 
+    @pytest.mark.parametrize("stray", [99, 4, -1])
+    def test_removed_vertex_outside_the_parent_is_a_value_error(self, stray):
+        inst = Instance(Hypergraph(4, ((0, 1, 2), (1, 2, 3)), 3), 2)
+        with pytest.raises(ValueError, match=rf"^the removed vertex {stray} is outside 0\.\.3$"):
+            inst.successor([], [], 2, frozenset({stray}))
+        with pytest.raises(ValueError, match=rf"^the removed vertex {stray} is outside 0\.\.3$"):
+            inst.successor([(1, 2, 3)], [], 2, frozenset({3, stray}))
+
     def test_edge_that_keeps_a_removed_vertex_is_a_value_error(self):
         inst = Instance(Hypergraph(4, ((0, 1, 2), (1, 2, 3)), 3), 2)
         with pytest.raises(ValueError, match="removed vertex 1"):

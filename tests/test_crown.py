@@ -68,6 +68,27 @@ class TestValidate:
         assert verdict.independent and verdict.head_exact
         assert not verdict.matching_valid
 
+    def test_foreign_head_subedge_fails_condition_two(self, showcase_instance):
+        head = SHOWCASE_CROWN.head | {(0, 4)}
+        bad = HSCrown(SHOWCASE_CROWN.crown, head, SHOWCASE_CROWN.matching)
+        verdict = validate_hs_crown(showcase_instance.hypergraph, bad)
+        assert verdict.independent and not verdict.head_exact
+        assert verdict.problems == (
+            "head contains foreign subedges [(0, 4)]",
+            "matching does not cover the head exactly",
+        )
+
+    @pytest.mark.parametrize("stray", [7, 3, -1])
+    def test_crown_vertex_outside_the_graph_is_reported(self, stray):
+        inst = Instance(Hypergraph(3, ((0, 1),), 3), 1)
+        bad = HSCrown(frozenset({stray}), frozenset(), ())
+        verdict = validate_hs_crown(inst.hypergraph, bad)
+        assert not verdict.independent and not verdict.valid
+        assert verdict.problems == (f"crown vertex {stray} is outside 0..2",)
+        with pytest.raises(InvalidCrownError) as exc:
+            apply_hs_crown(inst, bad)
+        assert exc.value.verdict == verdict
+
     def test_unit_edge_in_crown_rejected(self):
         h = Hypergraph(2, ((0,), (0, 1)), 3)
         bad = HSCrown(frozenset({0}), frozenset({(1,)}), (((1,), 0),))
@@ -132,9 +153,8 @@ class TestApply:
 def strict_crown_from(h, independent):
     """A strict crown inside an independent set, or None, found along the
     path rule 6 runs: the induced head matched into the set."""
-    head, has_empty = induced_head(h, frozenset(independent))
-    assert not has_empty
-    return _crown_via_matching(h, sorted(independent), sorted(head))
+    assert not induced_head(h, frozenset(independent))[1]  # no unit edge inside
+    return _crown_via_matching(h, sorted(independent))
 
 
 class TestStrictCrownFromIndependentSet:

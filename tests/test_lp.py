@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from hskernel import lp
 from hskernel.core import Hypergraph, is_independent, normalize
+from hskernel.crown import _crown_via_matching
 from hskernel.errors import InternalConsistencyError
 from hskernel.lp import (
     build_crown_lp,
@@ -45,26 +47,25 @@ def random_hypergraph(rng, max_n=6, max_m=6):
 
 class TestBuildCrownLP:
     def test_showcase_model_shape(self):
-        prob = build_crown_lp(showcase_hypergraph())
+        h = showcase_hypergraph()
+        prob = build_crown_lp(h)
         assert prob.var_count == 5
-        assert len(prob.constraints) == 4
-        assert all(rhs == 2 for _, rhs in prob.constraints)
+        assert prob.edges == h.edges and len(prob.edges) == 4
 
     def test_single_pair_edge(self):
         prob = build_crown_lp(Hypergraph(2, ((0, 1),), 3))
-        assert prob.constraints == (((0, 1), 1),)
+        assert prob == LPProblem(2, ((0, 1),))
 
     def test_edge_free(self):
         prob = build_crown_lp(Hypergraph(3, (), 3))
-        assert prob.var_count == 3 and prob.constraints == ()
+        assert prob.var_count == 3 and prob.edges == ()
 
     def test_one_constraint_per_edge(self):
         rng = random.Random(0)
         for _ in range(30):
             h = random_hypergraph(rng)
             prob = build_crown_lp(h)
-            assert tuple(vs for vs, _ in prob.constraints) == h.edges
-            assert all(rhs == len(vs) - 1 for vs, rhs in prob.constraints)
+            assert prob == LPProblem(h.n, h.edges)
 
 
 class TestSolveExact:
@@ -136,11 +137,11 @@ class TestSolveExact:
         assert solve_exact(build_crown_lp(Hypergraph(3, (), 3))).basis == (0, 1, 2)
 
 
-# One triple: the crown LP asks for x0 + x1 + x2 >= 2, which implies the
-# deficit bound and the forcing property. With right-hand side 1 they can
-# each fail on their own.
-_TRIPLE = LPProblem(3, (((0, 1, 2), 2),))
-_LOOSE = LPProblem(3, (((0, 1, 2), 1),))
+# One triple: the crown LP asks for x0 + x1 + x2 >= 2. A value that breaks
+# the forcing property breaks that constraint too, so the forcing check runs
+# first; the deficit case (1, 0, 0) leaves two units uncovered and is
+# refused by the constraint check.
+_TRIPLE = LPProblem(3, ((0, 1, 2),))
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 
 
@@ -154,8 +155,8 @@ class TestPostChecks:
             (_TRIPLE, (1, 1), 2, "solution length mismatch"),
             (_TRIPLE, (Fraction(4, 3), 1, 0), Fraction(7, 3), "box bound violated"),
             (_TRIPLE, (1, _HALF, _THIRD), Fraction(11, 6), "constraint violated"),
-            (_LOOSE, (1, 0, 0), 1, "per-edge deficit exceeds one"),
-            (_LOOSE, (0, _HALF, 1), Fraction(3, 2), "forcing property violated"),
+            (_TRIPLE, (1, 0, 0), 1, "constraint violated"),
+            (_TRIPLE, (0, _HALF, 1), Fraction(3, 2), "forcing property violated"),
             (_TRIPLE, (1, _HALF, _HALF), Fraction(5, 2), "objective does not match"),
         ],
         ids=["length", "box", "constraint", "deficit", "forcing", "objective"],
@@ -202,8 +203,13 @@ class TestSparseSimplex:
             for k in ks:
                 for seed in range(2):
                     solved = []
-                    kernelize(family(seed, k), lambda r, b, o: solved.append(o.lp_problem))
-                    yield from (p for p in solved if p is not None)
+
+                    def observe(rule, before, outcome):
+                        if outcome.lp_solution is not None:
+                            solved.append(build_crown_lp(before.hypergraph))
+
+                    kernelize(family(seed, k), observe)
+                    yield from solved
 
     def test_same_solution_as_dense_reference(self):
         seen = {"cap row": 0, "dropped row": 0, "tie on basic index": 0, "fractional": 0}
@@ -212,9 +218,9 @@ class TestSparseSimplex:
             sol = solve_exact(prob)
             reference, ties = naive_dense_simplex(prob)
             assert sol == reference  # values, objective, basis and pivots
-            kept = {v for vs, _ in prob.constraints if len(vs) >= 2 for v in vs}
+            kept = {v for e in prob.edges if len(e) >= 2 for v in e}
             seen["cap row"] += len(kept) < prob.var_count
-            seen["dropped row"] += any(len(vs) == 1 for vs, _ in prob.constraints)
+            seen["dropped row"] += any(len(e) == 1 for e in prob.edges)
             seen["tie on basic index"] += ties > 0
             seen["fractional"] += any(v.denominator > 1 for v in sol.values)
         assert all(seen.values()), seen
@@ -230,10 +236,7 @@ class TestExtractCrownCandidates:
         sol = ExactLPSolution(
             values=(Fraction(1),) * 5, objective=Fraction(5), basis=()
         )
-        cand = extract_crown_candidates(h, sol)
-        assert cand.zeros == frozenset()
-        assert cand.ones == frozenset(range(5))
-        assert cand.subedges == frozenset()
+        assert extract_crown_candidates(h, sol) == []
 
     def test_three_petals_one_pair(self):
         # ids: x1=0 u=1 v=2 x2=3 x3=4
@@ -241,28 +244,48 @@ class TestExtractCrownCandidates:
         h = inst.hypergraph
         sol = solve_exact(build_crown_lp(h))
         assert sol.objective == 2
-        cand = extract_crown_candidates(h, sol)
-        assert cand.zeros == frozenset({0, 3, 4})
-        assert cand.ones == frozenset({1, 2})
-        assert cand.subedges == frozenset({(1, 2)})
+        assert sol.values == (0, 1, 1, 0, 0)
+        candidates = extract_crown_candidates(h, sol)
+        assert candidates == [0, 3, 4]
+        assert _crown_via_matching(h, candidates).head == frozenset({(1, 2)})
 
-    def test_fractional_vertex_in_neither_set(self):
+    def test_fractional_vertex_is_no_candidate(self):
         # Disjoint 4-cliques of triples settle at two-thirds everywhere.
-        from helpers import blob_instance
-
         h = blob_instance(0, 1).hypergraph
         sol = solve_exact(build_crown_lp(h))
-        cand = extract_crown_candidates(h, sol)
-        assert cand.zeros == frozenset()
-        assert cand.ones == frozenset()
+        assert extract_crown_candidates(h, sol) == []
         assert all(v == Fraction(2, 3) for v in sol.values)
 
     def test_zero_set_always_independent(self):
         rng = random.Random(15)
         for _ in range(40):
             h = random_hypergraph(rng, max_n=8, max_m=10)
-            cand = extract_crown_candidates(h, solve_exact(build_crown_lp(h)))
-            assert is_independent(h, cand.zeros)
+            candidates = extract_crown_candidates(h, solve_exact(build_crown_lp(h)))
+            assert candidates == sorted(candidates)
+            assert is_independent(h, candidates)
+
+    def test_zero_with_a_fractional_companion_is_refused(self):
+        # Showcase edge (0, 1, 2) holds the zero x0 and the half x1.
+        h = showcase_hypergraph()
+        values = tuple(map(Fraction, (0, _HALF, 1, 1, 1)))
+        sol = ExactLPSolution(values, sum(values), ())
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"^edge \(0, 1, 2\) has a zero vertex but a non-one companion$",
+        ):
+            extract_crown_candidates(h, sol)
+
+    def test_dependent_zeros_are_refused_by_the_independence_check(self, monkeypatch):
+        # Two zeros on one edge also fail the companion check; with that walk
+        # emptied, the independence check refuses them on its own.
+        monkeypatch.setattr(lp, "remainders", lambda h, vertices: iter(()))
+        h = showcase_hypergraph()
+        values = tuple(map(Fraction, (0, 0, 1, 1, 1)))
+        sol = ExactLPSolution(values, sum(values), ())
+        with pytest.raises(
+            InternalConsistencyError, match="^zero-valued vertices are not independent$"
+        ):
+            extract_crown_candidates(h, sol)
 
 
 class TestFormatLP:

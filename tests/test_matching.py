@@ -4,6 +4,7 @@ import pytest
 
 from hskernel import matching
 from hskernel.core import Hypergraph, Instance
+from hskernel.errors import InternalConsistencyError
 from hskernel.matching import (
     BipartiteGraph,
     Matching,
@@ -158,6 +159,22 @@ class TestFindBipartiteCrown:
             unmatched = crown.crown - set(mapping.values())
             assert unmatched
         assert found >= 30
+
+
+    def test_augmenting_path_after_the_matching_is_an_internal_error(self, monkeypatch):
+        # An empty "maximum" matching leaves the edge 0-0 augmenting.
+        monkeypatch.setattr(matching, "hopcroft_karp", lambda g: Matching(()))
+        with pytest.raises(
+            InternalConsistencyError, match="^augmenting path survived a maximum matching$"
+        ):
+            find_bipartite_crown(BipartiteGraph(1, 1, ((0,),)))
+
+    def test_crown_without_hall_deficiency_is_an_internal_error(self, monkeypatch):
+        # A "matching" that uses left vertex 0 twice: the one free left
+        # vertex reaches both right vertices but only one mate.
+        monkeypatch.setattr(matching, "hopcroft_karp", lambda g: Matching(((0, 0), (0, 1))))
+        with pytest.raises(InternalConsistencyError, match="^crown lost its Hall deficiency$"):
+            find_bipartite_crown(BipartiteGraph(2, 2, ((0, 1), (0, 1))))
 
 
 class TestExtensionPacking:

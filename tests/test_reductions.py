@@ -965,6 +965,14 @@ class TestKernelize:
         assert len(events) == 3 * inst.n + 4 * inst.m + 5
         assert set(events) == {1}
 
+    def test_exit_above_the_kernel_bound_is_an_internal_error(self, monkeypatch):
+        # With rule 6 declining, no rule reduces the petals below the bound.
+        monkeypatch.setattr(reductions, "rule6_lp_crown", lambda inst: RuleOutcome())
+        inst = petal_cycle_instance(11, 2)
+        assert inst.n > vertex_bound(3, 2)
+        with pytest.raises(InternalConsistencyError, match="^exited above the kernel bound$"):
+            kernelize(inst)
+
     def test_kernel_exit_matches_bound_exactly_when_threshold_missed(self):
         k = 2
         inst = petal_cycle_instance(12, k)
