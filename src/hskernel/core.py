@@ -1,4 +1,4 @@
-"""Hypergraph and instance model with the incidence queries every rule uses.
+"""Hypergraph and instance model, plus the edge walks several rules share.
 
 Vertices are dense integers ``0..n-1``; external names survive in an optional
 label table so reduced instances can be reported in the caller's vocabulary.
@@ -71,10 +71,6 @@ class Hypergraph:
         object.__setattr__(h, "edges", edges)
         object.__setattr__(h, "d", d)
         return h
-
-    @cached_property
-    def edge_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(e) for e in self.edges)
 
     @cached_property
     def edge_index(self) -> frozenset[Edge]:
@@ -241,7 +237,7 @@ def is_independent(h: Hypergraph, vertices: Iterable[int]) -> bool:
     x = frozenset(vertices)
     if any(v < 0 or v >= h.n for v in x):
         raise ValueError("vertex set contains ids outside the universe")
-    return all(len(es & x) <= 1 for es in h.edge_sets)
+    return all(len(x.intersection(e)) <= 1 for e in h.edges)
 
 
 def subedge_groups(edges: Iterable[Edge], size: int) -> dict[Edge, list[Edge]]:

@@ -125,7 +125,7 @@ def apply_hs_crown(inst: Instance, c: HSCrown) -> Instance:
     if not verdict.valid:
         raise InvalidCrownError(verdict)
     h = inst.hypergraph
-    meeting = [e for e, es in zip(h.edges, h.edge_sets) if es & c.crown]
+    meeting = [e for e in h.edges if not c.crown.isdisjoint(e)]
     return inst.successor(meeting, c.head, inst.k, c.crown)
 
 

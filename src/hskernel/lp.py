@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import Edge, Hypergraph, canonical_edge, is_independent, remainders
+from .core import Edge, Hypergraph, canonical_edge, remainders
 from .errors import InternalConsistencyError
 
 _ZERO = Fraction(0)
@@ -259,8 +259,9 @@ def extract_crown_candidates(h: Hypergraph, sol: ExactLPSolution) -> list[int]:
     candidates.
 
     For every edge through a zero vertex the remaining vertices must sit at
-    exactly one, and the zero vertices must be independent; both
-    consequences of the constraints are asserted, not assumed.
+    exactly one; that consequence of the constraints is asserted, not
+    assumed. It also makes the zero vertices independent: two zeros on one
+    edge would each be the other's non-one companion.
     """
     values = sol.values
     zeros = [v for v in range(h.n) if values[v] == 0]
@@ -269,8 +270,6 @@ def extract_crown_candidates(h: Hypergraph, sol: ExactLPSolution) -> list[int]:
             raise InternalConsistencyError(
                 f"edge {canonical_edge((x, *rest))} has a zero vertex but a non-one companion"
             )
-    if not is_independent(h, zeros):
-        raise InternalConsistencyError("zero-valued vertices are not independent")
     return zeros
 
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Edge, Hypergraph, Instance
+from .core import MIN_D, Edge, Hypergraph, Instance
 from .errors import OracleCeilingError, UnsupportedParameterError
 
 DEFAULT_CEILING = 25
@@ -112,8 +112,10 @@ def generate(spec: GenSpec) -> Instance:
     fewer; the draw sequence is still fully seed-determined, and stops once
     every edge that can be drawn has been.
     """
-    if spec.d < 3:
-        raise UnsupportedParameterError(f"d={spec.d} unsupported: need d >= 3")
+    if spec.d < MIN_D:
+        raise UnsupportedParameterError(
+            f"d={spec.d} unsupported: the engine requires d >= {MIN_D}"
+        )
     if spec.n < spec.d or spec.m < 1 or spec.k < 1:
         raise ValueError(f"infeasible generator parameters: {spec}")
     if spec.planted is not None and not (1 <= spec.planted <= spec.n):

@@ -123,6 +123,12 @@ def exceeds_power(x: int, k: int, e: int) -> bool:
     return x > k ** e
 
 
+def exceeds_bound(n: int, d: int, k: int) -> bool:
+    """``n > vertex_bound(d, k)``. The bound is at least ``k**(d-1)``, so an
+    ``n`` no larger is decided without building the bound."""
+    return exceeds_power(n, k, d - 1) and n > vertex_bound(d, k)
+
+
 def _rebuild(
     inst: Instance,
     rule: int,
@@ -189,19 +195,18 @@ def rule1_vertex_domination(inst: Instance) -> RuleOutcome:
     applied per call; which ``y`` dominates it does not affect the successor.
     """
     h = inst.hypergraph
-    sets = h.edge_sets
     common: list[frozenset[int] | None] = [None] * h.n
-    for es in sets:
-        for v in es:
+    for e in h.edges:
+        for v in e:
             c = common[v]
             if c is None:
-                common[v] = es
+                common[v] = frozenset(e)
             elif len(c) > 1:  # once only v is left, v is not dominated
-                common[v] = c & es
+                common[v] = c.intersection(e)
     for x, c in enumerate(common):
         dominated = h.n > 1 if c is None else len(c) > 1
         if dominated:
-            through = [e for e, es in zip(h.edges, sets) if x in es]
+            through = [e for e in h.edges if x in e]
             shrunk = [tuple(v for v in e if v != x) for e in through]
             return _rebuild(inst, 1, through, shrunk, remove_vertices=frozenset((x,)))
     return _NOT_APPLIED
@@ -235,7 +240,7 @@ def rule3_unit_edge(inst: Instance) -> RuleOutcome:
     for e in h.edges:
         if len(e) == 1:
             v = e[0]
-            through = [f for f, fs in zip(h.edges, h.edge_sets) if v in fs]
+            through = [f for f in h.edges if v in f]
             return _rebuild(inst, 3, through, remove_vertices=frozenset((v,)), k_delta=-1)
     return _NOT_APPLIED
 
@@ -327,7 +332,7 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None) -> Rule
             count = sum(1 for f in members if f in family)
             if count > threshold:
                 s_set = set(s)
-                hit = {f for f in live if s_set <= set(f)}
+                hit = {f for f in live if s_set.issubset(f)}
                 live -= hit
                 family -= hit
                 live.add(s)
@@ -347,8 +352,7 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
     concludes no.
     """
     h = inst.hypergraph
-    # The bound is at least k**(d-1); an n no larger needs no bound built.
-    if not (exceeds_power(h.n, inst.k, h.d - 1) and h.n > vertex_bound(h.d, inst.k)):
+    if not exceeds_bound(h.n, h.d, inst.k):
         return _NOT_APPLIED
     solution = solve_exact(build_crown_lp(h))
     crown = _crown_via_matching(h, extract_crown_candidates(h, solution))
@@ -360,7 +364,7 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
         raise InternalConsistencyError(
             f"LP crown failed validation: {verdict.problems}"
         )
-    meeting = [e for e, es in zip(h.edges, h.edge_sets) if es & crown.crown]
+    meeting = [e for e in h.edges if not crown.crown.isdisjoint(e)]
     outcome = _rebuild(inst, 6, meeting, crown.head, remove_vertices=crown.crown)
     return replace(outcome, crown=crown, lp_solution=solution)
 
@@ -417,8 +421,7 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
             if outcome.applied or outcome.verdict_no:
                 break
         else:
-            n, d, k = current.n, current.d, current.k
-            if exceeds_power(n, k, d - 1) and n > vertex_bound(d, k):
+            if exceeds_bound(current.n, current.d, current.k):
                 raise InternalConsistencyError("exited above the kernel bound")
             return ReduceResult("kernel", current, trace)
 

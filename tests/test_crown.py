@@ -211,9 +211,9 @@ def _greedy_independent_set(h):
             continue
         chosen.append(v)
         taken.add(v)
-        for es in h.edge_sets:
-            if v in es:
-                blocked |= es
+        for e in h.edges:
+            if v in e:
+                blocked.update(e)
     return chosen
 
 

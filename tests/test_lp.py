@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from hskernel import lp
 from hskernel.core import Hypergraph, is_independent, normalize
 from hskernel.crown import _crown_via_matching
 from hskernel.errors import InternalConsistencyError
@@ -275,15 +274,16 @@ class TestExtractCrownCandidates:
         ):
             extract_crown_candidates(h, sol)
 
-    def test_dependent_zeros_are_refused_by_the_independence_check(self, monkeypatch):
-        # Two zeros on one edge also fail the companion check; with that walk
-        # emptied, the independence check refuses them on its own.
-        monkeypatch.setattr(lp, "remainders", lambda h, vertices: iter(()))
+    def test_dependent_zeros_are_refused_by_the_companion_check(self):
+        # Showcase edge (0, 1, 2) holds the zeros x0 and x1; each is the
+        # other's non-one companion, so no separate independence check is
+        # needed.
         h = showcase_hypergraph()
         values = tuple(map(Fraction, (0, 0, 1, 1, 1)))
         sol = ExactLPSolution(values, sum(values), ())
         with pytest.raises(
-            InternalConsistencyError, match="^zero-valued vertices are not independent$"
+            InternalConsistencyError,
+            match=r"^edge \(0, 1, 2\) has a zero vertex but a non-one companion$",
         ):
             extract_crown_candidates(h, sol)
 

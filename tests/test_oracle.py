@@ -157,7 +157,9 @@ class TestGenerate:
             generate(GenSpec(seed=1, n=2, m=5, d=3, k=1))
         with pytest.raises(ValueError):
             generate(GenSpec(seed=1, n=5, m=5, d=3, k=1, planted=9))
-        with pytest.raises(UnsupportedParameterError):
+        with pytest.raises(
+            UnsupportedParameterError, match=r"^d=2 unsupported: the engine requires d >= 3$"
+        ):
             generate(GenSpec(seed=1, n=5, m=5, d=2, k=1))
 
     def test_requested_edge_count_reached_when_space_allows(self):

@@ -241,6 +241,17 @@ class TestRule3:
         inst = inst_of([["a", "b"]], 1)
         assert not rule3_unit_edge(inst).applied
 
+    def test_every_edge_through_the_forced_vertex_goes(self):
+        # Called directly, rule 3 meets the superset {a, b} that rule 2
+        # would have removed first; it drops that edge with the unit edge.
+        inst = inst_of([["a"], ["a", "b"], ["b", "c"]], 2)
+        out = rule3_unit_edge(inst)
+        assert out.new_instance.edges == ((0, 1),)
+        assert out.new_instance.labels == ("b", "c")
+        assert out.new_instance.k == 1
+        assert out.step == TraceStep(3, 1, 2, 0, -1)
+        assert decide_brute_force(inst) == decide_brute_force(out.new_instance)
+
 
 class TestRule4:
     def test_three_disjoint_extensions_trigger(self):
