@@ -1,9 +1,10 @@
 """The six reduction rules and the kernelization controller.
 
-Each rule takes an :class:`Instance` and returns a :class:`RuleOutcome`; the
-controller applies the lowest-numbered applicable rule until either a verdict
-falls out or no rule applies, at which point the surviving instance is a
-kernel with at most ``(2d-2)*k**(d-1) + k`` vertices.
+Each rule takes an :class:`Instance` (rules 1 and 2 also take an optional
+hint of where to look) and returns a :class:`RuleOutcome`; the controller
+applies the lowest-numbered applicable rule until either a verdict falls out
+or no rule applies, at which point the surviving instance is a kernel with
+at most ``(2d-2)*k**(d-1) + k`` vertices.
 
 Rule order is load-bearing: each rule's correctness may assume all previous
 rules are inapplicable, and the controller enforces exactly that. Quick
@@ -13,9 +14,10 @@ the controller, not in any rule.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, filterfalse
 
 from .core import Edge, Hypergraph, Instance, subedge_groups
 from .crown import HSCrown, validate_hs_crown, _crown_via_matching
@@ -74,14 +76,17 @@ class ReductionTrace:
 class RuleOutcome:
     """Result of attempting one rule: nothing when it declines; the
     successor and its step when it applies; a step alone when it concludes
-    no. Rule 6 additionally carries the crown it applied and the solution
-    of the LP it solved, for tracing and debugging; that LP is
-    ``build_crown_lp`` of the instance the rule was given."""
+    no. Rule 2 additionally carries the edge it removed, from which the
+    controller resumes rules 1 and 2. Rule 6 additionally carries the crown
+    it applied and the solution of the LP it solved, for tracing and
+    debugging; that LP is ``build_crown_lp`` of the instance the rule was
+    given."""
 
     new_instance: Instance | None = None
     step: TraceStep | None = None
     crown: HSCrown | None = None
     lp_solution: ExactLPSolution | None = None
+    dropped: Edge | None = None
 
     @property
     def applied(self) -> bool:
@@ -105,6 +110,8 @@ class ReduceResult:
 Observer = Callable[[int, Instance, RuleOutcome], None]
 
 _NOT_APPLIED = RuleOutcome()
+
+_UNDOMINATED: frozenset[int] = frozenset()  # rule 1's mark for a vertex it has ruled out
 
 
 def vertex_bound(d: int, k: int) -> int:
@@ -182,7 +189,9 @@ def weakly_related_family(h: Hypergraph) -> list[Edge]:
     return chosen
 
 
-def rule1_vertex_domination(inst: Instance) -> RuleOutcome:
+def rule1_vertex_domination(
+    inst: Instance, candidates: Iterable[int] | None = None
+) -> RuleOutcome:
     """Remove a dominated vertex, shrinking the edges that contained it.
 
     Vertex ``x`` is dominated by ``y`` when every edge through ``x`` also
@@ -193,38 +202,68 @@ def rule1_vertex_domination(inst: Instance) -> RuleOutcome:
     when the intersection of those edges holds another vertex (an isolated
     ``x`` is dominated by any other vertex). The lowest dominated ``x`` is
     applied per call; which ``y`` dominates it does not affect the successor.
+
+    Only the ``candidates`` (every vertex by default) are tested, and only
+    the edges through one of them are scanned; the scan stops, declining,
+    once every candidate is known to be undominated. The caller guarantees
+    that no vertex outside ``candidates`` is dominated; then the lowest
+    dominated candidate is the lowest dominated vertex.
     """
     h = inst.hypergraph
+    edges: Iterable[Edge] = h.edges
+    # Per vertex: None before its first edge, then the intersection of its
+    # edges until only the vertex itself is left, then _UNDOMINATED; a vertex
+    # that is no candidate starts as _UNDOMINATED.
     common: list[frozenset[int] | None] = [None] * h.n
-    for e in h.edges:
+    undecided = h.n
+    if candidates is not None:
+        wanted = frozenset(candidates)
+        edges = filterfalse(wanted.isdisjoint, edges)
+        common = [_UNDOMINATED] * h.n
+        for v in wanted:
+            common[v] = None
+        undecided = len(wanted)
+    for e in edges:
         for v in e:
             c = common[v]
-            if c is None:
-                common[v] = frozenset(e)
-            elif len(c) > 1:  # once only v is left, v is not dominated
-                common[v] = c.intersection(e)
+            if c is _UNDOMINATED:
+                continue
+            c = frozenset(e) if c is None else c.intersection(e)
+            if len(c) > 1:
+                common[v] = c
+            else:
+                common[v] = _UNDOMINATED
+                undecided -= 1
+                if not undecided:
+                    return _NOT_APPLIED
     for x, c in enumerate(common):
-        dominated = h.n > 1 if c is None else len(c) > 1
-        if dominated:
+        if c is not _UNDOMINATED and (c is not None or h.n > 1):
             through = [e for e in h.edges if x in e]
             shrunk = [tuple(v for v in e if v != x) for e in through]
             return _rebuild(inst, 1, through, shrunk, remove_vertices=frozenset((x,)))
     return _NOT_APPLIED
 
 
-def rule2_edge_domination(inst: Instance) -> RuleOutcome:
+def rule2_edge_domination(inst: Instance, start: int = 0) -> RuleOutcome:
     """Remove one edge that strictly contains another (the superset is
     redundant: hitting the subset hits it too). Each edge's proper subsets
     are looked up in the edge index, from the smallest edge size present
     upwards (no smaller subset can be an edge; the empty edge makes that
     size 0); the first edge in canonical order with a hit is removed. When
-    all edges have one size, no edge is looked up at all."""
+    all edges have one size, no edge is looked up at all. The outcome
+    carries the removed edge as ``dropped``.
+
+    The scan starts at the edge at position ``start`` (the first by
+    default). The caller guarantees that no edge before it contains
+    another edge; then the first hit from ``start`` on is the first in
+    canonical order.
+    """
     h = inst.hypergraph
     index = h.edge_index
     least = min(map(len, h.edges), default=0)
-    for e in h.edges:
+    for e in h.edges[start:]:
         if any(s in index for r in range(least, len(e)) for s in combinations(e, r)):
-            return _rebuild(inst, 2, (e,))
+            return replace(_rebuild(inst, 2, (e,)), dropped=e)
     return _NOT_APPLIED
 
 
@@ -389,9 +428,15 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     concludes no; rule 5 declines when it was the most recent rule applied.
     After a rule-5 no-op the next pass starts at rule 6: rules 1 to 4 have
     just declined on that very instance and rule 5 declines after itself.
-    An explicit iteration ceiling of ``3n + 4m + 4`` trace steps guards
-    termination. The rules are the module's globals as they stand when the
-    call starts, so a tracer installed before the call sees every attempt.
+    After a rule-2 step that removed edge ``e``, the next pass hands rule 1
+    the vertices of ``e`` as its only candidates and has rule 2 start at
+    ``e``'s place in the successor's edges. Rule 1 declined on the parent,
+    and only the vertices of ``e`` lost an edge; no edge before ``e`` had a
+    subset, and removing an edge gives none one. So both hinted calls
+    return what a full scan would. An explicit iteration ceiling of
+    ``3n + 4m + 4`` trace steps guards termination. The rules are the
+    module's globals as they stand when the call starts, so a tracer
+    installed before the call sees every attempt.
 
     ``observer(rule, before, outcome)`` is called for every rule event,
     including no-op rule-5 attempts and rule-6 no-verdicts. The trace
@@ -401,6 +446,7 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     current = inst
     last_rule: int | None = None
     rule5_noop = False
+    hints: dict[int, Edge | int] = {}
     ceiling = 3 * inst.n + 4 * inst.m + 4
     rules = (
         (1, rule1_vertex_domination),
@@ -417,7 +463,7 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
 
         for rule_id, rule in rules[5:] if rule5_noop else rules:
             trace.attempts[rule_id] += 1
-            outcome = rule(current)
+            outcome = rule(current, hints[rule_id]) if rule_id in hints else rule(current)
             if outcome.applied or outcome.verdict_no:
                 break
         else:
@@ -435,5 +481,7 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
         rule5_noop = rule_id == 5 and outcome.new_instance is current
         current = outcome.new_instance
         last_rule = rule_id
+        e = outcome.dropped  # set by rule 2 only
+        hints = {} if e is None else {1: e, 2: bisect_left(current.edges, e)}
         if len(trace.steps) > ceiling:
             raise InternalConsistencyError("iteration ceiling exceeded; reduction diverged")

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from itertools import combinations
 
 import pytest
@@ -79,6 +80,29 @@ class TestRule1:
         assert out.new_instance.n == 2
         assert out.step.vertices_removed == 1
 
+    @staticmethod
+    def removed(inst, out):
+        (label,) = set(inst.labels) - set(out.new_instance.labels)
+        return label
+
+    def test_the_lowest_dominated_candidate_goes(self):
+        # v0, v1, v2 and v4 are dominated; v3 is not.
+        labels = ("v0", "v1", "v2", "v3", "v4")
+        inst = Instance(Hypergraph(5, ((0, 1, 2), (1, 2, 3), (3, 4)), 3), 2, labels)
+        full = rule1_vertex_domination(inst)
+        assert self.removed(inst, full) == "v0"
+        assert rule1_vertex_domination(inst, (4, 0)) == full
+        assert self.removed(inst, rule1_vertex_domination(inst, (3, 4, 1))) == "v1"
+        assert self.removed(inst, rule1_vertex_domination(inst, [4, 3])) == "v4"
+        assert not rule1_vertex_domination(inst, (3,)).applied
+        assert not rule1_vertex_domination(inst, ()).applied
+
+    def test_an_isolated_candidate_is_dominated(self):
+        inst = Instance(Hypergraph(3, ((0, 1),), 3), 1, ("a", "b", "c"))
+        assert self.removed(inst, rule1_vertex_domination(inst)) == "a"
+        assert self.removed(inst, rule1_vertex_domination(inst, (2,))) == "c"
+        assert not rule1_vertex_domination(Instance(Hypergraph(1, (), 3), 1), (0,)).applied
+
 
 class TestRule2:
     def test_superset_removed(self):
@@ -95,6 +119,20 @@ class TestRule2:
     def test_incomparable_edges(self):
         inst = inst_of([["a", "b"], ["b", "c"]], 1)
         assert not rule2_edge_domination(inst).applied
+
+    def test_the_scan_starts_at_the_given_edge(self):
+        # (0, 1) contains (0,), and (1, 2, 3) contains (1, 2).
+        inst = Instance(Hypergraph(4, ((0,), (0, 1), (1, 2), (1, 2, 3)), 3), 2)
+        full = rule2_edge_domination(inst)
+        assert full.dropped == (0, 1)
+        assert full.new_instance.edges == ((0,), (1, 2), (1, 2, 3))
+        assert rule2_edge_domination(inst, 1) == full
+        for start in (2, 3):
+            out = rule2_edge_domination(inst, start)
+            assert out.dropped == (1, 2, 3)
+            assert out.new_instance.edges == ((0,), (0, 1), (1, 2))
+            assert out.step == TraceStep(2, 0, 1, 0, 0)
+        assert not rule2_edge_domination(inst, 4).applied
 
 
 class TestDominationRulesAgainstPairScans:
@@ -142,6 +180,76 @@ class TestDominationRulesAgainstPairScans:
                 applied[2] += 1
         assert all(count > 0 for count in seen.values()), seen
         assert min(applied.values()) > 1000, applied
+
+
+def _resume_instances():
+    """Small instances of every shape rules 1 and 2 see, and a seeded
+    ``generate`` sweep at d = 3 to 6, planted and not."""
+    rng = random.Random(1616)
+    instances = [random_rule_instance(rng) for _ in range(3000)]
+    instances += [one_size_rule_instance(rng) for _ in range(500)]
+    for trial in range(400):
+        d = rng.randint(3, 6)
+        n = rng.randint(d, 40)
+        spec = GenSpec(
+            seed=161_000 + trial,
+            n=n,
+            m=rng.randint(1, 4 * n),
+            d=d,
+            k=rng.randint(1, 4),
+            planted=rng.choice((None, 2)),
+        )
+        instances.append(generate(spec))
+    return instances
+
+
+class TestResumeAfterRule2:
+    """After a rule-2 step that removed ``e``, the controller hands rule 1
+    the vertices of ``e`` and rule 2 the place of ``e``; those calls must
+    give exactly what the full scans give."""
+
+    def test_same_run_as_a_hint_free_controller(self, monkeypatch):
+        instances = _resume_instances()
+        rule1, rule2 = rule1_vertex_domination, rule2_edge_domination
+        with monkeypatch.context() as m:
+            m.setattr(reductions, "rule1_vertex_domination", lambda inst, *hint: rule1(inst))
+            m.setattr(reductions, "rule2_edge_domination", lambda inst, *hint: rule2(inst))
+            references = [kernelize(inst) for inst in instances]
+        seen = {"kernel": 0, "yes": 0, "no": 0, "rule 1 after rule 2": 0, "rule 2 after rule 2": 0}
+        for inst, reference in zip(instances, references):
+            result = kernelize(inst)
+            assert result.verdict == reference.verdict, inst
+            assert result.instance == reference.instance, inst
+            assert result.trace.steps == reference.trace.steps, inst
+            assert result.trace.attempts == reference.trace.attempts, inst
+            seen[result.verdict] += 1
+            pairs = list(zip(result.trace.steps, result.trace.steps[1:]))
+            seen["rule 1 after rule 2"] += sum(1 for a, b in pairs if (a.rule, b.rule) == (2, 1))
+            seen["rule 2 after rule 2"] += sum(1 for a, b in pairs if (a.rule, b.rule) == (2, 2))
+        assert min(seen.values()) > 100, seen
+
+    def test_hinted_calls_equal_full_scans_after_every_rule2_step(self):
+        seen = {"rule 1 applies": 0, "rule 2 applies": 0, "both decline": 0, "start > 0": 0}
+
+        def check(rule, before, outcome):
+            assert (outcome.dropped is not None) == (rule == 2)
+            if rule != 2:
+                return
+            e, after = outcome.dropped, outcome.new_instance
+            assert e in before.edges and e not in after.edges
+            start = bisect_left(after.edges, e)
+            full1 = rule1_vertex_domination(after)
+            full2 = rule2_edge_domination(after)
+            assert rule1_vertex_domination(after, e) == full1
+            assert rule2_edge_domination(after, start) == full2
+            seen["rule 1 applies"] += full1.applied
+            seen["rule 2 applies"] += full2.applied
+            seen["both decline"] += not (full1.applied or full2.applied)
+            seen["start > 0"] += start > 0
+
+        for inst in _resume_instances():
+            kernelize(inst, check)
+        assert min(seen.values()) > 100, seen
 
 
 class TestSuccessorAgainstFullRebuild:
@@ -983,6 +1091,38 @@ class TestKernelize:
         assert inst.n > vertex_bound(3, 2)
         with pytest.raises(InternalConsistencyError, match="^exited above the kernel bound$"):
             kernelize(inst)
+
+    def test_a_kernel_is_a_fixed_point(self):
+        # Kernelizing a kernel again changes nothing: rules 1 to 4 decline,
+        # rule 5 (free to run on a new call) is a no-op, and rule 6 declines.
+        rng = random.Random(616)
+        instances = []
+        for trial in range(3000):
+            d = rng.choice((3, 4, 5))
+            n = rng.randint(d, 60)
+            spec = GenSpec(
+                seed=616_000 + trial,
+                n=n,
+                m=rng.randint(1, 3 * n),
+                d=d,
+                k=rng.randint(1, 4),
+                planted=rng.choice((None, 3)),
+            )
+            instances.append(generate(spec))
+        petals = [
+            petal_cycle_instance(seed, k, d) for seed in range(10) for k, d in ((2, 3), (3, 3), (2, 4))
+        ]
+        kernels = {"generated": 0, "petal": 0}
+        for family, inst in [("generated", i) for i in instances] + [("petal", i) for i in petals]:
+            result = kernelize(inst)
+            if result.verdict != "kernel":
+                continue
+            again = kernelize(result.instance)
+            assert again.verdict == "kernel", inst
+            assert again.instance == result.instance, inst
+            assert again.trace.steps == [TraceStep(5, 0, 0, 0, 0)], inst
+            kernels[family] += 1
+        assert kernels["generated"] > 400 and kernels["petal"] > 20, kernels
 
     def test_kernel_exit_matches_bound_exactly_when_threshold_missed(self):
         k = 2
