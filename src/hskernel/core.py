@@ -11,16 +11,20 @@ infeasibility witness and makes the instance unhittable.
 All types here are immutable after construction and safe to share between
 threads; every transformation produces a new value. A successor
 (:meth:`Instance.successor`) is its parent's edges less some plus others, and
-checks only what its parent did not: the edges it drops and adds, the
-vertices it removes (each one of the parent's), ``d`` and the label table.
+checks only what its parent did not: the edges it drops and adds and the
+vertices it removes (each one of the parent's). It inherits ``d``, the
+label table less the removed vertices, and the cached size counts and
+(unless it renumbers) edge index, each updated by the delta.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
-from typing import Container, Hashable, Iterable, Iterator
+from typing import Container, Hashable, Iterable, Iterator, Sequence
 
 from .errors import FormatError, UnsupportedParameterError
 
@@ -41,8 +45,10 @@ class Hypergraph:
 
     Edges are canonicalized (sorted, deduplicated, set semantics) at
     construction. Every edge must have at most ``d`` vertices and reference
-    only ids below ``n``. :meth:`Instance.successor` builds through
-    :meth:`_trusted` once it has checked the edges itself.
+    only ids below ``n``. :meth:`Instance.successor` builds without this
+    check once it has checked the edges itself, and hands on the
+    ``size_counts`` (and, unless it renumbers, the ``edge_index``) that it
+    derived from its parent's.
     """
 
     n: int
@@ -62,19 +68,17 @@ class Hypergraph:
                 raise ValueError(f"edge {e} references a vertex outside 0..{self.n - 1}")
         object.__setattr__(self, "edges", tuple(canon))
 
-    @classmethod
-    def _trusted(cls, n: int, edges: tuple[Edge, ...], d: int) -> "Hypergraph":
-        """A hypergraph whose ``edges`` are already canonical, sorted,
-        distinct, at most ``d`` long and below ``n``; nothing is checked."""
-        h = object.__new__(cls)
-        object.__setattr__(h, "n", n)
-        object.__setattr__(h, "edges", edges)
-        object.__setattr__(h, "d", d)
-        return h
-
     @cached_property
     def edge_index(self) -> frozenset[Edge]:
         return frozenset(self.edges)
+
+    @cached_property
+    def size_counts(self) -> tuple[int, ...]:
+        """The number of edges of each size, indexed by the size, so at most
+        ``d + 1`` entries. A successor inherits its parent's counts updated
+        by the delta, so the last entries may count no edge."""
+        counts = Counter(map(len, self.edges))
+        return tuple(counts[size] for size in range(max(counts, default=-1) + 1))
 
     @property
     def m(self) -> int:
@@ -145,8 +149,16 @@ class Instance:
         than ``d`` raises :class:`FormatError`, one outside ``0..n-1``
         raises :class:`ValueError`. A ``removed`` vertex outside
         ``0..n-1``, or an edge that keeps a ``removed`` vertex, raises
-        :class:`ValueError`, and :meth:`__post_init__` checks ``d`` and the
-        labels as for any instance.
+        :class:`ValueError`. Nothing else is checked again: ``d`` is this
+        instance's, and the labels are a subsequence of its label table.
+
+        The cost follows the delta, not ``m``, wherever it can: dropped
+        edges are found by bisection and the kept runs copied as slices, the
+        successor's ``size_counts`` are this instance's updated by the
+        delta, and so is its ``edge_index`` unless vertices are removed.
+        Removing vertices renumbers every edge instead, mapping only the
+        vertices that occur in one; that successor builds its index when
+        first read.
         """
         h = self.hypergraph
         index = h.edge_index
@@ -160,27 +172,61 @@ class Instance:
             add |= new
             new -= index
         drop -= add
-        canon = [e for e in h.edges if e not in drop]
+        edges = h.edges
+        canon = _without(edges, sorted(bisect_left(edges, e) for e in drop))
         if new:
             canon += sorted(new)
             canon.sort()  # two sorted runs: a linear merge
+        sizes = list(h.size_counts)
+        sizes += [0] * (max(map(len, new), default=0) + 1 - len(sizes))
+        for e in new:
+            sizes[len(e)] += 1
+        for e in drop:
+            sizes[len(e)] -= 1
+        cached = {"size_counts": tuple(sizes)}
         labels = self.labels
         n = self.n
         if removed:
-            keep = [v for v in range(n) if v not in removed]
-            if len(keep) + len(removed) != n:
+            gone = sorted(removed)
+            if gone[0] < 0 or gone[-1] >= n:
                 stray = min(v for v in removed if not 0 <= v < n)
                 raise ValueError(f"the removed vertex {stray} is outside 0..{n - 1}")
-            remap = {v: i for i, v in enumerate(keep)}
-            try:
-                canon = [tuple(map(remap.__getitem__, e)) for e in canon]
-            except KeyError as exc:
-                raise ValueError(f"an edge keeps the removed vertex {exc.args[0]}") from None
-            labels = tuple(labels[v] for v in keep) if labels is not None else None
-            n = len(keep)
-        return Instance(
-            Hypergraph._trusted(n, tuple(canon), self.d), k, labels=labels, comments=self.comments
+            present = set().union(*canon)
+            if not present.isdisjoint(removed):
+                kept = next(v for e in canon for v in e if v in removed)
+                raise ValueError(f"an edge keeps the removed vertex {kept}")
+            remap = {v: v - bisect_left(gone, v) for v in present}
+            canon = [tuple(map(remap.__getitem__, e)) for e in canon]
+            if labels is not None:
+                labels = tuple(_without(labels, gone))
+            n -= len(gone)
+        else:
+            cached["edge_index"] = index.difference(drop).union(new) if new else index - drop
+        hypergraph = _unchecked(Hypergraph, n=n, edges=tuple(canon), d=self.d, **cached)
+        return _unchecked(
+            Instance, hypergraph=hypergraph, k=k, labels=labels, comments=self.comments
         )
+
+
+def _without(items: Sequence, positions: Iterable[int]) -> list:
+    """``items`` less the entries at the increasing ``positions``, copied as
+    the slices between them."""
+    kept: list = []
+    start = 0
+    for i in positions:
+        kept += items[start:i]
+        start = i + 1
+    kept += items[start:]
+    return kept
+
+
+def _unchecked(cls: type, **attributes: object):
+    """An object of the frozen dataclass ``cls`` with ``attributes`` set as
+    given, its fields and any cached properties, and nothing checked:
+    ``__post_init__`` does not run."""
+    obj = object.__new__(cls)
+    vars(obj).update(attributes)
+    return obj
 
 
 def normalize(

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
-from itertools import combinations, filterfalse
+from dataclasses import dataclass, field
+from itertools import combinations, filterfalse, islice
 
 from .core import Edge, Hypergraph, Instance, subedge_groups
 from .crown import HSCrown, validate_hs_crown, _crown_via_matching
@@ -76,7 +76,8 @@ class ReductionTrace:
 class RuleOutcome:
     """Result of attempting one rule: nothing when it declines; the
     successor and its step when it applies; a step alone when it concludes
-    no. Rule 2 additionally carries the edge it removed, from which the
+    no. Rule 2 additionally carries the edge it removed as ``dropped`` and
+    the edge inside it that made it redundant as ``subset``, from which the
     controller resumes rules 1 and 2. Rule 6 additionally carries the crown
     it applied and the solution of the LP it solved, for tracing and
     debugging; that LP is ``build_crown_lp`` of the instance the rule was
@@ -87,6 +88,7 @@ class RuleOutcome:
     crown: HSCrown | None = None
     lp_solution: ExactLPSolution | None = None
     dropped: Edge | None = None
+    subset: Edge | None = None
 
     @property
     def applied(self) -> bool:
@@ -144,6 +146,7 @@ def _rebuild(
     *,
     remove_vertices: frozenset[int] = frozenset(),
     k_delta: int = 0,
+    **events: object,
 ) -> RuleOutcome:
     """Assemble the successor instance and its trace step from the rule's
     delta in the current (old) ids: the edges of ``inst`` it drops and the
@@ -151,6 +154,8 @@ def _rebuild(
     the delta and compacts the surviving vertices; a successor it refuses is
     the rule's fault, not the input's. The step counts as added the edges
     ``inst`` lacks, and as removed the rest of the change in the edge count.
+    The ``events`` (rule 2's edges, rule 6's crown and LP solution) go into
+    the outcome as they are.
     """
     add = set(add)
     try:
@@ -165,7 +170,7 @@ def _rebuild(
         edges_added=edges_added,
         k_delta=k_delta,
     )
-    return RuleOutcome(successor, step)
+    return RuleOutcome(successor, step, **events)
 
 
 def weakly_related_family(h: Hypergraph) -> list[Edge]:
@@ -205,9 +210,13 @@ def rule1_vertex_domination(
 
     Only the ``candidates`` (every vertex by default) are tested, and only
     the edges through one of them are scanned; the scan stops, declining,
-    once every candidate is known to be undominated. The caller guarantees
-    that no vertex outside ``candidates`` is dominated; then the lowest
-    dominated candidate is the lowest dominated vertex.
+    once every candidate is known to be undominated. An edge through ``v``
+    starts at or below ``v``: so with candidates the scan reads only the
+    edges that start at or below the highest one, and in every call the
+    edges through the dominated ``x`` are collected from those that start
+    at or below ``x``. The caller guarantees that no vertex outside
+    ``candidates`` is dominated; then the lowest dominated candidate is the
+    lowest dominated vertex.
     """
     h = inst.hypergraph
     edges: Iterable[Edge] = h.edges
@@ -215,14 +224,16 @@ def rule1_vertex_domination(
     # edges until only the vertex itself is left, then _UNDOMINATED; a vertex
     # that is no candidate starts as _UNDOMINATED.
     common: list[frozenset[int] | None] = [None] * h.n
-    undecided = h.n
+    order: Iterable[int] = range(h.n)
     if candidates is not None:
         wanted = frozenset(candidates)
-        edges = filterfalse(wanted.isdisjoint, edges)
+        stop = bisect_left(h.edges, (max(wanted, default=-1) + 1,))
+        edges = filterfalse(wanted.isdisjoint, islice(edges, stop))
         common = [_UNDOMINATED] * h.n
         for v in wanted:
             common[v] = None
-        undecided = len(wanted)
+        order = sorted(wanted)
+    undecided = len(order)
     for e in edges:
         for v in e:
             c = common[v]
@@ -236,9 +247,10 @@ def rule1_vertex_domination(
                 undecided -= 1
                 if not undecided:
                     return _NOT_APPLIED
-    for x, c in enumerate(common):
+    for x in order:
+        c = common[x]
         if c is not _UNDOMINATED and (c is not None or h.n > 1):
-            through = [e for e in h.edges if x in e]
+            through = [e for e in islice(h.edges, bisect_left(h.edges, (x + 1,))) if x in e]
             shrunk = [tuple(v for v in e if v != x) for e in through]
             return _rebuild(inst, 1, through, shrunk, remove_vertices=frozenset((x,)))
     return _NOT_APPLIED
@@ -249,9 +261,11 @@ def rule2_edge_domination(inst: Instance, start: int = 0) -> RuleOutcome:
     redundant: hitting the subset hits it too). Each edge's proper subsets
     are looked up in the edge index, from the smallest edge size present
     upwards (no smaller subset can be an edge; the empty edge makes that
-    size 0); the first edge in canonical order with a hit is removed. When
-    all edges have one size, no edge is looked up at all. The outcome
-    carries the removed edge as ``dropped``.
+    size 0), which the hypergraph's ``size_counts`` give without a pass
+    over the edges; the first edge in canonical order with a hit is
+    removed. When all edges have one size, no edge is looked up at all.
+    The outcome carries the removed edge as ``dropped`` and the first hit,
+    an edge inside it, as ``subset``.
 
     The scan starts at the edge at position ``start`` (the first by
     default). The caller guarantees that no edge before it contains
@@ -260,10 +274,11 @@ def rule2_edge_domination(inst: Instance, start: int = 0) -> RuleOutcome:
     """
     h = inst.hypergraph
     index = h.edge_index
-    least = min(map(len, h.edges), default=0)
-    for e in h.edges[start:]:
-        if any(s in index for r in range(least, len(e)) for s in combinations(e, r)):
-            return replace(_rebuild(inst, 2, (e,)), dropped=e)
+    least = next((size for size, edges in enumerate(h.size_counts) if edges), 0)
+    for e in islice(h.edges, start, None):
+        f = next((s for r in range(least, len(e)) for s in combinations(e, r) if s in index), None)
+        if f is not None:
+            return _rebuild(inst, 2, (e,), dropped=e, subset=f)
     return _NOT_APPLIED
 
 
@@ -404,8 +419,9 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
             f"LP crown failed validation: {verdict.problems}"
         )
     meeting = [e for e in h.edges if not crown.crown.isdisjoint(e)]
-    outcome = _rebuild(inst, 6, meeting, crown.head, remove_vertices=crown.crown)
-    return replace(outcome, crown=crown, lp_solution=solution)
+    return _rebuild(
+        inst, 6, meeting, crown.head, remove_vertices=crown.crown, crown=crown, lp_solution=solution
+    )
 
 
 def _quick_verdict(inst: Instance) -> str | None:
@@ -428,15 +444,18 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     concludes no; rule 5 declines when it was the most recent rule applied.
     After a rule-5 no-op the next pass starts at rule 6: rules 1 to 4 have
     just declined on that very instance and rule 5 declines after itself.
-    After a rule-2 step that removed edge ``e``, the next pass hands rule 1
-    the vertices of ``e`` as its only candidates and has rule 2 start at
-    ``e``'s place in the successor's edges. Rule 1 declined on the parent,
-    and only the vertices of ``e`` lost an edge; no edge before ``e`` had a
-    subset, and removing an edge gives none one. So both hinted calls
-    return what a full scan would. An explicit iteration ceiling of
-    ``3n + 4m + 4`` trace steps guards termination. The rules are the
-    module's globals as they stand when the call starts, so a tracer
-    installed before the call sees every attempt.
+    After a rule-2 step that removed edge ``e`` for its subset edge ``f``,
+    the next pass hands rule 1 the vertices of ``e`` outside ``f`` as its
+    only candidates and has rule 2 start at ``e``'s place in the
+    successor's edges. Rule 1 declined on the parent, and only the vertices
+    of ``e`` lost an edge. A vertex of ``f`` keeps ``f``, which lies inside
+    ``e``, so the intersection of its edges is the same without ``e``, and
+    it stays undominated. No edge before ``e`` had a subset, and removing
+    an edge gives none one. So both hinted calls return what a full scan
+    would. An explicit iteration ceiling of ``3n + 4m + 4`` trace steps
+    guards termination. The rules are the module's globals as they stand
+    when the call starts, so a tracer installed before the call sees every
+    attempt.
 
     ``observer(rule, before, outcome)`` is called for every rule event,
     including no-op rule-5 attempts and rule-6 no-verdicts. The trace
@@ -481,7 +500,10 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
         rule5_noop = rule_id == 5 and outcome.new_instance is current
         current = outcome.new_instance
         last_rule = rule_id
-        e = outcome.dropped  # set by rule 2 only
-        hints = {} if e is None else {1: e, 2: bisect_left(current.edges, e)}
+        e, f = outcome.dropped, outcome.subset  # set by rule 2 only
+        if e is None:
+            hints = {}
+        else:
+            hints = {1: [v for v in e if v not in f], 2: bisect_left(current.edges, e)}
         if len(trace.steps) > ceiling:
             raise InternalConsistencyError("iteration ceiling exceeded; reduction diverged")

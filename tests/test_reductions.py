@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_left
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -102,6 +103,64 @@ class TestRule1:
         assert self.removed(inst, rule1_vertex_domination(inst)) == "a"
         assert self.removed(inst, rule1_vertex_domination(inst, (2,))) == "c"
         assert not rule1_vertex_domination(Instance(Hypergraph(1, (), 3), 1), (0,)).applied
+
+    @staticmethod
+    def counting(inst):
+        """``inst`` with its edges replaced by an equal tuple that counts the
+        edges iteration hands out; the edge index and size counts, which
+        read every edge, are built first."""
+
+        class CountingEdges(tuple):
+            def __iter__(self):
+                for e in tuple.__iter__(self):
+                    self.read += 1
+                    yield e
+
+        h = inst.hypergraph
+        h.edge_index, h.size_counts
+        edges = CountingEdges(h.edges)
+        edges.read = 0
+        object.__setattr__(h, "edges", edges)
+        return edges
+
+    def test_the_scan_stops_before_the_edges_after_the_highest_candidate(self):
+        # Only v2 is dominated (by v0 and v1): the triples through any other
+        # vertex meet only in it. The nine edges after v2's block start
+        # above it.
+        labels = tuple(f"v{i}" for i in range(9))
+        triples = [(0, 1, 2), (0, 1, 3), (0, 3, 4), (1, 3, 4)]
+        triples += [(3, 5, 6), (4, 5, 6), (4, 5, 7), (3, 6, 8), (4, 7, 8), (5, 7, 8), (6, 7, 8)]
+        triples += [(3, 5, 7), (3, 6, 7)]
+        parent = Instance(Hypergraph(9, tuple(triples), 3), 2, labels)
+        full = rule1_vertex_domination(parent)
+        assert self.removed(parent, full) == "v2"
+        inst = Instance(Hypergraph(9, tuple(triples), 3), 2, labels)
+        edges = self.counting(inst)
+        assert bisect_left(edges, (3,)) == 4 and len(edges) == 13
+        assert rule1_vertex_domination(inst, (2,)) == full
+        assert edges.read <= 2 * 4  # the scan and the edges through v2
+        edges.read = 0
+        assert not rule1_vertex_domination(inst, (1, 0)).applied
+        assert edges.read <= 4
+
+    def test_an_isolated_highest_candidate_is_dominated(self):
+        # Two blocks of four triples on four vertices, each vertex in three
+        # that meet only in it, and the isolated v4 between them.
+        k4 = list(combinations(range(4), 3))
+        triples = k4 + [tuple(v + 5 for v in e) for e in k4]
+        labels = tuple(f"v{i}" for i in range(9))
+        parent = Instance(Hypergraph(9, tuple(triples), 3), 2, labels)
+        full = rule1_vertex_domination(parent)
+        assert self.removed(parent, full) == "v4"
+        inst = Instance(Hypergraph(9, tuple(triples), 3), 2, labels)
+        edges = self.counting(inst)
+        for candidates in ((4,), (1, 4), (3, 4)):
+            edges.read = 0
+            assert rule1_vertex_domination(inst, candidates) == full
+            assert edges.read <= 2 * 4  # only the block that starts below v4
+        edges.read = 0
+        assert not rule1_vertex_domination(inst, (1, 2)).applied
+        assert edges.read <= 4
 
 
 class TestRule2:
@@ -229,34 +288,75 @@ class TestResumeAfterRule2:
         assert min(seen.values()) > 100, seen
 
     def test_hinted_calls_equal_full_scans_after_every_rule2_step(self):
-        seen = {"rule 1 applies": 0, "rule 2 applies": 0, "both decline": 0, "start > 0": 0}
+        seen = {
+            "e - f dominated": 0,
+            "rule 2 applies": 0,
+            "both decline": 0,
+            "start > 0": 0,
+            "e - f has two vertices": 0,
+        }
 
         def check(rule, before, outcome):
             assert (outcome.dropped is not None) == (rule == 2)
+            assert (outcome.subset is not None) == (rule == 2)
             if rule != 2:
                 return
-            e, after = outcome.dropped, outcome.new_instance
+            e, f, after = outcome.dropped, outcome.subset, outcome.new_instance
             assert e in before.edges and e not in after.edges
+            assert f in after.edges and set(f) < set(e)
+            outside = [v for v in e if v not in f]
             start = bisect_left(after.edges, e)
             full1 = rule1_vertex_domination(after)
             full2 = rule2_edge_domination(after)
+            hinted1 = rule1_vertex_domination(after, outside)
+            assert hinted1 == full1
             assert rule1_vertex_domination(after, e) == full1
             assert rule2_edge_domination(after, start) == full2
-            seen["rule 1 applies"] += full1.applied
+            seen["e - f dominated"] += hinted1.applied
             seen["rule 2 applies"] += full2.applied
             seen["both decline"] += not (full1.applied or full2.applied)
             seen["start > 0"] += start > 0
+            seen["e - f has two vertices"] += len(outside) > 1
 
         for inst in _resume_instances():
             kernelize(inst, check)
         assert min(seen.values()) > 100, seen
 
 
+def check_inherited_indexes(successor, removed) -> None:
+    """The size counts and edge index that ``successor`` inherited equal
+    fresh ones. It inherits the index unless vertices were removed, and
+    nothing has read it since."""
+    cached = vars(successor.hypergraph)
+    counts = cached["size_counts"]
+    assert len(counts) <= successor.d + 1
+    assert {s: n for s, n in enumerate(counts) if n} == Counter(map(len, successor.edges))
+    assert ("edge_index" in cached) == (not removed)
+    if not removed:
+        assert cached["edge_index"] == frozenset(successor.edges)
+
+
 class TestSuccessorAgainstFullRebuild:
     """``Instance.successor`` checks only the edges its parent lacks and
     merges the rest in order; renumbering and rebuilding every edge from
     scratch must give the same instance, edge order included, on every call
-    the controller makes."""
+    the controller makes. The edge index and size counts it derives from
+    its parent's must equal fresh ones."""
+
+    def test_inherited_indexes_on_every_resume_run(self, monkeypatch):
+        original = Instance.successor
+        seen = {"index inherited": 0, "renumbered": 0}
+
+        def checked(self, drop, add, k, removed=frozenset()):
+            got = original(self, drop, add, k, removed)
+            check_inherited_indexes(got, removed)
+            seen["renumbered" if removed else "index inherited"] += 1
+            return got
+
+        monkeypatch.setattr(Instance, "successor", checked)
+        for inst in _resume_instances():
+            kernelize(inst)
+        assert min(seen.values()) > 100, seen
 
     def test_every_call_equals_the_full_rebuild(self, monkeypatch):
         original = Instance.successor
@@ -265,6 +365,7 @@ class TestSuccessorAgainstFullRebuild:
         def checked(self, drop, add, k, removed=frozenset()):
             drop, add = list(drop), list(add)
             got = original(self, drop, add, k, removed)
+            check_inherited_indexes(got, removed)
             edges = [e for e in self.edges if e not in drop] + add
             expected = naive_successor(self, edges, k, removed)
             assert got == expected, (self, drop, add, k, removed)
