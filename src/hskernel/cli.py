@@ -21,7 +21,7 @@ import sys
 import time
 from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded, localcontext
 
-from .core import MIN_D, Edge, Hypergraph, Instance, canonical_edge
+from .core import Edge, Hypergraph, Instance, canonical_edge, require_min_d
 from .crown import format_crown
 from .errors import (
     FormatError,
@@ -98,8 +98,7 @@ def parse_instance(text: str) -> Instance:
                 f"line {lineno}: edge has {len(edge)} distinct vertices, bound is {d}"
             )
         edges.append(edge)
-    if d < MIN_D:  # after the edge loop: an oversized edge is reported first
-        raise UnsupportedParameterError(f"d={d} unsupported: the engine requires d >= {MIN_D}")
+    require_min_d(d)  # after the edge loop: an oversized edge is reported first
     hypergraph = Hypergraph(n, tuple(edges), d)
     return Instance(hypergraph, k, labels=range(1, n + 1), comments=tuple(comments))
 

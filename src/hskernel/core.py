@@ -23,8 +23,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import combinations
-from typing import Container, Hashable, Iterable, Iterator, Sequence
+from itertools import combinations, filterfalse, islice
+from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence
 
 from .errors import FormatError, UnsupportedParameterError
 
@@ -32,6 +32,13 @@ Edge = tuple[int, ...]
 
 #: Smallest supported edge-size bound; the kernel guarantee needs d >= 3.
 MIN_D = 3
+
+
+def require_min_d(d: int) -> None:
+    """Raise :class:`UnsupportedParameterError` for an edge-size bound below
+    :data:`MIN_D`."""
+    if d < MIN_D:
+        raise UnsupportedParameterError(f"d={d} unsupported: the engine requires d >= {MIN_D}")
 
 
 def canonical_edge(vertices: Iterable[int]) -> Edge:
@@ -101,10 +108,7 @@ class Instance:
     comments: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
-        if self.hypergraph.d < MIN_D:
-            raise UnsupportedParameterError(
-                f"d={self.hypergraph.d} unsupported: the engine requires d >= {MIN_D}"
-            )
+        require_min_d(self.hypergraph.d)
         if self.labels is not None:
             labels = tuple(self.labels)
             if len(labels) != self.hypergraph.n:
@@ -244,8 +248,7 @@ def normalize(
     empty raw edge is kept as the infeasibility witness: the controller turns
     it into an immediate no-verdict rather than raising here.
     """
-    if d < MIN_D:
-        raise UnsupportedParameterError(f"d={d} unsupported: the engine requires d >= {MIN_D}")
+    require_min_d(d)
     ids: dict[Hashable, int] = {}
     if labels is not None:
         for name in labels:
@@ -269,10 +272,20 @@ def normalize(
     return Instance(Hypergraph(len(ids), tuple(edges), d), k, labels=table)
 
 
-def remainders(h: Hypergraph, vertices: Container[int]) -> Iterator[tuple[int, Edge]]:
+def edges_through(edges: Sequence[Edge], vertices: AbstractSet[int]) -> Iterator[Edge]:
+    """The edges among the sorted canonical ``edges`` that hold a vertex of
+    ``vertices``, lazily and in order. An edge through ``v`` starts at or
+    below ``v``, so only the edges that start at or below the highest
+    vertex are read."""
+    stop = bisect_left(edges, (max(vertices, default=-1) + 1,))
+    return filterfalse(vertices.isdisjoint, islice(edges, stop))
+
+
+def remainders(h: Hypergraph, vertices: AbstractSet[int]) -> Iterator[tuple[int, Edge]]:
     """``(x, e - {x})`` for every edge ``e`` of ``h`` and every ``x`` in ``e``
-    that lies in ``vertices``, edge by edge in canonical order."""
-    for e in h.edges:
+    that lies in ``vertices``, edge by edge in canonical order; only the
+    edges :func:`edges_through` gives are read."""
+    for e in edges_through(h.edges, vertices):
         for x in e:
             if x in vertices:
                 yield x, tuple(v for v in e if v != x)
@@ -283,7 +296,7 @@ def is_independent(h: Hypergraph, vertices: Iterable[int]) -> bool:
     x = frozenset(vertices)
     if any(v < 0 or v >= h.n for v in x):
         raise ValueError("vertex set contains ids outside the universe")
-    return all(len(x.intersection(e)) <= 1 for e in h.edges)
+    return all(len(x.intersection(e)) <= 1 for e in edges_through(h.edges, x))
 
 
 def subedge_groups(edges: Iterable[Edge], size: int) -> dict[Edge, list[Edge]]:

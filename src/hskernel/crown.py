@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Edge, Hypergraph, Instance, canonical_edge, is_independent, remainders
+from .core import Edge, Hypergraph, Instance, canonical_edge, edges_through
+from .core import is_independent, remainders
 from .errors import InvalidCrownError
 from .matching import BipartiteGraph, find_bipartite_crown
 
@@ -124,9 +125,7 @@ def apply_hs_crown(inst: Instance, c: HSCrown) -> Instance:
     verdict = validate_hs_crown(inst.hypergraph, c)
     if not verdict.valid:
         raise InvalidCrownError(verdict)
-    h = inst.hypergraph
-    meeting = [e for e in h.edges if not c.crown.isdisjoint(e)]
-    return inst.successor(meeting, c.head, inst.k, c.crown)
+    return inst.successor(edges_through(inst.edges, c.crown), c.head, inst.k, c.crown)
 
 
 def _crown_via_matching(h: Hypergraph, candidates: list[int]) -> HSCrown | None:
@@ -136,7 +135,7 @@ def _crown_via_matching(h: Hypergraph, candidates: list[int]) -> HSCrown | None:
     terms. The subedges are collected in the walk that builds the bipartite
     rows, and numbered in sorted order."""
     cand_pos = {v: i for i, v in enumerate(candidates)}
-    pairs = [(cand_pos[x], rest) for x, rest in remainders(h, cand_pos) if rest]
+    pairs = [(cand_pos[x], rest) for x, rest in remainders(h, cand_pos.keys()) if rest]
     subedges = sorted({rest for _, rest in pairs})
     sub_pos = {y: j for j, y in enumerate(subedges)}
     rows: list[set[int]] = [set() for _ in candidates]

@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import MIN_D, Edge, Hypergraph, Instance
-from .errors import OracleCeilingError, UnsupportedParameterError
+from .core import Edge, Hypergraph, Instance, require_min_d
+from .errors import OracleCeilingError
 
 DEFAULT_CEILING = 25
 CEILING_ENV_VAR = "HSK_ORACLE_CEILING"
@@ -112,10 +112,7 @@ def generate(spec: GenSpec) -> Instance:
     fewer; the draw sequence is still fully seed-determined, and stops once
     every edge that can be drawn has been.
     """
-    if spec.d < MIN_D:
-        raise UnsupportedParameterError(
-            f"d={spec.d} unsupported: the engine requires d >= {MIN_D}"
-        )
+    require_min_d(spec.d)
     if spec.n < spec.d or spec.m < 1 or spec.k < 1:
         raise ValueError(f"infeasible generator parameters: {spec}")
     if spec.planted is not None and not (1 <= spec.planted <= spec.n):

@@ -1,10 +1,11 @@
 """The six reduction rules and the kernelization controller.
 
 Each rule takes an :class:`Instance` (rules 1 and 2 also take an optional
-hint of where to look) and returns a :class:`RuleOutcome`; the controller
-applies the lowest-numbered applicable rule until either a verdict falls out
-or no rule applies, at which point the surviving instance is a kernel with
-at most ``(2d-2)*k**(d-1) + k`` vertices.
+hint of where to look, rule 5 the last rule applied) and returns a
+:class:`RuleOutcome`; the controller applies the lowest-numbered applicable
+rule until either a verdict falls out or no rule applies, at which point the
+surviving instance is a kernel with at most ``(2d-2)*k**(d-1) + k``
+vertices.
 
 Rule order is load-bearing: each rule's correctness may assume all previous
 rules are inapplicable, and the controller enforces exactly that. Quick
@@ -17,9 +18,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from itertools import combinations, filterfalse, islice
+from itertools import combinations, islice
 
-from .core import Edge, Hypergraph, Instance, subedge_groups
+from .core import Edge, Hypergraph, Instance, edges_through, subedge_groups
 from .crown import HSCrown, validate_hs_crown, _crown_via_matching
 from .crown import apply_hs_crown  # noqa: F401  unused here; bench/tracing.py patches it
 from .errors import InternalConsistencyError
@@ -210,13 +211,12 @@ def rule1_vertex_domination(
 
     Only the ``candidates`` (every vertex by default) are tested, and only
     the edges through one of them are scanned; the scan stops, declining,
-    once every candidate is known to be undominated. An edge through ``v``
-    starts at or below ``v``: so with candidates the scan reads only the
-    edges that start at or below the highest one, and in every call the
-    edges through the dominated ``x`` are collected from those that start
-    at or below ``x``. The caller guarantees that no vertex outside
-    ``candidates`` is dominated; then the lowest dominated candidate is the
-    lowest dominated vertex.
+    once every candidate is known to be undominated. Both the hinted scan
+    and the collection of the edges through the dominated ``x`` walk
+    :func:`~hskernel.core.edges_through`, which reads only the edges that
+    start at or below the highest vertex asked for. The caller guarantees
+    that no vertex outside ``candidates`` is dominated; then the lowest
+    dominated candidate is the lowest dominated vertex.
     """
     h = inst.hypergraph
     edges: Iterable[Edge] = h.edges
@@ -227,8 +227,7 @@ def rule1_vertex_domination(
     order: Iterable[int] = range(h.n)
     if candidates is not None:
         wanted = frozenset(candidates)
-        stop = bisect_left(h.edges, (max(wanted, default=-1) + 1,))
-        edges = filterfalse(wanted.isdisjoint, islice(edges, stop))
+        edges = edges_through(edges, wanted)
         common = [_UNDOMINATED] * h.n
         for v in wanted:
             common[v] = None
@@ -250,9 +249,10 @@ def rule1_vertex_domination(
     for x in order:
         c = common[x]
         if c is not _UNDOMINATED and (c is not None or h.n > 1):
-            through = [e for e in islice(h.edges, bisect_left(h.edges, (x + 1,))) if x in e]
+            gone = frozenset((x,))
+            through = list(edges_through(h.edges, gone))
             shrunk = [tuple(v for v in e if v != x) for e in through]
-            return _rebuild(inst, 1, through, shrunk, remove_vertices=frozenset((x,)))
+            return _rebuild(inst, 1, through, shrunk, remove_vertices=gone)
     return _NOT_APPLIED
 
 
@@ -293,9 +293,8 @@ def rule3_unit_edge(inst: Instance) -> RuleOutcome:
     h = inst.hypergraph
     for e in h.edges:
         if len(e) == 1:
-            v = e[0]
-            through = [f for f in h.edges if v in f]
-            return _rebuild(inst, 3, through, remove_vertices=frozenset((v,)), k_delta=-1)
+            gone = frozenset(e)
+            return _rebuild(inst, 3, edges_through(h.edges, gone), remove_vertices=gone, k_delta=-1)
     return _NOT_APPLIED
 
 
@@ -418,7 +417,7 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
         raise InternalConsistencyError(
             f"LP crown failed validation: {verdict.problems}"
         )
-    meeting = [e for e in h.edges if not crown.crown.isdisjoint(e)]
+    meeting = edges_through(h.edges, crown.crown)
     return _rebuild(
         inst, 6, meeting, crown.head, remove_vertices=crown.crown, crown=crown, lp_solution=solution
     )
@@ -441,21 +440,24 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
 
     The returned kernel satisfies ``n <= (2d-2)*k**(d-1) + k`` for its final
     budget. Every pass applies the lowest-numbered rule that applies or
-    concludes no; rule 5 declines when it was the most recent rule applied.
-    After a rule-5 no-op the next pass starts at rule 6: rules 1 to 4 have
-    just declined on that very instance and rule 5 declines after itself.
-    After a rule-2 step that removed edge ``e`` for its subset edge ``f``,
-    the next pass hands rule 1 the vertices of ``e`` outside ``f`` as its
-    only candidates and has rule 2 start at ``e``'s place in the
-    successor's edges. Rule 1 declined on the parent, and only the vertices
-    of ``e`` lost an edge. A vertex of ``f`` keeps ``f``, which lies inside
-    ``e``, so the intersection of its edges is the same without ``e``, and
-    it stays undominated. No edge before ``e`` had a subset, and removing
-    an edge gives none one. So both hinted calls return what a full scan
-    would. An explicit iteration ceiling of ``3n + 4m + 4`` trace steps
-    guards termination. The rules are the module's globals as they stand
-    when the call starts, so a tracer installed before the call sees every
-    attempt.
+    concludes no, trying rules ``first`` to 6. What the last step leaves
+    undone reaches the rules through one table, ``hints``, which maps a
+    rule to the extra argument it is called with. Rule 5 always gets the
+    last rule applied (``None`` before the first step) and declines right
+    after itself. After a rule-5 no-op ``first`` is 6: rules 1 to 4 have
+    just declined on that very instance and rule 5 declines after itself;
+    otherwise ``first`` is 1. After a rule-2 step that removed edge ``e``
+    for its subset edge ``f``, the table also hands rule 1 the vertices of
+    ``e`` outside ``f`` as its only candidates and has rule 2 start at
+    ``e``'s place in the successor's edges. Rule 1 declined on the parent,
+    and only the vertices of ``e`` lost an edge. A vertex of ``f`` keeps
+    ``f``, which lies inside ``e``, so the intersection of its edges is the
+    same without ``e``, and it stays undominated. No edge before ``e`` had
+    a subset, and removing an edge gives none one. So both hinted calls
+    return what a full scan would. An explicit iteration ceiling of
+    ``3n + 4m + 4`` trace steps guards termination. The rules are the
+    module's globals as they stand when the call starts, so a tracer
+    installed before the call sees every attempt.
 
     ``observer(rule, before, outcome)`` is called for every rule event,
     including no-op rule-5 attempts and rule-6 no-verdicts. The trace
@@ -463,24 +465,23 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     """
     trace = ReductionTrace()
     current = inst
-    last_rule: int | None = None
-    rule5_noop = False
-    hints: dict[int, Edge | int] = {}
+    first = 1
+    hints: dict[int, object] = {5: None}
     ceiling = 3 * inst.n + 4 * inst.m + 4
     rules = (
-        (1, rule1_vertex_domination),
-        (2, rule2_edge_domination),
-        (3, rule3_unit_edge),
-        (4, rule4_high_degree_subedge),
-        (5, lambda i: rule5_weakly_related_counting(i, last_rule)),
-        (6, rule6_lp_crown),
+        rule1_vertex_domination,
+        rule2_edge_domination,
+        rule3_unit_edge,
+        rule4_high_degree_subedge,
+        rule5_weakly_related_counting,
+        rule6_lp_crown,
     )
     while True:
         verdict = _quick_verdict(current)
         if verdict is not None:
             return ReduceResult(verdict, current, trace)
 
-        for rule_id, rule in rules[5:] if rule5_noop else rules:
+        for rule_id, rule in enumerate(rules[first - 1 :], first):
             trace.attempts[rule_id] += 1
             outcome = rule(current, hints[rule_id]) if rule_id in hints else rule(current)
             if outcome.applied or outcome.verdict_no:
@@ -497,13 +498,12 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
             trace.lp_pivots += outcome.lp_solution.pivots
         if outcome.verdict_no:
             return ReduceResult("no", current, trace)
-        rule5_noop = rule_id == 5 and outcome.new_instance is current
+        first = 6 if rule_id == 5 and outcome.new_instance is current else 1
         current = outcome.new_instance
-        last_rule = rule_id
+        hints = {5: rule_id}
         e, f = outcome.dropped, outcome.subset  # set by rule 2 only
-        if e is None:
-            hints = {}
-        else:
-            hints = {1: [v for v in e if v not in f], 2: bisect_left(current.edges, e)}
+        if e is not None:
+            hints[1] = [v for v in e if v not in f]
+            hints[2] = bisect_left(current.edges, e)
         if len(trace.steps) > ceiling:
             raise InternalConsistencyError("iteration ceiling exceeded; reduction diverged")

@@ -598,3 +598,95 @@ def petersen_edges() -> list[tuple[int, int]]:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return outer + spokes + inner
+
+
+# ---------------------------------------------------------------------------
+# implicit 3-Hitting Set families: graph problems whose obstructions have
+# three vertices, so that the obstructions are the edges
+
+
+def cluster_deletion_instance(
+    seed: int, cliques: int, size: int, k: int, broken: int = 0
+) -> Instance:
+    """Cluster vertex deletion with budget ``k``: the edges are the induced
+    P3s (paths on three vertices) of a graph, and a hitting set is a vertex
+    set whose deletion leaves disjoint cliques.
+
+    The graph is ``cliques`` disjoint cliques of ``size`` vertices, plus
+    ``k`` planted vertices, the last ``k`` ids, each adjacent to each other
+    vertex with probability 0.1. Deleting the planted vertices leaves the
+    cliques, so the instance is a yes-instance. ``broken`` cliques, chosen
+    by the seed, each lose one inner edge ``uv``; then ``u``, ``v`` and any
+    third vertex of that clique form an induced P3, so ``broken = k + 1``
+    gives ``k + 1`` vertex-disjoint obstructions and a no-instance.
+    """
+    if broken and size < 3:
+        raise ValueError("a broken clique needs a third vertex")
+    rng = random.Random(seed)
+    n = cliques * size + k
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for c in range(cliques):
+        for u, v in combinations(range(c * size, (c + 1) * size), 2):
+            adj[u].add(v)
+            adj[v].add(u)
+    for p in range(cliques * size, n):
+        for u in range(p):
+            if rng.random() < 0.1:
+                adj[p].add(u)
+                adj[u].add(p)
+    for c in rng.sample(range(cliques), broken):
+        u, v = rng.sample(range(c * size, (c + 1) * size), 2)
+        adj[u].discard(v)
+        adj[v].discard(u)
+    # The middle vertex of an induced P3 is the one adjacent to both others.
+    edges = [
+        tuple(sorted((u, w, v)))
+        for w in range(n)
+        for u, v in combinations(sorted(adj[w]), 2)
+        if v not in adj[u]
+    ]
+    return Instance(Hypergraph(n, tuple(edges), 3), k)
+
+
+def tournament_fvs_instance(seed: int, n: int, k: int, cycles: int = 0) -> Instance:
+    """Feedback vertex set in a tournament with budget ``k``: the edges are
+    the directed triangles, and a hitting set is a vertex set whose
+    deletion leaves the tournament acyclic.
+
+    The tournament on ``n`` vertices starts transitive, ``u -> v`` for
+    ``u < v``, and each arc at one of ``k`` planted vertices, the last
+    ``k`` ids, is reversed with probability 1/2. Deleting the planted
+    vertices leaves a transitive tournament, so the instance is a
+    yes-instance. ``cycles`` vertex-disjoint triples ``a < b < c`` of
+    unplanted vertices, chosen by the seed, each get the arc ``c -> a``,
+    closing the triangle ``a -> b -> c -> a``; so ``cycles = k + 1`` gives
+    ``k + 1`` vertex-disjoint obstructions and a no-instance.
+    """
+    if 3 * cycles > n - k:
+        raise ValueError("the triangles need 3 * cycles unplanted vertices")
+    rng = random.Random(seed)
+    beats: list[set[int]] = [set() for _ in range(n)]
+    for u, v in combinations(range(n), 2):
+        if v >= n - k and rng.random() < 0.5:
+            beats[v].add(u)
+        else:
+            beats[u].add(v)
+    loose = rng.sample(range(n - k), 3 * cycles)
+    for i in range(cycles):
+        a, _, c = sorted(loose[3 * i : 3 * i + 3])
+        beats[a].discard(c)
+        beats[c].add(a)
+    beaten: list[set[int]] = [set() for _ in range(n)]
+    for u in range(n):
+        for v in beats[u]:
+            beaten[v].add(u)
+    # A triangle u -> v -> w -> u, listed once from its lowest vertex u.
+    edges = {
+        tuple(sorted((u, v, w)))
+        for u in range(n)
+        for v in beats[u]
+        if v > u
+        for w in beats[v] & beaten[u]
+        if w > u
+    }
+    return Instance(Hypergraph(n, tuple(sorted(edges)), 3), k)

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hskernel.core import Hypergraph, Instance, is_independent, normalize, subedge_groups
+from hskernel.core import (
+    Hypergraph,
+    Instance,
+    edges_through,
+    is_independent,
+    normalize,
+    subedge_groups,
+)
 from hskernel.errors import FormatError, UnsupportedParameterError
 
 from helpers import naive_incident_edges, naive_is_independent
@@ -133,6 +140,62 @@ class TestIsIndependent:
     def test_matches_pairwise_scan(self, h, data):
         x = data.draw(st.sets(st.integers(0, h.n - 1)))
         assert is_independent(h, x) == naive_is_independent(h, x)
+
+
+class TestEdgesThrough:
+    """The prefix walk returns exactly the edges a full scan keeps, in order."""
+
+    @staticmethod
+    def random_cases(seed: int):
+        rng = random.Random(seed)
+        for _ in range(200):
+            n = rng.randint(1, 15)
+            m = rng.randint(0, 25)
+            raw = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(m)]
+            if rng.random() < 0.1:
+                raw.append(())
+            edges = Hypergraph(n, tuple(raw), 4).edges
+            vertices = set(rng.sample(range(n), rng.randint(0, min(n, 4))))
+            yield rng, n, edges, vertices
+
+    @staticmethod
+    def full_scan(edges, vertices):
+        return [e for e in edges if not vertices.isdisjoint(e)]
+
+    def test_frozensets_match_the_full_scan(self):
+        for _, _, edges, vertices in self.random_cases(1):
+            s = frozenset(vertices)
+            assert list(edges_through(edges, s)) == self.full_scan(edges, s)
+
+    def test_dict_key_views_match_the_full_scan(self):
+        for rng, _, edges, vertices in self.random_cases(2):
+            order = list(vertices)
+            rng.shuffle(order)
+            keys = {v: i for i, v in enumerate(order)}.keys()
+            assert list(edges_through(edges, keys)) == self.full_scan(edges, keys)
+
+    def test_the_empty_set_meets_no_edge(self):
+        for _, _, edges, _ in self.random_cases(3):
+            assert list(edges_through(edges, frozenset())) == []
+            assert list(edges_through(edges, {}.keys())) == []
+
+    def test_a_vertex_above_every_edge(self):
+        for _, n, edges, vertices in self.random_cases(4):
+            s = frozenset(vertices | {n + 5})
+            assert list(edges_through(edges, s)) == self.full_scan(edges, s)
+            assert list(edges_through(edges, frozenset((n + 5,)))) == []
+
+    def test_reads_only_the_edges_that_start_at_or_below_the_highest_vertex(self):
+        class Guarded(tuple):
+            def __iter__(self):
+                for e in tuple.__iter__(self):
+                    assert e[0] <= 2, f"read the edge {e}"
+                    yield e
+
+        edges = Guarded(Hypergraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)), 3).edges)
+        walk = edges_through(edges, frozenset((1, 2)))
+        assert iter(walk) is walk  # lazy: nothing is read before the first next()
+        assert list(walk) == [(0, 1), (1, 2), (2, 3)]
 
 
 class TestSubedgesOf:
