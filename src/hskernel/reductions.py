@@ -1,11 +1,11 @@
 """The six reduction rules and the kernelization controller.
 
-Each rule takes an :class:`Instance` (rules 1 and 2 also take an optional
-hint of where to look, rule 5 the last rule applied) and returns a
-:class:`RuleOutcome`; the controller applies the lowest-numbered applicable
-rule until either a verdict falls out or no rule applies, at which point the
-surviving instance is a kernel with at most ``(2d-2)*k**(d-1) + k``
-vertices.
+Each rule takes an :class:`Instance` (rules 1, 2 and 5 also take an
+optional hint) and returns a :class:`RuleOutcome`; the controller applies
+the lowest-numbered applicable rule until either a verdict falls out or no
+rule applies, at which point the surviving instance is a kernel with at
+most ``(2d-2)*k**(d-1) + k`` vertices. Each outcome names the hints the
+next pass hands the rules; the controller passes them on unread.
 
 Rule order is load-bearing: each rule's correctness may assume all previous
 rules are inapplicable, and the controller enforces exactly that. Quick
@@ -16,7 +16,7 @@ the controller, not in any rule.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
@@ -77,9 +77,9 @@ class ReductionTrace:
 class RuleOutcome:
     """Result of attempting one rule: nothing when it declines; the
     successor and its step when it applies; a step alone when it concludes
-    no. Rule 2 additionally carries the edge it removed as ``dropped`` and
-    the edge inside it that made it redundant as ``subset``, from which the
-    controller resumes rules 1 and 2. Rule 6 additionally carries the crown
+    no. ``hints`` maps a rule to the extra argument the controller calls
+    it with on the next pass (rules 2 and 5 hand some on); it is read, never
+    changed, and left out of the hash. Rule 6 additionally carries the crown
     it applied and the solution of the LP it solved, for tracing and
     debugging; that LP is ``build_crown_lp`` of the instance the rule was
     given."""
@@ -88,8 +88,7 @@ class RuleOutcome:
     step: TraceStep | None = None
     crown: HSCrown | None = None
     lp_solution: ExactLPSolution | None = None
-    dropped: Edge | None = None
-    subset: Edge | None = None
+    hints: Mapping[int, object] = field(default_factory=dict, hash=False)
 
     @property
     def applied(self) -> bool:
@@ -155,8 +154,8 @@ def _rebuild(
     the delta and compacts the surviving vertices; a successor it refuses is
     the rule's fault, not the input's. The step counts as added the edges
     ``inst`` lacks, and as removed the rest of the change in the edge count.
-    The ``events`` (rule 2's edges, rule 6's crown and LP solution) go into
-    the outcome as they are.
+    The ``events`` (the hints, rule 6's crown and LP solution) go into the
+    outcome as they are.
     """
     add = set(add)
     try:
@@ -264,13 +263,21 @@ def rule2_edge_domination(inst: Instance, start: int = 0) -> RuleOutcome:
     size 0), which the hypergraph's ``size_counts`` give without a pass
     over the edges; the first edge in canonical order with a hit is
     removed. When all edges have one size, no edge is looked up at all.
-    The outcome carries the removed edge as ``dropped`` and the first hit,
-    an edge inside it, as ``subset``.
 
     The scan starts at the edge at position ``start`` (the first by
     default). The caller guarantees that no edge before it contains
     another edge; then the first hit from ``start`` on is the first in
     canonical order.
+
+    Having removed ``e`` for its first hit ``f``, the rule hands rule 1 the
+    vertices of ``e`` outside ``f`` as its only candidates, and itself
+    ``e``'s position, which in the successor is the next edge's. Under the
+    controller's order rule 1 declined on this instance, and only the
+    vertices of ``e`` lost an edge. A vertex of ``f`` keeps ``f``, which
+    lies inside ``e``, so the intersection of its edges is the same without
+    ``e``, and it stays undominated. No edge before ``e`` had a subset, and
+    removing an edge gives none one. So both hinted calls return what a
+    full scan of the successor would.
     """
     h = inst.hypergraph
     index = h.edge_index
@@ -278,7 +285,8 @@ def rule2_edge_domination(inst: Instance, start: int = 0) -> RuleOutcome:
     for e in islice(h.edges, start, None):
         f = next((s for r in range(least, len(e)) for s in combinations(e, r) if s in index), None)
         if f is not None:
-            return _rebuild(inst, 2, (e,), dropped=e, subset=f)
+            hints = {1: tuple(v for v in e if v not in f), 2: bisect_left(h.edges, e)}
+            return _rebuild(inst, 2, (e,), hints=hints)
     return _NOT_APPLIED
 
 
@@ -350,7 +358,7 @@ def rule4_high_degree_subedge(inst: Instance) -> RuleOutcome:
     return _NOT_APPLIED
 
 
-def rule5_weakly_related_counting(inst: Instance, last_rule: int | None) -> RuleOutcome:
+def rule5_weakly_related_counting(inst: Instance, last_rule: int | None = None) -> RuleOutcome:
     """Count subedge occurrences inside a maximal weakly related family.
 
     A greedy maximal family ``W`` of pairwise weakly related edges (overlap
@@ -364,8 +372,12 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None) -> Rule
 
     The attempt itself counts as an application even when nothing changes;
     such a no-op returns ``inst`` itself as the successor. So that the
-    controller cannot run this rule twice in a row, ``last_rule == 5``
-    reports not-applied.
+    controller cannot run this rule twice in a row, every application, no-op
+    included, hands this rule ``last_rule = 5``, and ``last_rule == 5``
+    reports not-applied. Without that gate a no-op would be applied
+    forever. After a no-op the controller starts its next pass at rule 6,
+    which is exact: rules 1 to 4 have just declined on that very instance,
+    and this rule declines right after itself.
     """
     if last_rule == 5:
         return _NOT_APPLIED
@@ -390,8 +402,8 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None) -> Rule
                 family -= hit
                 live.add(s)
     if live == h.edge_index:
-        return RuleOutcome(inst, TraceStep(5, 0, 0, 0, 0))
-    return _rebuild(inst, 5, h.edge_index - live, live - h.edge_index)
+        return RuleOutcome(inst, TraceStep(5, 0, 0, 0, 0), hints={5: 5})
+    return _rebuild(inst, 5, h.edge_index - live, live - h.edge_index, hints={5: 5})
 
 
 def rule6_lp_crown(inst: Instance) -> RuleOutcome:
@@ -441,20 +453,11 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     The returned kernel satisfies ``n <= (2d-2)*k**(d-1) + k`` for its final
     budget. Every pass applies the lowest-numbered rule that applies or
     concludes no, trying rules ``first`` to 6. What the last step leaves
-    undone reaches the rules through one table, ``hints``, which maps a
-    rule to the extra argument it is called with. Rule 5 always gets the
-    last rule applied (``None`` before the first step) and declines right
-    after itself. After a rule-5 no-op ``first`` is 6: rules 1 to 4 have
-    just declined on that very instance and rule 5 declines after itself;
-    otherwise ``first`` is 1. After a rule-2 step that removed edge ``e``
-    for its subset edge ``f``, the table also hands rule 1 the vertices of
-    ``e`` outside ``f`` as its only candidates and has rule 2 start at
-    ``e``'s place in the successor's edges. Rule 1 declined on the parent,
-    and only the vertices of ``e`` lost an edge. A vertex of ``f`` keeps
-    ``f``, which lies inside ``e``, so the intersection of its edges is the
-    same without ``e``, and it stays undominated. No edge before ``e`` had
-    a subset, and removing an edge gives none one. So both hinted calls
-    return what a full scan would. An explicit iteration ceiling of
+    undone reaches the rules through its outcome's ``hints``, which map a
+    rule to the extra argument it is called with; a rule without one scans
+    everything. Rule 2 hands on where rules 1 and 2 resume, and rule 5
+    gates itself (see their docstrings). After a rule-5 no-op ``first`` is
+    6; otherwise it is 1. An explicit iteration ceiling of
     ``3n + 4m + 4`` trace steps guards termination. The rules are the
     module's globals as they stand when the call starts, so a tracer
     installed before the call sees every attempt.
@@ -466,7 +469,7 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     trace = ReductionTrace()
     current = inst
     first = 1
-    hints: dict[int, object] = {5: None}
+    hints: Mapping[int, object] = {}
     ceiling = 3 * inst.n + 4 * inst.m + 4
     rules = (
         rule1_vertex_domination,
@@ -500,10 +503,6 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
             return ReduceResult("no", current, trace)
         first = 6 if rule_id == 5 and outcome.new_instance is current else 1
         current = outcome.new_instance
-        hints = {5: rule_id}
-        e, f = outcome.dropped, outcome.subset  # set by rule 2 only
-        if e is not None:
-            hints[1] = [v for v in e if v not in f]
-            hints[2] = bisect_left(current.edges, e)
+        hints = outcome.hints
         if len(trace.steps) > ceiling:
             raise InternalConsistencyError("iteration ceiling exceeded; reduction diverged")

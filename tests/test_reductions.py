@@ -29,6 +29,7 @@ from hskernel.reductions import (
 from helpers import (
     blob4_instance,
     blob_instance,
+    cluster_deletion_instance,
     double_star_instance,
     mixed_crown_instance,
     naive_kernelize,
@@ -41,6 +42,7 @@ from helpers import (
     one_size_rule_instance,
     petal_cycle_instance,
     random_rule_instance,
+    tournament_fvs_instance,
 )
 
 
@@ -183,15 +185,21 @@ class TestRule2:
         # (0, 1) contains (0,), and (1, 2, 3) contains (1, 2).
         inst = Instance(Hypergraph(4, ((0,), (0, 1), (1, 2), (1, 2, 3)), 3), 2)
         full = rule2_edge_domination(inst)
-        assert full.dropped == (0, 1)
+        assert full.hints == {1: (1,), 2: 1}  # (0, 1) went for (0,)
         assert full.new_instance.edges == ((0,), (1, 2), (1, 2, 3))
         assert rule2_edge_domination(inst, 1) == full
         for start in (2, 3):
             out = rule2_edge_domination(inst, start)
-            assert out.dropped == (1, 2, 3)
+            assert out.hints == {1: (3,), 2: 3}  # (1, 2, 3) went for (1, 2)
             assert out.new_instance.edges == ((0,), (0, 1), (1, 2))
             assert out.step == TraceStep(2, 0, 1, 0, 0)
         assert not rule2_edge_domination(inst, 4).applied
+
+    def test_an_outcome_with_hints_hashes(self):
+        inst = Instance(Hypergraph(4, ((0,), (0, 1), (1, 2), (1, 2, 3)), 3), 2)
+        out = rule2_edge_domination(inst)
+        assert out.hints
+        assert hash(out) == hash(rule2_edge_domination(inst, 1))
 
 
 class TestDominationRulesAgainstPairScans:
@@ -242,8 +250,9 @@ class TestDominationRulesAgainstPairScans:
 
 
 def _resume_instances():
-    """Small instances of every shape rules 1 and 2 see, and a seeded
-    ``generate`` sweep at d = 3 to 6, planted and not."""
+    """Small instances of every shape rules 1 and 2 see, a seeded
+    ``generate`` sweep at d = 3 to 6, planted and not, and small cluster
+    deletion and tournament feedback vertex set instances, yes and no."""
     rng = random.Random(1616)
     instances = [random_rule_instance(rng) for _ in range(3000)]
     instances += [one_size_rule_instance(rng) for _ in range(500)]
@@ -259,11 +268,19 @@ def _resume_instances():
             planted=rng.choice((None, 2)),
         )
         instances.append(generate(spec))
+    for seed in range(6):
+        k = 1 + seed % 3
+        instances += [
+            cluster_deletion_instance(seed, 6, 6, k),
+            cluster_deletion_instance(seed, 6, 6, k, broken=k + 1),
+            tournament_fvs_instance(seed, 24, k),
+            tournament_fvs_instance(seed, 24, k, cycles=k + 1),
+        ]
     return instances
 
 
 class TestResumeAfterRule2:
-    """After a rule-2 step that removed ``e``, the controller hands rule 1
+    """After a rule-2 step that removed ``e``, the outcome hands rule 1
     the vertices of ``e`` and rule 2 the place of ``e``; those calls must
     give exactly what the full scans give."""
 
@@ -288,33 +305,39 @@ class TestResumeAfterRule2:
         assert min(seen.values()) > 100, seen
 
     def test_hinted_calls_equal_full_scans_after_every_rule2_step(self):
+        """Every hint an outcome hands rule 1 or 2 gives what the full scan
+        of the successor gives; only rule 2 hands them on, and exactly the
+        rule-5 steps hand on rule 5's gate."""
         seen = {
             "e - f dominated": 0,
             "rule 2 applies": 0,
             "both decline": 0,
             "start > 0": 0,
             "e - f has two vertices": 0,
+            "rule 5 gated": 0,
         }
+        scans = {1: rule1_vertex_domination, 2: rule2_edge_domination}
 
         def check(rule, before, outcome):
-            assert (outcome.dropped is not None) == (rule == 2)
-            assert (outcome.subset is not None) == (rule == 2)
+            after = outcome.new_instance
+            resumes = {r: hint for r, hint in outcome.hints.items() if r in scans}
+            full = {r: scans[r](after) for r in resumes}
+            for r, hint in resumes.items():
+                assert scans[r](after, hint) == full[r]
+            assert set(resumes) == ({1, 2} if rule == 2 else set())
+            assert outcome.hints.get(5) == (5 if rule == 5 else None)
+            seen["rule 5 gated"] += rule == 5
             if rule != 2:
                 return
-            e, f, after = outcome.dropped, outcome.subset, outcome.new_instance
-            assert e in before.edges and e not in after.edges
+            (e,) = set(before.edges) - set(after.edges)
+            outside, start = resumes[1], resumes[2]
+            f = tuple(v for v in e if v not in outside)
             assert f in after.edges and set(f) < set(e)
-            outside = [v for v in e if v not in f]
-            start = bisect_left(after.edges, e)
-            full1 = rule1_vertex_domination(after)
-            full2 = rule2_edge_domination(after)
-            hinted1 = rule1_vertex_domination(after, outside)
-            assert hinted1 == full1
-            assert rule1_vertex_domination(after, e) == full1
-            assert rule2_edge_domination(after, start) == full2
-            seen["e - f dominated"] += hinted1.applied
-            seen["rule 2 applies"] += full2.applied
-            seen["both decline"] += not (full1.applied or full2.applied)
+            assert start == bisect_left(after.edges, e)
+            assert rule1_vertex_domination(after, e) == full[1]
+            seen["e - f dominated"] += full[1].applied
+            seen["rule 2 applies"] += full[2].applied
+            seen["both decline"] += not (full[1].applied or full[2].applied)
             seen["start > 0"] += start > 0
             seen["e - f has two vertices"] += len(outside) > 1
 
@@ -604,6 +627,17 @@ class TestRule5:
     def test_gated_when_it_just_ran(self):
         inst = inst_of([["u", "a", "b"], ["u", "c", "dd"]], 1)
         assert not rule5_weakly_related_counting(inst, last_rule=5).applied
+
+    @pytest.mark.parametrize("k", [1, 2])  # applied, no-op
+    def test_every_application_hands_on_its_gate(self, k):
+        inst = inst_of([["u", "a", "b"], ["u", "c", "dd"]], k)
+        out = rule5_weakly_related_counting(inst)
+        assert out == rule5_weakly_related_counting(inst, last_rule=None)
+        assert (out.new_instance is inst) == (k == 2)
+        assert out.hints == {5: 5}
+        gated = rule5_weakly_related_counting(inst, out.hints[5])
+        assert gated is reductions._NOT_APPLIED
+        assert gated.hints == {}
 
     def test_d4_two_level_counting(self):
         inst = double_star_instance(3, 2)
