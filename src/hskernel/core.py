@@ -14,7 +14,8 @@ threads; every transformation produces a new value. A successor
 checks only what its parent did not: the edges it drops and adds and the
 vertices it removes (each one of the parent's). It inherits ``d``, the
 label table less the removed vertices, and the cached size counts and
-(unless it renumbers) edge index, each updated by the delta.
+(unless it renumbers) edge index, each updated by the delta. A successor
+that changes nothing is its parent.
 """
 
 from __future__ import annotations
@@ -143,7 +144,9 @@ class Instance:
         """This instance less the edges ``drop``, plus the edges ``add`` (both
         in this instance's ids; an edge in both stays), with budget ``k`` and
         the vertices outside ``removed`` renumbered densely in their old
-        order; labels and comments carry over.
+        order; labels and comments carry over. An empty change (nothing
+        dropped, added or removed, and ``k`` this instance's budget) returns
+        this instance itself.
 
         A dropped edge this instance lacks raises :class:`ValueError`. An
         edge of this instance is canonical, at most ``d`` long and in range,
@@ -176,6 +179,8 @@ class Instance:
             add |= new
             new -= index
         drop -= add
+        if not (drop or new or removed) and k == self.k:
+            return self
         edges = h.edges
         canon = _without(edges, sorted(bisect_left(edges, e) for e in drop))
         if new:

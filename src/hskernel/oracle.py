@@ -139,7 +139,10 @@ def generate(spec: GenSpec) -> Instance:
         size = rng.randint(2, spec.d)
         if planted is not None:
             anchor = planted[rng.randrange(len(planted))]
-            others = rng.sample([v for v in range(spec.n) if v != anchor], size - 1)
+            # The other vertices without listing them: the draw from
+            # 0..n-2 shifted up by one from the anchor picks what a draw
+            # from the n-1 vertices other than the anchor would pick.
+            others = [v + (v >= anchor) for v in rng.sample(range(spec.n - 1), size - 1)]
             edge = tuple(sorted((anchor, *others)))
         else:
             edge = tuple(sorted(rng.sample(range(spec.n), size)))

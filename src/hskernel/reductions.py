@@ -15,7 +15,6 @@ the controller, not in any rule.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, islice
@@ -270,23 +269,22 @@ def rule2_edge_domination(inst: Instance, start: int = 0) -> RuleOutcome:
     canonical order.
 
     Having removed ``e`` for its first hit ``f``, the rule hands rule 1 the
-    vertices of ``e`` outside ``f`` as its only candidates, and itself
-    ``e``'s position, which in the successor is the next edge's. Under the
-    controller's order rule 1 declined on this instance, and only the
-    vertices of ``e`` lost an edge. A vertex of ``f`` keeps ``f``, which
-    lies inside ``e``, so the intersection of its edges is the same without
-    ``e``, and it stays undominated. No edge before ``e`` had a subset, and
-    removing an edge gives none one. So both hinted calls return what a
-    full scan of the successor would.
+    vertices of ``e`` outside ``f`` as its only candidates, and itself the
+    position its scan reached, ``e``'s, which in the successor is the next
+    edge's. Under the controller's order rule 1 declined on this instance,
+    and only the vertices of ``e`` lost an edge. A vertex of ``f`` keeps
+    ``f``, which lies inside ``e``, so the intersection of its edges is the
+    same without ``e``, and it stays undominated. No edge before ``e`` had
+    a subset, and removing an edge gives none one. So both hinted calls
+    return what a full scan of the successor would.
     """
     h = inst.hypergraph
     index = h.edge_index
     least = next((size for size, edges in enumerate(h.size_counts) if edges), 0)
-    for e in islice(h.edges, start, None):
+    for i, e in enumerate(islice(h.edges, start, None), start):
         f = next((s for r in range(least, len(e)) for s in combinations(e, r) if s in index), None)
         if f is not None:
-            hints = {1: tuple(v for v in e if v not in f), 2: bisect_left(h.edges, e)}
-            return _rebuild(inst, 2, (e,), hints=hints)
+            return _rebuild(inst, 2, (e,), hints={1: tuple(v for v in e if v not in f), 2: i})
     return _NOT_APPLIED
 
 
@@ -370,21 +368,22 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None = None) 
     edges leave it; inserted subedges do not join it) and the budget never
     changes.
 
-    The attempt itself counts as an application even when nothing changes;
-    such a no-op returns ``inst`` itself as the successor. So that the
+    The attempt itself counts as an application even when nothing changes:
+    such a no-op goes through :func:`_rebuild` like any other step, and
+    since its change is empty its successor is ``inst`` itself. So that the
     controller cannot run this rule twice in a row, every application, no-op
     included, hands this rule ``last_rule = 5``, and ``last_rule == 5``
     reports not-applied. Without that gate a no-op would be applied
-    forever. After a no-op the controller starts its next pass at rule 6,
-    which is exact: rules 1 to 4 have just declined on that very instance,
-    and this rule declines right after itself.
+    forever. After a no-op the controller's next pass starts at rule 6, as
+    after any step whose successor is the instance it was given.
     """
     if last_rule == 5:
         return _NOT_APPLIED
     h = inst.hypergraph
     k = inst.k
+    index = h.edge_index
     family = set(weakly_related_family(h))
-    live = set(h.edges)
+    live = set(index)
     # No subedge is larger than the longest family member, however large d.
     top = min(h.d - 2, max(map(len, family), default=0))
     for i in range(top, 0, -1):
@@ -401,9 +400,7 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None = None) 
                 live -= hit
                 family -= hit
                 live.add(s)
-    if live == h.edge_index:
-        return RuleOutcome(inst, TraceStep(5, 0, 0, 0, 0), hints={5: 5})
-    return _rebuild(inst, 5, h.edge_index - live, live - h.edge_index, hints={5: 5})
+    return _rebuild(inst, 5, index - live, live - index, hints={5: 5})
 
 
 def rule6_lp_crown(inst: Instance) -> RuleOutcome:
@@ -451,16 +448,20 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     """Run the full reduction loop to a kernel or a verdict.
 
     The returned kernel satisfies ``n <= (2d-2)*k**(d-1) + k`` for its final
-    budget. Every pass applies the lowest-numbered rule that applies or
-    concludes no, trying rules ``first`` to 6. What the last step leaves
-    undone reaches the rules through its outcome's ``hints``, which map a
-    rule to the extra argument it is called with; a rule without one scans
-    everything. Rule 2 hands on where rules 1 and 2 resume, and rule 5
-    gates itself (see their docstrings). After a rule-5 no-op ``first`` is
-    6; otherwise it is 1. An explicit iteration ceiling of
-    ``3n + 4m + 4`` trace steps guards termination. The rules are the
-    module's globals as they stand when the call starts, so a tracer
-    installed before the call sees every attempt.
+    budget. Every pass tries the rules in order from ``first`` and ends at
+    the first that records a step: it applies, or it concludes no. What the
+    last step leaves undone reaches the rules through its outcome's
+    ``hints``, which map a rule to the extra argument it is called with; a
+    rule without one scans everything. Rule 2 hands on where rules 1 and 2
+    resume, and rule 5 gates itself (see their docstrings). After a step
+    whose successor is the instance it was given, the next pass starts at
+    the rule after that step's: the rules before it have just declined on
+    that very instance, and the rule itself would change nothing again.
+    After any other step it starts at the first rule. The controller names
+    no rule. An explicit iteration ceiling of ``3n + 4m + 4`` trace steps
+    guards termination. The rules are the module's globals as they stand
+    when the call starts, so a tracer installed before the call sees every
+    attempt.
 
     ``observer(rule, before, outcome)`` is called for every rule event,
     including no-op rule-5 attempts and rule-6 no-verdicts. The trace
@@ -487,7 +488,7 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
         for rule_id, rule in enumerate(rules[first - 1 :], first):
             trace.attempts[rule_id] += 1
             outcome = rule(current, hints[rule_id]) if rule_id in hints else rule(current)
-            if outcome.applied or outcome.verdict_no:
+            if outcome.step is not None:
                 break
         else:
             if exceeds_bound(current.n, current.d, current.k):
@@ -501,7 +502,7 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
             trace.lp_pivots += outcome.lp_solution.pivots
         if outcome.verdict_no:
             return ReduceResult("no", current, trace)
-        first = 6 if rule_id == 5 and outcome.new_instance is current else 1
+        first = rule_id + 1 if outcome.new_instance is current else 1
         current = outcome.new_instance
         hints = outcome.hints
         if len(trace.steps) > ceiling:

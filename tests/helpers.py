@@ -417,9 +417,10 @@ def naive_weakly_related_family(h: Hypergraph) -> list[Edge]:
 
 
 def naive_kernelize(inst: Instance, observer=None) -> ReduceResult:
-    """The controller without the skip after a rule-5 no-op: every pass
-    tries the rules from rule 1, and rule 5 declines right after itself.
-    It counts no attempts."""
+    """The controller without the skip after a step whose successor is its
+    own instance, which only a rule-5 no-op takes: every pass tries the
+    rules from rule 1, and rule 5 declines right after itself. It counts no
+    attempts."""
     trace = ReductionTrace()
     current = inst
     last_rule: int | None = None

@@ -321,7 +321,16 @@ class TestSuccessor:
     @pytest.mark.parametrize("added", [(0, 1, 2), (2, 1, 0)])
     def test_edge_both_dropped_and_added_stays(self, added):
         parent = self.parent()
-        assert parent.successor([(0, 1, 2)], [added], 2) == parent
+        assert parent.successor([(0, 1, 2)], [added], 2) is parent
+
+    def test_an_empty_change_returns_the_parent_itself(self):
+        parent = self.parent()
+        assert parent.successor((), (), parent.k) is parent
+
+    @pytest.mark.parametrize("change", [((), (), 1), ((), (), 2, frozenset({4})), ((), [(1, 2)], 2)])
+    def test_any_change_makes_a_new_instance(self, change):
+        parent = self.parent()
+        assert parent.successor(*change) is not parent
 
     @pytest.mark.parametrize("dropped", [(0, 1), (2, 1, 0), (0, 1, 2, 3)])
     def test_dropped_edge_the_parent_lacks_is_a_value_error(self, dropped):

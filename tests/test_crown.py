@@ -135,6 +135,10 @@ class TestApply:
         assert reduced.n == 2
         assert reduced.edges == ((0, 1),)
 
+    def test_an_empty_crown_returns_the_instance_itself(self, showcase_instance):
+        empty = HSCrown(frozenset(), frozenset(), ())
+        assert apply_hs_crown(showcase_instance, empty) is showcase_instance
+
     def test_showcase_decision_preserved(self, showcase_instance):
         reduced = apply_hs_crown(showcase_instance, SHOWCASE_CROWN)
         assert decide_brute_force(showcase_instance) == decide_brute_force(reduced) is True

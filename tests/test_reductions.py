@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from bisect import bisect_left
 from collections import Counter
@@ -14,6 +15,7 @@ from hskernel.reductions import (
     ReductionTrace,
     RuleOutcome,
     TraceStep,
+    exceeds_bound,
     exceeds_power,
     kernelize,
     rule1_vertex_domination,
@@ -624,6 +626,22 @@ class TestRule5:
         assert out.applied
         assert out.new_instance.m == 0
 
+    def test_a_noop_goes_through_rebuild(self, monkeypatch):
+        inst = inst_of([["u", "a", "b"], ["u", "c", "dd"]], 2)
+        rebuilt = []
+        rebuild = reductions._rebuild
+
+        def spy(*args, **kwargs):
+            out = rebuild(*args, **kwargs)
+            rebuilt.append(out)
+            return out
+
+        monkeypatch.setattr(reductions, "_rebuild", spy)
+        out = rule5_weakly_related_counting(inst)
+        assert rebuilt == [out]
+        assert out.new_instance is inst
+        assert out.step == TraceStep(5, 0, 0, 0, 0)
+
     def test_gated_when_it_just_ran(self):
         inst = inst_of([["u", "a", "b"], ["u", "c", "dd"]], 1)
         assert not rule5_weakly_related_counting(inst, last_rule=5).applied
@@ -835,6 +853,10 @@ class TestHugeDeclaredD:
             for k in range(-3, 7):
                 for e in range(0, 10):
                     assert exceeds_power(x, k, e) == (x > k**e), (x, k, e)
+        for n in range(0, 301):
+            for d in range(3, 9):
+                for k in range(-2, 7):
+                    assert exceeds_bound(n, d, k) == (n > vertex_bound(d, k)), (n, d, k)
 
     def test_a_huge_d_never_builds_the_bound(self, monkeypatch):
         def triangle(d):
@@ -1170,6 +1192,26 @@ class TestKernelize:
         assert calls == [1, 2, 3, 4, 5, 6]
         assert result.trace.attempts == dict.fromkeys(range(1, 7), 1)
 
+    def test_a_step_that_returns_its_instance_resumes_at_the_next_rule(self, monkeypatch):
+        # On the triangle rules 1 to 4 decline, rule 5 is a no-op and rule 6
+        # declines. A stand-in rule 4 that returns its own instance once
+        # makes the next pass start at rule 5, so rules 1 to 4 run once.
+        rule4 = reductions.rule4_high_degree_subedge
+        calls = []
+
+        def unchanged_once(inst):
+            calls.append(inst)
+            return RuleOutcome(inst, TraceStep(4, 0, 0, 0, 0)) if len(calls) == 1 else rule4(inst)
+
+        monkeypatch.setattr(reductions, "rule4_high_degree_subedge", unchanged_once)
+        inst = inst_of([["a", "b"], ["b", "c"], ["a", "c"]], 5)
+        result = kernelize(inst)
+        assert result.verdict == "kernel"
+        assert result.instance is inst
+        assert result.trace.steps == [TraceStep(4, 0, 0, 0, 0), TraceStep(5, 0, 0, 0, 0)]
+        assert result.trace.attempts == dict.fromkeys(range(1, 7), 1)
+        assert len(calls) == 1
+
     def test_rule_order_respected(self):
         # No rule fires while a lower-numbered one is applicable.
         checkers = {
@@ -1207,9 +1249,11 @@ class TestKernelize:
 
     def test_iteration_ceiling_raises_after_exact_count(self, monkeypatch):
         # A rule that "applies" forever without changing anything must be
-        # stopped after exactly 3n + 4m + 5 applications.
+        # stopped after exactly 3n + 4m + 5 applications. It hands on a new
+        # equal instance each time: a step that returns its own instance
+        # moves the next pass on to the following rule.
         def stuck(inst):
-            return RuleOutcome(new_instance=inst, step=TraceStep(1, 0, 0, 0, 0))
+            return RuleOutcome(new_instance=dataclasses.replace(inst), step=TraceStep(1, 0, 0, 0, 0))
 
         monkeypatch.setattr("hskernel.reductions.rule1_vertex_domination", stuck)
         inst = petal_cycle_instance(6, 2)
