@@ -12,18 +12,16 @@ All types here are immutable after construction and safe to share between
 threads; every transformation produces a new value. A successor
 (:meth:`Instance.successor`) is its parent's edges less some plus others, and
 checks only what its parent did not: the edges it drops and adds and the
-vertices it removes (each one of the parent's). It inherits ``d``, the
-label table less the removed vertices, and the cached size counts and
-(unless it renumbers) edge index, each updated by the delta. A successor
-that changes nothing is its parent.
+vertices it removes (each one of the parent's). It inherits ``d`` and the
+label table less the removed vertices, and nothing else: a hypergraph
+caches nothing, and ``e in h`` bisects its sorted edges. A successor that
+changes nothing is its parent.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import combinations, filterfalse, islice
 from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence
 
@@ -54,9 +52,9 @@ class Hypergraph:
     Edges are canonicalized (sorted, deduplicated, set semantics) at
     construction. Every edge must have at most ``d`` vertices and reference
     only ids below ``n``. :meth:`Instance.successor` builds without this
-    check once it has checked the edges itself, and hands on the
-    ``size_counts`` (and, unless it renumbers, the ``edge_index``) that it
-    derived from its parent's.
+    check once it has checked the edges itself. Nothing else is stored:
+    ``e in h`` bisects the sorted edges, so it costs ``O(log m)`` tuple
+    comparisons and finds only canonical edges.
     """
 
     n: int
@@ -76,17 +74,9 @@ class Hypergraph:
                 raise ValueError(f"edge {e} references a vertex outside 0..{self.n - 1}")
         object.__setattr__(self, "edges", tuple(canon))
 
-    @cached_property
-    def edge_index(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    @cached_property
-    def size_counts(self) -> tuple[int, ...]:
-        """The number of edges of each size, indexed by the size, so at most
-        ``d + 1`` entries. A successor inherits its parent's counts updated
-        by the delta, so the last entries may count no edge."""
-        counts = Counter(map(len, self.edges))
-        return tuple(counts[size] for size in range(max(counts, default=-1) + 1))
+    def __contains__(self, e: Edge) -> bool:
+        i = bisect_left(self.edges, e)
+        return i < len(self.edges) and self.edges[i] == e
 
     @property
     def m(self) -> int:
@@ -160,39 +150,31 @@ class Instance:
         instance's, and the labels are a subsequence of its label table.
 
         The cost follows the delta, not ``m``, wherever it can: dropped
-        edges are found by bisection and the kept runs copied as slices, the
-        successor's ``size_counts`` are this instance's updated by the
-        delta, and so is its ``edge_index`` unless vertices are removed.
+        edges are found by bisection, which also checks them, added edges
+        are looked up by bisection, and the kept runs are copied as slices.
         Removing vertices renumbers every edge instead, mapping only the
-        vertices that occur in one; that successor builds its index when
-        first read.
+        vertices that occur in one.
         """
         h = self.hypergraph
-        index = h.edge_index
-        drop = set(drop)
-        if not drop <= index:
-            raise ValueError(f"the dropped edge {min(drop - index)} is not an edge")
+        edges = h.edges
+        at = {e: bisect_left(edges, e) for e in set(drop)}
+        # Past the end the slice is empty, so no index is read out of range.
+        lacking = [e for e, i in at.items() if edges[i : i + 1] != (e,)]
+        if lacking:
+            raise ValueError(f"the dropped edge {min(lacking)} is not an edge")
         add = set(map(tuple, add))
-        new = add - index
+        new = {e for e in add if e not in h}
         if new:
             new = set(Hypergraph(self.n, tuple(new), self.d).edges)
             add |= new
-            new -= index
-        drop -= add
+            new = {e for e in new if e not in h}
+        drop = at.keys() - add
         if not (drop or new or removed) and k == self.k:
             return self
-        edges = h.edges
-        canon = _without(edges, sorted(bisect_left(edges, e) for e in drop))
+        canon = _without(edges, sorted(map(at.__getitem__, drop)))
         if new:
             canon += sorted(new)
             canon.sort()  # two sorted runs: a linear merge
-        sizes = list(h.size_counts)
-        sizes += [0] * (max(map(len, new), default=0) + 1 - len(sizes))
-        for e in new:
-            sizes[len(e)] += 1
-        for e in drop:
-            sizes[len(e)] -= 1
-        cached = {"size_counts": tuple(sizes)}
         labels = self.labels
         n = self.n
         if removed:
@@ -209,9 +191,7 @@ class Instance:
             if labels is not None:
                 labels = tuple(_without(labels, gone))
             n -= len(gone)
-        else:
-            cached["edge_index"] = index.difference(drop).union(new) if new else index - drop
-        hypergraph = _unchecked(Hypergraph, n=n, edges=tuple(canon), d=self.d, **cached)
+        hypergraph = _unchecked(Hypergraph, n=n, edges=tuple(canon), d=self.d)
         return _unchecked(
             Instance, hypergraph=hypergraph, k=k, labels=labels, comments=self.comments
         )
@@ -230,9 +210,9 @@ def _without(items: Sequence, positions: Iterable[int]) -> list:
 
 
 def _unchecked(cls: type, **attributes: object):
-    """An object of the frozen dataclass ``cls`` with ``attributes`` set as
-    given, its fields and any cached properties, and nothing checked:
-    ``__post_init__`` does not run."""
+    """An object of the frozen dataclass ``cls`` with its fields set to
+    ``attributes`` as given and nothing checked: ``__post_init__`` does not
+    run."""
     obj = object.__new__(cls)
     vars(obj).update(attributes)
     return obj

@@ -107,7 +107,7 @@ def validate_hs_crown(h: Hypergraph, c: HSCrown) -> CrownVerdict:
         matching_valid = False
         problems.append("matching image leaves the crown")
     for y, v in c.matching:
-        if canonical_edge((*y, v)) not in h.edge_index:
+        if canonical_edge((*y, v)) not in h:
             matching_valid = False
             problems.append(f"matched pair {y} -> {v} is not a hyperedge")
 

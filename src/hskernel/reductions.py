@@ -77,11 +77,12 @@ class RuleOutcome:
     """Result of attempting one rule: nothing when it declines; the
     successor and its step when it applies; a step alone when it concludes
     no. ``hints`` maps a rule to the extra argument the controller calls
-    it with on the next pass (rules 2 and 5 hand some on); it is read, never
-    changed, and left out of the hash. Rule 6 additionally carries the crown
-    it applied and the solution of the LP it solved, for tracing and
-    debugging; that LP is ``build_crown_lp`` of the instance the rule was
-    given."""
+    it with on the next pass (rules 2 and 5 hand some on; rule 2's own
+    carries the successor's edge set, so that a chain of rule-2 steps does
+    not rebuild it); it is read, never changed, and left out of the hash.
+    Rule 6 additionally carries the crown it applied and the solution of
+    the LP it solved, for tracing and debugging; that LP is
+    ``build_crown_lp`` of the instance the rule was given."""
 
     new_instance: Instance | None = None
     step: TraceStep | None = None
@@ -151,22 +152,23 @@ def _rebuild(
     delta in the current (old) ids: the edges of ``inst`` it drops and the
     canonical edges it adds. :meth:`Instance.successor` checks and applies
     the delta and compacts the surviving vertices; a successor it refuses is
-    the rule's fault, not the input's. The step counts as added the edges
-    ``inst`` lacks, and as removed the rest of the change in the edge count.
-    The ``events`` (the hints, rule 6's crown and LP solution) go into the
-    outcome as they are.
+    the rule's fault, not the input's. The step counts as removed the
+    dropped edges not added again, and as added the edges ``inst`` lacks:
+    the change in the edge count plus the edges removed. The ``events``
+    (the hints, rule 6's crown and LP solution) go into the outcome as they
+    are.
     """
-    add = set(add)
+    drop, add = set(drop), set(add)
     try:
         successor = inst.successor(drop, add, inst.k + k_delta, remove_vertices)
     except ValueError as exc:
         raise InternalConsistencyError(f"rule {rule} built an invalid successor: {exc}") from exc
-    edges_added = len(add - inst.hypergraph.edge_index)
+    removed = len(drop - add)
     step = TraceStep(
         rule=rule,
         vertices_removed=len(remove_vertices),
-        edges_removed=inst.m + edges_added - successor.m,
-        edges_added=edges_added,
+        edges_removed=removed,
+        edges_added=successor.m - inst.m + removed,
         k_delta=k_delta,
     )
     return RuleOutcome(successor, step, **events)
@@ -254,37 +256,45 @@ def rule1_vertex_domination(
     return _NOT_APPLIED
 
 
-def rule2_edge_domination(inst: Instance, start: int = 0) -> RuleOutcome:
+def rule2_edge_domination(
+    inst: Instance, resume: tuple[int, frozenset[Edge], int] | None = None
+) -> RuleOutcome:
     """Remove one edge that strictly contains another (the superset is
     redundant: hitting the subset hits it too). Each edge's proper subsets
-    are looked up in the edge index, from the smallest edge size present
-    upwards (no smaller subset can be an edge; the empty edge makes that
-    size 0), which the hypergraph's ``size_counts`` give without a pass
-    over the edges; the first edge in canonical order with a hit is
-    removed. When all edges have one size, no edge is looked up at all.
+    are looked up in the edge set, from the least edge size upwards (no
+    smaller subset can be an edge; the empty edge makes that size 0); the
+    first edge in canonical order with a hit is removed. When all edges
+    have one size, no edge is looked up at all.
 
-    The scan starts at the edge at position ``start`` (the first by
-    default). The caller guarantees that no edge before it contains
-    another edge; then the first hit from ``start`` on is the first in
-    canonical order.
+    ``resume`` is ``(start, edges, least)``: the scan starts at the edge at
+    position ``start``, looks subsets up in ``edges``, which must equal the
+    set of the instance's edges, and from size ``least`` upwards. Without
+    it the scan starts at the first edge and builds the set and the least
+    size with a pass over the edges. The caller guarantees that no edge
+    before ``start`` contains another edge; then the first hit from
+    ``start`` on is the first in canonical order. ``least`` need only be a
+    lower bound on the edge sizes: a smaller subset is never an edge, so
+    looking it up changes no hit.
 
     Having removed ``e`` for its first hit ``f``, the rule hands rule 1 the
-    vertices of ``e`` outside ``f`` as its only candidates, and itself the
-    position its scan reached, ``e``'s, which in the successor is the next
-    edge's. Under the controller's order rule 1 declined on this instance,
-    and only the vertices of ``e`` lost an edge. A vertex of ``f`` keeps
-    ``f``, which lies inside ``e``, so the intersection of its edges is the
-    same without ``e``, and it stays undominated. No edge before ``e`` had
-    a subset, and removing an edge gives none one. So both hinted calls
-    return what a full scan of the successor would.
+    vertices of ``e`` outside ``f`` as its only candidates, and itself
+    ``(i, edges - {e}, least)``: the position ``i`` its scan reached,
+    ``e``'s, which in the successor is the next edge's, the successor's
+    edge set, and the same least size, still a lower bound. Under the
+    controller's order rule 1 declined on this instance, and only the
+    vertices of ``e`` lost an edge. A vertex of ``f`` keeps ``f``, which
+    lies inside ``e``, so the intersection of its edges is the same without
+    ``e``, and it stays undominated. No edge before ``e`` had a subset, and
+    removing an edge gives none one. So both hinted calls return what a
+    full scan of the successor would.
     """
     h = inst.hypergraph
-    index = h.edge_index
-    least = next((size for size, edges in enumerate(h.size_counts) if edges), 0)
+    start, index, least = resume or (0, frozenset(h.edges), min(map(len, h.edges), default=0))
     for i, e in enumerate(islice(h.edges, start, None), start):
         f = next((s for r in range(least, len(e)) for s in combinations(e, r) if s in index), None)
         if f is not None:
-            return _rebuild(inst, 2, (e,), hints={1: tuple(v for v in e if v not in f), 2: i})
+            hints = {1: tuple(v for v in e if v not in f), 2: (i, index - {e}, least)}
+            return _rebuild(inst, 2, (e,), hints=hints)
     return _NOT_APPLIED
 
 
@@ -381,7 +391,7 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None = None) 
         return _NOT_APPLIED
     h = inst.hypergraph
     k = inst.k
-    index = h.edge_index
+    index = frozenset(h.edges)
     family = set(weakly_related_family(h))
     live = set(index)
     # No subedge is larger than the longest family member, however large d.

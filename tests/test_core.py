@@ -1,4 +1,6 @@
 import random
+import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -238,6 +240,32 @@ class TestHypergraph:
         h = Hypergraph(8, tuple(edges), 3)
         assert list(h.edges) == sorted(set(tuple(sorted(set(e))) for e in edges))
 
+    def test_every_edge_is_found(self):
+        rng = random.Random(6)
+        edges = [tuple(rng.sample(range(8), rng.randint(1, 3))) for _ in range(30)]
+        h = Hypergraph(8, tuple(edges), 3)
+        assert all(e in h for e in h.edges)
+        canon = set(h.edges)
+        for size in range(4):
+            for e in combinations(range(8), size):
+                assert (e in h) == (e in canon)
+        assert vars(h).keys() == {"n", "edges", "d"}  # the lookups cached nothing
+
+    def test_a_permutation_of_an_edge_is_not_found(self):
+        h = Hypergraph(3, ((0, 1, 2),), 3)
+        assert (0, 1, 2) in h
+        assert (2, 1, 0) not in h and (0, 2, 1) not in h
+
+    def test_the_empty_edge_is_found_only_when_present(self):
+        assert () not in Hypergraph(3, ((0, 1, 2),), 3)
+        assert () in Hypergraph(3, ((), (0, 1, 2)), 3)
+
+    def test_past_the_last_edge_and_on_no_edges_nothing_is_found(self):
+        h = Hypergraph(5, ((0, 1, 2), (1, 2, 3)), 3)
+        assert (3, 4) not in h and (1, 2, 3, 4) not in h
+        empty = Hypergraph(5, (), 3)
+        assert () not in empty and (0,) not in empty and (0, 1, 2) not in empty
+
 
 class TestInputChecks:
     """Each constructor check raises its exact exception type and message."""
@@ -332,9 +360,10 @@ class TestSuccessor:
         parent = self.parent()
         assert parent.successor(*change) is not parent
 
-    @pytest.mark.parametrize("dropped", [(0, 1), (2, 1, 0), (0, 1, 2, 3)])
+    @pytest.mark.parametrize("dropped", [(0, 1), (2, 1, 0), (0, 1, 2, 3), (3, 4), ()])
     def test_dropped_edge_the_parent_lacks_is_a_value_error(self, dropped):
-        with pytest.raises(ValueError, match="is not an edge"):
+        message = rf"^the dropped edge {re.escape(str(dropped))} is not an edge$"
+        with pytest.raises(ValueError, match=message):
             self.parent().successor([(1, 2, 3), dropped], (), 2)
 
 

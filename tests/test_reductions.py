@@ -1,7 +1,6 @@
 import dataclasses
 import random
 from bisect import bisect_left
-from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -111,8 +110,7 @@ class TestRule1:
     @staticmethod
     def counting(inst):
         """``inst`` with its edges replaced by an equal tuple that counts the
-        edges iteration hands out; the edge index and size counts, which
-        read every edge, are built first."""
+        edges iteration hands out."""
 
         class CountingEdges(tuple):
             def __iter__(self):
@@ -121,7 +119,6 @@ class TestRule1:
                     yield e
 
         h = inst.hypergraph
-        h.edge_index, h.size_counts
         edges = CountingEdges(h.edges)
         edges.read = 0
         object.__setattr__(h, "edges", edges)
@@ -186,22 +183,38 @@ class TestRule2:
     def test_the_scan_starts_at_the_given_edge(self):
         # (0, 1) contains (0,), and (1, 2, 3) contains (1, 2).
         inst = Instance(Hypergraph(4, ((0,), (0, 1), (1, 2), (1, 2, 3)), 3), 2)
+        edges = frozenset(inst.edges)
         full = rule2_edge_domination(inst)
-        assert full.hints == {1: (1,), 2: 1}  # (0, 1) went for (0,)
+        # (0, 1) went for (0,)
+        assert full.hints == {1: (1,), 2: (1, edges - {(0, 1)}, 1)}
         assert full.new_instance.edges == ((0,), (1, 2), (1, 2, 3))
-        assert rule2_edge_domination(inst, 1) == full
+        assert rule2_edge_domination(inst, (1, edges, 1)) == full
         for start in (2, 3):
-            out = rule2_edge_domination(inst, start)
-            assert out.hints == {1: (3,), 2: 3}  # (1, 2, 3) went for (1, 2)
+            out = rule2_edge_domination(inst, (start, edges, 1))
+            # (1, 2, 3) went for (1, 2)
+            assert out.hints == {1: (3,), 2: (3, edges - {(1, 2, 3)}, 1)}
             assert out.new_instance.edges == ((0,), (0, 1), (1, 2))
             assert out.step == TraceStep(2, 0, 1, 0, 0)
-        assert not rule2_edge_domination(inst, 4).applied
+        assert not rule2_edge_domination(inst, (4, edges, 1)).applied
+
+    def test_a_least_size_below_every_edge_changes_no_hit(self):
+        # Every edge has two or three vertices; (1, 2, 3) contains (1, 2).
+        inst = Instance(Hypergraph(5, ((0, 4), (1, 2), (1, 2, 3), (2, 3, 4)), 3), 2)
+        edges = frozenset(inst.edges)
+        full = rule2_edge_domination(inst)
+        assert full.hints[2] == (2, edges - {(1, 2, 3)}, 2)
+        for least in (0, 1):
+            out = rule2_edge_domination(inst, (0, edges, least))
+            assert (out.new_instance, out.step) == (full.new_instance, full.step)
+            assert out.hints == {1: (3,), 2: (2, edges - {(1, 2, 3)}, least)}
+        one_size = Instance(Hypergraph(4, ((0, 1, 2), (1, 2, 3)), 3), 2)
+        assert not rule2_edge_domination(one_size, (0, frozenset(one_size.edges), 0)).applied
 
     def test_an_outcome_with_hints_hashes(self):
         inst = Instance(Hypergraph(4, ((0,), (0, 1), (1, 2), (1, 2, 3)), 3), 2)
         out = rule2_edge_domination(inst)
         assert out.hints
-        assert hash(out) == hash(rule2_edge_domination(inst, 1))
+        assert hash(out) == hash(rule2_edge_domination(inst, (1, frozenset(inst.edges), 1)))
 
 
 class TestDominationRulesAgainstPairScans:
@@ -283,8 +296,9 @@ def _resume_instances():
 
 class TestResumeAfterRule2:
     """After a rule-2 step that removed ``e``, the outcome hands rule 1
-    the vertices of ``e`` and rule 2 the place of ``e``; those calls must
-    give exactly what the full scans give."""
+    the vertices of ``e`` and rule 2 the place of ``e``, the successor's
+    edge set and a least edge size; those calls must give exactly what the
+    full scans give."""
 
     def test_same_run_as_a_hint_free_controller(self, monkeypatch):
         instances = _resume_instances()
@@ -309,7 +323,8 @@ class TestResumeAfterRule2:
     def test_hinted_calls_equal_full_scans_after_every_rule2_step(self):
         """Every hint an outcome hands rule 1 or 2 gives what the full scan
         of the successor gives; only rule 2 hands them on, and exactly the
-        rule-5 steps hand on rule 5's gate."""
+        rule-5 steps hand on rule 5's gate. Rule 2 carries the successor's
+        edge set and a lower bound on its edge sizes."""
         seen = {
             "e - f dominated": 0,
             "rule 2 applies": 0,
@@ -332,10 +347,12 @@ class TestResumeAfterRule2:
             if rule != 2:
                 return
             (e,) = set(before.edges) - set(after.edges)
-            outside, start = resumes[1], resumes[2]
+            outside, (start, edges, least) = resumes[1], resumes[2]
             f = tuple(v for v in e if v not in outside)
             assert f in after.edges and set(f) < set(e)
             assert start == bisect_left(after.edges, e)
+            assert edges == frozenset(after.edges)
+            assert least <= min(map(len, after.edges))
             assert rule1_vertex_domination(after, e) == full[1]
             seen["e - f dominated"] += full[1].applied
             seen["rule 2 applies"] += full[2].applied
@@ -348,34 +365,25 @@ class TestResumeAfterRule2:
         assert min(seen.values()) > 100, seen
 
 
-def check_inherited_indexes(successor, removed) -> None:
-    """The size counts and edge index that ``successor`` inherited equal
-    fresh ones. It inherits the index unless vertices were removed, and
-    nothing has read it since."""
-    cached = vars(successor.hypergraph)
-    counts = cached["size_counts"]
-    assert len(counts) <= successor.d + 1
-    assert {s: n for s, n in enumerate(counts) if n} == Counter(map(len, successor.edges))
-    assert ("edge_index" in cached) == (not removed)
-    if not removed:
-        assert cached["edge_index"] == frozenset(successor.edges)
+def check_fields_only(successor) -> None:
+    """``successor``'s hypergraph holds its fields and nothing derived."""
+    assert vars(successor.hypergraph).keys() == {"n", "edges", "d"}
 
 
 class TestSuccessorAgainstFullRebuild:
     """``Instance.successor`` checks only the edges its parent lacks and
     merges the rest in order; renumbering and rebuilding every edge from
     scratch must give the same instance, edge order included, on every call
-    the controller makes. The edge index and size counts it derives from
-    its parent's must equal fresh ones."""
+    the controller makes. The successor inherits no cache."""
 
-    def test_inherited_indexes_on_every_resume_run(self, monkeypatch):
+    def test_successors_hold_only_their_fields_on_every_resume_run(self, monkeypatch):
         original = Instance.successor
-        seen = {"index inherited": 0, "renumbered": 0}
+        seen = {"kept ids": 0, "renumbered": 0}
 
         def checked(self, drop, add, k, removed=frozenset()):
             got = original(self, drop, add, k, removed)
-            check_inherited_indexes(got, removed)
-            seen["renumbered" if removed else "index inherited"] += 1
+            check_fields_only(got)
+            seen["renumbered" if removed else "kept ids"] += 1
             return got
 
         monkeypatch.setattr(Instance, "successor", checked)
@@ -390,7 +398,7 @@ class TestSuccessorAgainstFullRebuild:
         def checked(self, drop, add, k, removed=frozenset()):
             drop, add = list(drop), list(add)
             got = original(self, drop, add, k, removed)
-            check_inherited_indexes(got, removed)
+            check_fields_only(got)
             edges = [e for e in self.edges if e not in drop] + add
             expected = naive_successor(self, edges, k, removed)
             assert got == expected, (self, drop, add, k, removed)
