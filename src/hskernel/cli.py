@@ -23,12 +23,7 @@ from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded, localcontext
 
 from .core import Edge, Hypergraph, Instance, canonical_edge, require_min_d
 from .crown import format_crown
-from .errors import (
-    FormatError,
-    InternalConsistencyError,
-    OracleCeilingError,
-    UnsupportedParameterError,
-)
+from .errors import FormatError, InternalConsistencyError, OracleCeilingError
 from .lp import build_crown_lp, format_lp
 from .oracle import GenSpec, decide_brute_force, generate
 from .reductions import ReduceResult, RuleOutcome, TraceStep, kernelize, vertex_bound
@@ -334,13 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        FormatError,
-        UnsupportedParameterError,
-        OracleCeilingError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OracleCeilingError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalConsistencyError as exc:

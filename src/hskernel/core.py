@@ -12,10 +12,11 @@ All types here are immutable after construction and safe to share between
 threads; every transformation produces a new value. A successor
 (:meth:`Instance.successor`) is its parent's edges less some plus others, and
 checks only what its parent did not: the edges it drops and adds and the
-vertices it removes (each one of the parent's). It inherits ``d`` and the
-label table less the removed vertices, and nothing else: a hypergraph
-caches nothing, and ``e in h`` bisects its sorted edges. A successor that
-changes nothing is its parent.
+vertices it removes (each one of the parent's). Each added edge is
+canonicalised and looked up once, and only those the parent lacks are
+checked. It inherits ``d`` and the label table less the removed vertices,
+and nothing else: a hypergraph caches nothing, and ``e in h`` bisects its
+sorted edges. A successor that changes nothing is its parent.
 """
 
 from __future__ import annotations
@@ -138,16 +139,18 @@ class Instance:
         dropped, added or removed, and ``k`` this instance's budget) returns
         this instance itself.
 
-        A dropped edge this instance lacks raises :class:`ValueError`. An
-        edge of this instance is canonical, at most ``d`` long and in range,
-        as its construction checked, and the monotone renumbering keeps it
-        so; such edges are not checked again. Every other added edge is
-        canonicalised and checked as :class:`Hypergraph` does: one longer
-        than ``d`` raises :class:`FormatError`, one outside ``0..n-1``
-        raises :class:`ValueError`. A ``removed`` vertex outside
-        ``0..n-1``, or an edge that keeps a ``removed`` vertex, raises
-        :class:`ValueError`. Nothing else is checked again: ``d`` is this
-        instance's, and the labels are a subsequence of its label table.
+        A dropped edge this instance lacks raises :class:`ValueError`. Each
+        added edge is canonicalised once and then looked up once. An edge
+        this instance has is at most ``d`` long and in range, as its
+        construction checked, and the monotone renumbering keeps it so; such
+        edges are not checked again. Only the added edges this instance
+        lacks go to :class:`Hypergraph`, which checks them with its own
+        errors: one longer than ``d`` raises :class:`FormatError`, one
+        outside ``0..n-1`` raises :class:`ValueError`. A ``removed`` vertex
+        outside ``0..n-1``, or an edge that keeps a ``removed`` vertex,
+        raises :class:`ValueError`. Nothing else is checked again: ``d`` is
+        this instance's, and the labels are a subsequence of its label
+        table.
 
         The cost follows the delta, not ``m``, wherever it can: dropped
         edges are found by bisection, which also checks them, added edges
@@ -157,17 +160,15 @@ class Instance:
         """
         h = self.hypergraph
         edges = h.edges
-        at = {e: bisect_left(edges, e) for e in set(drop)}
+        at = {e: bisect_left(edges, e) for e in drop}
         # Past the end the slice is empty, so no index is read out of range.
         lacking = [e for e, i in at.items() if edges[i : i + 1] != (e,)]
         if lacking:
             raise ValueError(f"the dropped edge {min(lacking)} is not an edge")
-        add = set(map(tuple, add))
+        add = set(map(canonical_edge, add))
         new = {e for e in add if e not in h}
         if new:
-            new = set(Hypergraph(self.n, tuple(new), self.d).edges)
-            add |= new
-            new = {e for e in new if e not in h}
+            Hypergraph(self.n, tuple(new), self.d)  # raises on a long or stray edge
         drop = at.keys() - add
         if not (drop or new or removed) and k == self.k:
             return self

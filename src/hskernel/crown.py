@@ -67,20 +67,18 @@ def validate_hs_crown(h: Hypergraph, c: HSCrown) -> CrownVerdict:
     """Check the three crown conditions independently and report failures.
 
     A crown vertex outside ``0..n-1`` is reported as such and fails the
-    independence condition."""
-    problems: list[str] = []
+    independence condition. Each condition's section appends its failures
+    to one list, in order, and its flag is read off those alone: it holds
+    when its section appended nothing."""
+    problems = [
+        f"crown vertex {v} is outside 0..{h.n - 1}" for v in sorted(c.crown) if not 0 <= v < h.n
+    ]
+    if not problems and not is_independent(h, c.crown):
+        problems.append("crown vertices are not independent")
+    independent = not problems
 
-    stray = sorted(v for v in c.crown if not 0 <= v < h.n)
-    if stray:
-        independent = False
-        problems.extend(f"crown vertex {v} is outside 0..{h.n - 1}" for v in stray)
-    else:
-        independent = is_independent(h, c.crown)
-        if not independent:
-            problems.append("crown vertices are not independent")
-
+    before = len(problems)
     induced, has_empty = induced_head(h, c.crown)
-    head_exact = not has_empty and induced == set(c.head)
     if has_empty:
         problems.append("a unit edge meets the crown; its remainder cannot carry the duty")
     elif induced != set(c.head):
@@ -90,26 +88,23 @@ def validate_hs_crown(h: Hypergraph, c: HSCrown) -> CrownVerdict:
             problems.append(f"head misses induced subedges {sorted(missing)}")
         if extra:
             problems.append(f"head contains foreign subedges {sorted(extra)}")
+    head_exact = len(problems) == before
 
+    before = len(problems)
     keys = [y for y, _ in c.matching]
     values = [v for _, v in c.matching]
-    matching_valid = True
     if len(set(keys)) != len(keys):
-        matching_valid = False
         problems.append("matching lists a head subedge more than once")
     if set(keys) != set(c.head):
-        matching_valid = False
         problems.append("matching does not cover the head exactly")
     if len(set(values)) != len(values):
-        matching_valid = False
         problems.append("matching is not injective")
     if not set(values) <= set(c.crown):
-        matching_valid = False
         problems.append("matching image leaves the crown")
     for y, v in c.matching:
         if canonical_edge((*y, v)) not in h:
-            matching_valid = False
             problems.append(f"matched pair {y} -> {v} is not a hyperedge")
+    matching_valid = len(problems) == before
 
     return CrownVerdict(independent, head_exact, matching_valid, c.strict, tuple(problems))
 

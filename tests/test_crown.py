@@ -78,6 +78,26 @@ class TestValidate:
             "matching does not cover the head exactly",
         )
 
+    def test_each_flag_reads_only_its_own_section(self):
+        # {0, 1} lies in the edge (0, 1, 2), and 5 is matched outside the
+        # crown; the head is exactly the induced one.
+        h = Hypergraph(6, ((0, 1, 2), (0, 3, 4), (3, 4, 5)), 3)
+        head = frozenset({(1, 2), (0, 2), (3, 4)})
+        two_failures = HSCrown(frozenset({0, 1}), head, (((1, 2), 0), ((0, 2), 1), ((3, 4), 5)))
+        verdict = validate_hs_crown(h, two_failures)
+        flags = (verdict.independent, verdict.head_exact, verdict.matching_valid)
+        assert flags == (False, True, False)
+        assert verdict.problems == (
+            "crown vertices are not independent",
+            "matching image leaves the crown",
+        )
+        # Only the head fails: the matching covers the head as given.
+        one_failure = HSCrown(SHOWCASE_CROWN.crown, frozenset({(0, 1)}), (((0, 1), 2),))
+        verdict = validate_hs_crown(normalize(SHOWCASE_EDGES, 3, 1).hypergraph, one_failure)
+        flags = (verdict.independent, verdict.head_exact, verdict.matching_valid)
+        assert flags == (True, False, True)
+        assert verdict.problems == ("head misses induced subedges [(1, 4)]",)
+
     @pytest.mark.parametrize("stray", [7, 3, -1])
     def test_crown_vertex_outside_the_graph_is_reported(self, stray):
         inst = Instance(Hypergraph(3, ((0, 1),), 3), 1)

@@ -694,6 +694,48 @@ class TestRule5:
         assert sizes == [3, 2, 1]
         assert out.applied and out.new_instance is inst
 
+    def test_kernelize_never_adds_a_subedge_of_size_d_minus_2_or_more(self):
+        # Rule 5 runs only after rule 4 declined on the same instance, and
+        # family members through a (d-2)-subedge pairwise meet exactly in
+        # it, so at most k of them hold it: the largest size never fires.
+        # At d = 3 that is the only size. At d = 3 larger budgets end more
+        # runs in a kernel, where rule 5 runs; at d >= 4 small budgets keep
+        # its thresholds low enough to fire.
+        rng = random.Random(2205)
+        instances = []
+        for trial in range(800):
+            d = 3 + trial % 4
+            n = rng.randint(10, 40)
+            k = rng.randint(3, 10) if d == 3 else rng.randint(1, 4)
+            spec = GenSpec(seed=220_000 + trial, n=n, m=rng.randint(n, 3 * n), d=d, k=k)
+            instances.append(generate(spec))
+        for seed in range(4):
+            instances += [
+                double_star_instance(seed, 2),
+                blob4_instance(seed, 1),
+                petal_cycle_instance(seed, 2, d=4),
+                petal_cycle_instance(seed, 2, d=5),
+            ]
+        steps = dict.fromkeys(range(3, 7), 0)
+        sizes = {d: set() for d in range(3, 7)}
+
+        def observe(rule, before, outcome):
+            if rule != 5:
+                return
+            steps[before.d] += 1
+            added = set(outcome.new_instance.edges) - set(before.edges)
+            sizes[before.d].update(map(len, added))
+            if before.d == 3:
+                assert outcome.new_instance is before, before
+
+        for inst in instances:
+            kernelize(inst, observe)
+        assert all(max(sizes[d], default=0) <= d - 3 for d in sizes), sizes
+        # The sweep reaches rule 5 at every d, and at d >= 4 it fires up to
+        # the largest size allowed.
+        assert min(steps.values()) >= 50, steps
+        assert all(d - 3 in sizes[d] for d in (4, 5, 6)), sizes
+
     def test_family_equals_the_pairwise_scan(self):
         rng = random.Random(55)
         seen = {"short edge joins": 0, "edge refused": 0}
