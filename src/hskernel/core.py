@@ -14,7 +14,8 @@ threads; every transformation produces a new value. A successor
 checks only what its parent did not: the edges it drops and adds and the
 vertices it removes (each one of the parent's). Each added edge is
 canonicalised and looked up once, and only those the parent lacks are
-checked. It inherits ``d`` and the label table less the removed vertices,
+checked, by a throwaway :class:`Hypergraph` that canonicalises them a second
+time. It inherits ``d`` and the label table less the removed vertices,
 and nothing else: a hypergraph caches nothing, and ``e in h`` bisects its
 sorted edges. A successor that changes nothing is its parent.
 """
@@ -140,17 +141,17 @@ class Instance:
         this instance itself.
 
         A dropped edge this instance lacks raises :class:`ValueError`. Each
-        added edge is canonicalised once and then looked up once. An edge
-        this instance has is at most ``d`` long and in range, as its
-        construction checked, and the monotone renumbering keeps it so; such
-        edges are not checked again. Only the added edges this instance
-        lacks go to :class:`Hypergraph`, which checks them with its own
-        errors: one longer than ``d`` raises :class:`FormatError`, one
-        outside ``0..n-1`` raises :class:`ValueError`. A ``removed`` vertex
-        outside ``0..n-1``, or an edge that keeps a ``removed`` vertex,
-        raises :class:`ValueError`. Nothing else is checked again: ``d`` is
-        this instance's, and the labels are a subsequence of its label
-        table.
+        added edge is canonicalised and then looked up once. An edge this
+        instance has is at most ``d`` long and in range, as its construction
+        checked, and the monotone renumbering keeps it so; such edges are
+        not checked again. Only the added edges this instance lacks go to a
+        throwaway :class:`Hypergraph`, which canonicalises them a second
+        time and checks them with its own errors: one longer than ``d``
+        raises :class:`FormatError`, one outside ``0..n-1`` raises
+        :class:`ValueError`. A ``removed`` vertex outside ``0..n-1``, or an
+        edge that keeps a ``removed`` vertex, raises :class:`ValueError`.
+        Nothing else is checked again: ``d`` is this instance's, and the
+        labels are a subsequence of its label table.
 
         The cost follows the delta, not ``m``, wherever it can: dropped
         edges are found by bisection, which also checks them, added edges

@@ -13,7 +13,6 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import Edge, Hypergraph, Instance, require_min_d
 from .errors import OracleCeilingError
@@ -37,27 +36,24 @@ def _check_ceiling(n: int, ceiling: int | None) -> None:
 
 
 def _branch(edges: tuple[Edge, ...], k: int) -> tuple[int, ...] | None:
-    """A hitting set of size <= k, or None. Branches on the first unhit edge,
-    trying its vertices in order, depth first; the stack holds one frame per
-    chosen vertex, so a deep branch needs no recursion."""
-    path: list[int] = []  # the vertex tried at each frame
-    stack: list[tuple[tuple[Edge, ...], Iterator[int]]] = []  # edges, untried vertices
-    while edges:
-        # Canonical order puts an empty edge first: unhittable.
-        if edges[0] and len(path) < k:
-            stack.append((edges, iter(edges[0])))
-        while stack:
-            unhit, untried = stack[-1]
-            v = next(untried, None)
-            if v is not None:
-                break
-            stack.pop()
-        else:
-            return None
-        del path[len(stack) - 1 :]
-        path.append(v)
-        edges = tuple(e for e in unhit if v not in e)
-    return tuple(path)
+    """A hitting set of size <= k, or None, searched depth first without
+    recursion. Each stack entry is ``(unhit, path)``: ``path`` holds the
+    vertices chosen so far, in order, and ``unhit`` the edges they miss, in
+    canonical order. An entry with nothing unhit returns its path.
+    Otherwise, when its first unhit edge is non-empty and its path shorter
+    than ``k``, it pushes one child per vertex of that edge, each with its
+    own unhit edges and path built at once, in reverse so that the children
+    pop in vertex order. Canonical order puts an empty edge first, and an
+    empty edge cannot be hit."""
+    stack = [(edges, ())]
+    while stack:
+        unhit, path = stack.pop()
+        if not unhit:
+            return path
+        if unhit[0] and len(path) < k:
+            for v in reversed(unhit[0]):
+                stack.append(([e for e in unhit if v not in e], (*path, v)))
+    return None
 
 
 def decide_brute_force(inst: Instance, *, ceiling: int | None = None) -> bool:
@@ -80,7 +76,7 @@ def min_hitting_set(
     ``(inf, None)``.
     """
     _check_ceiling(h.n, ceiling)
-    if any(len(e) == 0 for e in h.edges):
+    if h.edges and not h.edges[0]:  # canonical order puts the empty edge first
         return (math.inf, None)
     for k in range(h.n + 1):
         witness = _branch(h.edges, k)
@@ -110,7 +106,8 @@ def generate(spec: GenSpec) -> Instance:
     instance is a yes-instance for any budget >= ``planted``. When the edge
     space is too small to reach ``m`` distinct edges the instance simply has
     fewer; the draw sequence is still fully seed-determined, and stops once
-    every edge that can be drawn has been.
+    every edge that can be drawn has been. The drawn edges are kept in one
+    insertion-ordered dict, so a repeated draw adds nothing.
     """
     require_min_d(spec.d)
     if spec.n < spec.d or spec.m < 1 or spec.k < 1:
@@ -131,8 +128,7 @@ def generate(spec: GenSpec) -> Instance:
         space += math.comb(spec.n, size) - math.comb(unplanted, size)
         if space >= spec.m:
             break
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
+    edges: dict[Edge, None] = {}
     attempts = 0
     while len(edges) < min(spec.m, space) and attempts < 50 * spec.m + 200:
         attempts += 1
@@ -146,9 +142,7 @@ def generate(spec: GenSpec) -> Instance:
             edge = tuple(sorted((anchor, *others)))
         else:
             edge = tuple(sorted(rng.sample(range(spec.n), size)))
-        if edge not in seen:
-            seen.add(edge)
-            edges.append(edge)
+        edges[edge] = None
     comment = (
         f"gen seed={spec.seed} n={spec.n} m={spec.m} d={spec.d} k={spec.k} "
         f"planted={spec.planted}"

@@ -8,6 +8,13 @@ change that keeps every kernel and trace reproduces the committed lines::
 
     PYTHONPATH=src:tests python tests/kernel_digests.py | diff .github/kernel-digests.txt -
 
+The ``rule5-gate`` family calls rule 5 right after a rule-5 step that
+changed edges, where the rule's ``last_rule == 5`` gate declines. Rule 5
+declines nowhere else, so the gated calls are ``trace.attempts[5]`` less
+the rule-5 steps; the script exits non-zero when that family makes fewer
+than ``GATE_FLOOR`` of them, since a family that never reaches the gate
+cannot show it changed.
+
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
 
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from typing import Iterator
 
 from helpers import (
@@ -33,6 +41,7 @@ from hskernel.oracle import GenSpec, generate
 from hskernel.reductions import kernelize
 
 SEEDS = range(4)
+GATE_FLOOR = 10
 
 
 def families() -> Iterator[tuple[str, list[Instance]]]:
@@ -70,10 +79,19 @@ def families() -> Iterator[tuple[str, list[Instance]]]:
     yield "blob", [blob_instance(s, 1) for s in SEEDS]
     yield "blob4", [blob4_instance(s, 1) for s in SEEDS]
     yield "double-star", [double_star_instance(s, 2) for s in SEEDS]
+    rng = random.Random(5151)
+    gated = []
+    for trial in range(1000):
+        n = rng.randint(7, 16)
+        spec = GenSpec(seed=515_000 + trial, n=n, m=rng.randint(n, 4 * n), d=5, k=2)
+        gated.append(generate(spec))
+    yield "rule5-gate", gated
 
 
-def digest(instances: list[Instance]) -> str:
+def digest(instances: list[Instance]) -> tuple[str, int]:
+    """The family's hash, and the rule-5 calls its gate declined."""
     h = hashlib.sha256()
+    gated = 0
     for inst in instances:
         result = kernelize(inst)
         kernel, trace = result.instance, result.trace
@@ -86,12 +104,16 @@ def digest(instances: list[Instance]) -> str:
         )
         h.update(repr(record).encode())
         h.update(b"\n")
-    return h.hexdigest()
+        gated += trace.attempts[5] - sum(1 for s in trace.steps if s.rule == 5)
+    return h.hexdigest(), gated
 
 
 def main() -> None:
     for name, instances in families():
-        print(f"digest {name} {len(instances)} {digest(instances)}", flush=True)
+        hexdigest, gated = digest(instances)
+        print(f"digest {name} {len(instances)} {hexdigest}", flush=True)
+        if name == "rule5-gate" and gated < GATE_FLOOR:
+            sys.exit(f"rule5-gate: the rule-5 gate declined {gated} calls, fewer than {GATE_FLOOR}")
 
 
 if __name__ == "__main__":

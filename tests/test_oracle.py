@@ -119,6 +119,13 @@ class TestIterativeSearch:
         for trial in range(60):
             spec = GenSpec(seed=500 + trial, n=rng.randint(3, 10), m=rng.randint(1, 12), d=3, k=1)
             graphs.append(generate(spec).hypergraph)
+        # At d = 4-6 the first unhit edge has up to six vertices, so the order
+        # in which the search tries them shows in more witnesses.
+        rng = random.Random(42)
+        for trial in range(60):
+            d = 4 + trial % 3
+            spec = GenSpec(seed=600 + trial, n=rng.randint(d, 12), m=rng.randint(1, 14), d=d, k=1)
+            graphs.append(generate(spec).hypergraph)
         graphs.append(Hypergraph(2, ((), (0, 1)), 3))
         found = 0
         for h in graphs:
