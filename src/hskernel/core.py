@@ -243,20 +243,16 @@ def normalize(
     edges: list[Edge] = []
     for raw in raw_edges:
         members = list(raw)
-        seen: set[Hashable] = set()
         edge: list[int] = []
-        for name in members:
-            if name in seen:
-                continue
-            seen.add(name)
+        for name in dict.fromkeys(members):
             if labels is not None and name not in ids:
                 raise FormatError(f"edge vertex {name!r} is not in the declared label set")
             edge.append(ids.setdefault(name, len(ids)))
         if len(edge) > d:
             raise FormatError(f"edge {members!r} has {len(edge)} distinct vertices, bound is {d}")
         edges.append(tuple(sorted(edge)))
-    table = tuple(sorted(ids, key=ids.__getitem__))
-    return Instance(Hypergraph(len(ids), tuple(edges), d), k, labels=table)
+    # Ids are numbered in insertion order, so the dict's order is id order.
+    return Instance(Hypergraph(len(ids), tuple(edges), d), k, labels=tuple(ids))
 
 
 def edges_through(edges: Sequence[Edge], vertices: AbstractSet[int]) -> Iterator[Edge]:

@@ -1,11 +1,12 @@
 """The six reduction rules and the kernelization controller.
 
-Each rule takes an :class:`Instance` (rules 1, 2 and 5 also take an
+Each rule takes an :class:`Instance` (rules 1 and 2 also take an
 optional hint) and returns a :class:`RuleOutcome`; the controller applies
 the lowest-numbered applicable rule until either a verdict falls out or no
 rule applies, at which point the surviving instance is a kernel with at
 most ``(2d-2)*k**(d-1) + k`` vertices. Each outcome names the hints the
-next pass hands the rules; the controller passes them on unread.
+next pass hands the rules (only rule 2 names any); the controller passes
+them on unread.
 
 Rule order is load-bearing: each rule's correctness may assume all previous
 rules are inapplicable, and the controller enforces exactly that. Quick
@@ -77,9 +78,9 @@ class RuleOutcome:
     """Result of attempting one rule: nothing when it declines; the
     successor and its step when it applies; a step alone when it concludes
     no. ``hints`` maps a rule to the extra argument the controller calls
-    it with on the next pass (rules 2 and 5 hand some on; rule 2's own
-    carries the successor's edge set, so that a chain of rule-2 steps does
-    not rebuild it); it is read, never changed, and left out of the hash.
+    it with on the next pass (only rule 2 hands any on; its own carries
+    the successor's edge set, so that a chain of rule-2 steps does not
+    rebuild it); it is read, never changed, and left out of the hash.
     Rule 6 additionally carries the crown it applied and the solution of
     the LP it solved, for tracing and debugging; that LP is
     ``build_crown_lp`` of the instance the rule was given."""
@@ -366,7 +367,7 @@ def rule4_high_degree_subedge(inst: Instance) -> RuleOutcome:
     return _NOT_APPLIED
 
 
-def rule5_weakly_related_counting(inst: Instance, last_rule: int | None = None) -> RuleOutcome:
+def rule5_weakly_related_counting(inst: Instance) -> RuleOutcome:
     """Count subedge occurrences inside a maximal weakly related family.
 
     A greedy maximal family ``W`` of pairwise weakly related edges (overlap
@@ -380,15 +381,13 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None = None) 
 
     The attempt itself counts as an application even when nothing changes:
     such a no-op goes through :func:`_rebuild` like any other step, and
-    since its change is empty its successor is ``inst`` itself. So that the
-    controller cannot run this rule twice in a row, every application, no-op
-    included, hands this rule ``last_rule = 5``, and ``last_rule == 5``
-    reports not-applied. Without that gate a no-op would be applied
-    forever. After a no-op the controller's next pass starts at rule 6, as
-    after any step whose successor is the instance it was given.
+    since its change is empty its successor is ``inst`` itself. The rule
+    keeps no gate of its own: after a no-op the controller's next pass
+    starts at rule 6, as after any step whose successor is the instance it
+    was given, so a no-op is never repeated on the same instance. A step
+    that changes edges may be followed by rule 5 again: each subedge it
+    adds replaces at least two edges, so such a step lowers the edge count.
     """
-    if last_rule == 5:
-        return _NOT_APPLIED
     h = inst.hypergraph
     k = inst.k
     index = frozenset(h.edges)
@@ -410,7 +409,7 @@ def rule5_weakly_related_counting(inst: Instance, last_rule: int | None = None) 
                 live -= hit
                 family -= hit
                 live.add(s)
-    return _rebuild(inst, 5, index - live, live - index, hints={5: 5})
+    return _rebuild(inst, 5, index - live, live - index)
 
 
 def rule6_lp_crown(inst: Instance) -> RuleOutcome:
@@ -462,16 +461,17 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     the first that records a step: it applies, or it concludes no. What the
     last step leaves undone reaches the rules through its outcome's
     ``hints``, which map a rule to the extra argument it is called with; a
-    rule without one scans everything. Rule 2 hands on where rules 1 and 2
-    resume, and rule 5 gates itself (see their docstrings). After a step
-    whose successor is the instance it was given, the next pass starts at
-    the rule after that step's: the rules before it have just declined on
-    that very instance, and the rule itself would change nothing again.
-    After any other step it starts at the first rule. The controller names
-    no rule. An explicit iteration ceiling of ``3n + 4m + 4`` trace steps
-    guards termination. The rules are the module's globals as they stand
-    when the call starts, so a tracer installed before the call sees every
-    attempt.
+    rule without one scans everything. Only rule 2 hands any on: where
+    rules 1 and 2 resume (see its docstring). After a step whose successor
+    is the instance it was given, the next pass starts at the rule after
+    that step's: the rules before it have just declined on that very
+    instance, and the rule itself would change nothing again. That alone
+    keeps a rule-5 no-op from repeating. After any other step it starts at
+    the first rule. The controller names no rule. Every step that changes
+    the instance lowers ``n + m``, and a no-op is followed by rule 6, so an
+    explicit iteration ceiling of ``3n + 4m + 4`` trace steps guards
+    termination. The rules are the module's globals as they stand when the
+    call starts, so a tracer installed before the call sees every attempt.
 
     ``observer(rule, before, outcome)`` is called for every rule event,
     including no-op rule-5 attempts and rule-6 no-verdicts. The trace

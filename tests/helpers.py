@@ -419,11 +419,12 @@ def naive_weakly_related_family(h: Hypergraph) -> list[Edge]:
 def naive_kernelize(inst: Instance, observer=None) -> ReduceResult:
     """The controller without the skip after a step whose successor is its
     own instance, which only a rule-5 no-op takes: every pass tries the
-    rules from rule 1, and rule 5 declines right after itself. It counts no
-    attempts."""
+    rules from rule 1. Its one guard against a repeated no-op is its own:
+    rule 5 declines right after a rule-5 no-op, and only then, so after a
+    rule-5 step that changed edges it runs again. It counts no attempts."""
     trace = ReductionTrace()
     current = inst
-    last_rule: int | None = None
+    after_noop = False
     ceiling = 3 * inst.n + 4 * inst.m + 4
     while True:
         verdict = _quick_verdict(current)
@@ -435,9 +436,11 @@ def naive_kernelize(inst: Instance, observer=None) -> ReduceResult:
             (2, rule2_edge_domination),
             (3, rule3_unit_edge),
             (4, rule4_high_degree_subedge),
-            (5, lambda i: rule5_weakly_related_counting(i, last_rule)),
+            (5, rule5_weakly_related_counting),
             (6, rule6_lp_crown),
         ):
+            if rule_id == 5 and after_noop:
+                continue
             outcome = rule(current)
             if outcome.applied or outcome.verdict_no:
                 break
@@ -453,8 +456,8 @@ def naive_kernelize(inst: Instance, observer=None) -> ReduceResult:
             trace.lp_pivots += outcome.lp_solution.pivots
         if outcome.verdict_no:
             return ReduceResult("no", current, trace)
+        after_noop = outcome.step == TraceStep(5, 0, 0, 0, 0)
         current = outcome.new_instance
-        last_rule = rule_id
         if len(trace.steps) > ceiling:
             raise InternalConsistencyError("iteration ceiling exceeded; reduction diverged")
 

@@ -8,12 +8,12 @@ change that keeps every kernel and trace reproduces the committed lines::
 
     PYTHONPATH=src:tests python tests/kernel_digests.py | diff .github/kernel-digests.txt -
 
-The ``rule5-gate`` family calls rule 5 right after a rule-5 step that
-changed edges, where the rule's ``last_rule == 5`` gate declines. Rule 5
-declines nowhere else, so the gated calls are ``trace.attempts[5]`` less
-the rule-5 steps; the script exits non-zero when that family makes fewer
-than ``GATE_FLOOR`` of them, since a family that never reaches the gate
-cannot show it changed.
+The ``rule5-repeat`` family calls rule 5 right after a rule-5 step that
+changed edges. Rules 1-4 record no step in between, so such a call is a
+rule-5 step directly after one that removed or added edges in
+``trace.steps``; the script exits non-zero when that family makes fewer
+than ``REPEAT_FLOOR`` of them, since a family that never repeats rule 5
+cannot show how the repeat behaves.
 
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
@@ -41,7 +41,7 @@ from hskernel.oracle import GenSpec, generate
 from hskernel.reductions import kernelize
 
 SEEDS = range(4)
-GATE_FLOOR = 10
+REPEAT_FLOOR = 10
 
 
 def families() -> Iterator[tuple[str, list[Instance]]]:
@@ -80,18 +80,19 @@ def families() -> Iterator[tuple[str, list[Instance]]]:
     yield "blob4", [blob4_instance(s, 1) for s in SEEDS]
     yield "double-star", [double_star_instance(s, 2) for s in SEEDS]
     rng = random.Random(5151)
-    gated = []
+    repeat = []
     for trial in range(1000):
         n = rng.randint(7, 16)
         spec = GenSpec(seed=515_000 + trial, n=n, m=rng.randint(n, 4 * n), d=5, k=2)
-        gated.append(generate(spec))
-    yield "rule5-gate", gated
+        repeat.append(generate(spec))
+    yield "rule5-repeat", repeat
 
 
 def digest(instances: list[Instance]) -> tuple[str, int]:
-    """The family's hash, and the rule-5 calls its gate declined."""
+    """The family's hash, and its rule-5 steps right after a rule-5 step
+    that changed edges."""
     h = hashlib.sha256()
-    gated = 0
+    repeats = 0
     for inst in instances:
         result = kernelize(inst)
         kernel, trace = result.instance, result.trace
@@ -104,16 +105,23 @@ def digest(instances: list[Instance]) -> tuple[str, int]:
         )
         h.update(repr(record).encode())
         h.update(b"\n")
-        gated += trace.attempts[5] - sum(1 for s in trace.steps if s.rule == 5)
-    return h.hexdigest(), gated
+        repeats += sum(
+            1
+            for a, b in zip(trace.steps, trace.steps[1:])
+            if a.rule == b.rule == 5 and (a.edges_removed or a.edges_added)
+        )
+    return h.hexdigest(), repeats
 
 
 def main() -> None:
     for name, instances in families():
-        hexdigest, gated = digest(instances)
+        hexdigest, repeats = digest(instances)
         print(f"digest {name} {len(instances)} {hexdigest}", flush=True)
-        if name == "rule5-gate" and gated < GATE_FLOOR:
-            sys.exit(f"rule5-gate: the rule-5 gate declined {gated} calls, fewer than {GATE_FLOOR}")
+        if name == "rule5-repeat" and repeats < REPEAT_FLOOR:
+            sys.exit(
+                f"rule5-repeat: rule 5 followed a changing rule-5 step {repeats} times,"
+                f" fewer than {REPEAT_FLOOR}"
+            )
 
 
 if __name__ == "__main__":

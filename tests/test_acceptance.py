@@ -273,13 +273,13 @@ def test_criterion_3_per_rule_soundness():
                     break
         if current.k < 0 or not current.edges or any(len(e) == 0 for e in current.edges):
             continue
-        out = rule5_weakly_related_counting(current, last_rule=None)
+        out = rule5_weakly_related_counting(current)
         if out.applied and out.new_instance.hypergraph != current.hypergraph:
             _check_preserved(5, current, out.new_instance)
             counts[5] += 1
     for trial in range(560):
         inst = double_star_instance(15_000_000 + trial, rng.choice((1, 2)))
-        out = rule5_weakly_related_counting(inst, last_rule=None)
+        out = rule5_weakly_related_counting(inst)
         assert out.applied and out.new_instance.hypergraph != inst.hypergraph
         _check_preserved(5, inst, out.new_instance)
         counts[5] += 1

@@ -322,16 +322,16 @@ class TestResumeAfterRule2:
 
     def test_hinted_calls_equal_full_scans_after_every_rule2_step(self):
         """Every hint an outcome hands rule 1 or 2 gives what the full scan
-        of the successor gives; only rule 2 hands them on, and exactly the
-        rule-5 steps hand on rule 5's gate. Rule 2 carries the successor's
-        edge set and a lower bound on its edge sizes."""
+        of the successor gives; only rule 2 hands them on, and no step hands
+        rule 5 anything. Rule 2 carries the successor's edge set and a lower
+        bound on its edge sizes."""
         seen = {
             "e - f dominated": 0,
             "rule 2 applies": 0,
             "both decline": 0,
             "start > 0": 0,
             "e - f has two vertices": 0,
-            "rule 5 gated": 0,
+            "rule 5 steps": 0,
         }
         scans = {1: rule1_vertex_domination, 2: rule2_edge_domination}
 
@@ -342,8 +342,8 @@ class TestResumeAfterRule2:
             for r, hint in resumes.items():
                 assert scans[r](after, hint) == full[r]
             assert set(resumes) == ({1, 2} if rule == 2 else set())
-            assert outcome.hints.get(5) == (5 if rule == 5 else None)
-            seen["rule 5 gated"] += rule == 5
+            assert 5 not in outcome.hints
+            seen["rule 5 steps"] += rule == 5
             if rule != 2:
                 return
             (e,) = set(before.edges) - set(after.edges)
@@ -615,7 +615,7 @@ class TestRule4AgainstBlossomOnEveryGroup:
 class TestRule5:
     def test_overloaded_single_vertex_fires(self):
         inst = inst_of([["u", "a", "b"], ["u", "c", "dd"]], 1)
-        out = rule5_weakly_related_counting(inst, last_rule=None)
+        out = rule5_weakly_related_counting(inst)
         assert out.applied
         assert out.new_instance.edges == ((0,),)
         assert out.new_instance.k == 1
@@ -623,14 +623,14 @@ class TestRule5:
 
     def test_threshold_not_exceeded_is_a_recorded_noop(self):
         inst = inst_of([["u", "a", "b"], ["u", "c", "dd"]], 2)
-        out = rule5_weakly_related_counting(inst, last_rule=None)
+        out = rule5_weakly_related_counting(inst)
         assert out.applied
         assert out.new_instance.edges == inst.edges
         assert out.step.edges_removed == 0 and out.step.edges_added == 0
 
     def test_empty_edge_set(self):
         inst = Instance(Hypergraph(2, (), 3), 1)
-        out = rule5_weakly_related_counting(inst, last_rule=None)
+        out = rule5_weakly_related_counting(inst)
         assert out.applied
         assert out.new_instance.m == 0
 
@@ -650,24 +650,17 @@ class TestRule5:
         assert out.new_instance is inst
         assert out.step == TraceStep(5, 0, 0, 0, 0)
 
-    def test_gated_when_it_just_ran(self):
-        inst = inst_of([["u", "a", "b"], ["u", "c", "dd"]], 1)
-        assert not rule5_weakly_related_counting(inst, last_rule=5).applied
-
     @pytest.mark.parametrize("k", [1, 2])  # applied, no-op
-    def test_every_application_hands_on_its_gate(self, k):
+    def test_no_application_hands_on_hints(self, k):
         inst = inst_of([["u", "a", "b"], ["u", "c", "dd"]], k)
         out = rule5_weakly_related_counting(inst)
-        assert out == rule5_weakly_related_counting(inst, last_rule=None)
+        assert out.applied
         assert (out.new_instance is inst) == (k == 2)
-        assert out.hints == {5: 5}
-        gated = rule5_weakly_related_counting(inst, out.hints[5])
-        assert gated is reductions._NOT_APPLIED
-        assert gated.hints == {}
+        assert out.hints == {}
 
     def test_d4_two_level_counting(self):
         inst = double_star_instance(3, 2)
-        out = rule5_weakly_related_counting(inst, last_rule=None)
+        out = rule5_weakly_related_counting(inst)
         assert out.applied
         assert (0,) in out.new_instance.edges and (1,) in out.new_instance.edges
         assert decide_brute_force(inst, ceiling=40) == decide_brute_force(
@@ -690,7 +683,7 @@ class TestRule5:
             return subedge_groups(edges, size)
 
         monkeypatch.setattr(reductions, "subedge_groups", counted)
-        out = rule5_weakly_related_counting(inst, last_rule=None)
+        out = rule5_weakly_related_counting(inst)
         assert sizes == [3, 2, 1]
         assert out.applied and out.new_instance is inst
 
@@ -1020,15 +1013,33 @@ class TestKernelize:
 
     def test_rule5_called_right_after_a_rule5_step_at_d5(self):
         # Rule 5 changes edges, rules 1-4 decline, and rule 5 is called right
-        # after itself and declines; no d in {3, 4} input is known to do this.
+        # after itself and records a no-op, after which rule 6 declines and
+        # the run ends in a kernel; no d in {3, 4} input is known to make
+        # rule 5 follow itself.
         inst = generate(GenSpec(seed=1423, n=11, m=27, d=5, k=2))
         result = kernelize(inst)
         reference = naive_kernelize(inst)
         assert result.verdict == reference.verdict == "kernel"
         assert result.instance == reference.instance
         assert result.trace.steps == reference.trace.steps
-        assert result.trace.steps == [TraceStep(2, 0, 1, 0, 0)] * 7 + [TraceStep(5, 0, 5, 1, 0)]
+        assert result.trace.steps == [TraceStep(2, 0, 1, 0, 0)] * 7 + [
+            TraceStep(5, 0, 5, 1, 0),
+            TraceStep(5, 0, 0, 0, 0),
+        ]
         assert result.trace.attempts == {1: 9, 2: 9, 3: 2, 4: 2, 5: 2, 6: 1}
+
+    def test_rule5_fires_right_after_a_rule5_step_at_d5(self):
+        # Rule 5 changes edges and, called right after itself on the
+        # successor, changes edges again; the run then ends in no. A rule 5
+        # that declined right after itself left a 16-vertex kernel here.
+        inst = generate(GenSpec(seed=5153096, n=16, m=52, d=5, k=2))
+        result = kernelize(inst)
+        assert [s for s in result.trace.steps if s.rule == 5] == [
+            TraceStep(5, 0, 5, 1, 0),
+            TraceStep(5, 0, 9, 1, 0),
+        ]
+        assert result.verdict == "no"
+        assert decide_brute_force(inst) is False
 
     def test_input_decision_matches_oracle_above_the_ceiling(self):
         # The oracle is a search tree of depth k: its cost does not grow with
@@ -1174,7 +1185,9 @@ class TestKernelize:
     def test_same_run_as_the_reference_controller(self):
         # The controller skips rules 1-5 after a rule-5 no-op; the reference
         # tries them all again. Verdict, kernel, steps, LP work and every
-        # observer event must agree.
+        # observer event must agree. The d = 5, k = 2 draws make rule 5
+        # follow a rule-5 step that changed edges; the oracle checks the
+        # decision of each such run.
         rng = random.Random(31)
         instances = [
             generate(
@@ -1189,6 +1202,10 @@ class TestKernelize:
             )
             for trial in range(300)
         ]
+        for trial in range(300):
+            n = rng.randint(7, 16)
+            spec = GenSpec(seed=81_000 + trial, n=n, m=rng.randint(n, 4 * n), d=5, k=2)
+            instances.append(generate(spec))
         for seed in range(3):
             instances += [
                 petal_cycle_instance(seed, 2),
@@ -1197,7 +1214,13 @@ class TestKernelize:
                 blob4_instance(seed, 1),
                 double_star_instance(seed, 2),
             ]
-        seen = {"rule-5 no-op then rule 6": 0, "kernel": 0, "yes": 0, "no": 0}
+        seen = {
+            "rule-5 no-op then rule 6": 0,
+            "rule 5 after a changing rule 5": 0,
+            "kernel": 0,
+            "yes": 0,
+            "no": 0,
+        }
         for inst in instances:
             events, reference_events = [], []
             result = kernelize(inst, lambda *event: events.append(event))
@@ -1215,6 +1238,16 @@ class TestKernelize:
             seen["rule-5 no-op then rule 6"] += any(
                 a == TraceStep(5, 0, 0, 0, 0) and b.rule == 6 for a, b in zip(steps, steps[1:])
             )
+            if any(
+                a.rule == b.rule == 5 and (a.edges_removed or a.edges_added)
+                for a, b in zip(steps, steps[1:])
+            ):
+                seen["rule 5 after a changing rule 5"] += 1
+                if result.verdict == "kernel":
+                    got = decide_brute_force(result.instance)
+                else:
+                    got = result.verdict == "yes"
+                assert got == decide_brute_force(inst), inst
         assert all(seen.values()), seen
 
     def test_rule6_runs_right_after_a_rule5_noop(self, monkeypatch):
