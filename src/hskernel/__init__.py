@@ -21,7 +21,6 @@ from .matching import (
     Matching,
     SimpleGraph,
     blossom_max_matching,
-    find_bipartite_crown,
     hopcroft_karp,
 )
 from .oracle import GenSpec, decide_brute_force, generate, min_hitting_set
@@ -51,7 +50,6 @@ __all__ = [
     "build_crown_lp",
     "decide_brute_force",
     "extract_crown_candidates",
-    "find_bipartite_crown",
     "generate",
     "hopcroft_karp",
     "is_independent",

@@ -7,7 +7,9 @@ crown vertices can be deleted and the head subedges inherit their hitting
 duty with the budget unchanged -- the two instances decide identically.
 
 The crown here carries its matching as a checkable certificate; the
-transformation itself never uses it.
+transformation itself never uses it. Rule 6's finder, the package's only
+crown finder, reads one off a maximum matching of the head subedges into
+the LP's zero vertices.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from dataclasses import dataclass
 
 from .core import Edge, Hypergraph, Instance, canonical_edge, edges_through
 from .core import is_independent, remainders
-from .errors import InvalidCrownError
-from .matching import BipartiteGraph, find_bipartite_crown
+from .errors import InternalConsistencyError, InvalidCrownError
+from . import matching  # Hopcroft-Karp is looked up at call time; bench/tracing.py patches it
+from .matching import BipartiteGraph
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,14 @@ def apply_hs_crown(inst: Instance, c: HSCrown) -> Instance:
 def _crown_via_matching(h: Hypergraph, candidates: list[int]) -> HSCrown | None:
     """Rule 6's crown finder: match the head subedges -- the non-empty
     remainders of the edges through the ``candidates`` -- into the candidate
-    vertices, keep the Hall-deficient part, translate back to hypergraph
-    terms. The subedges are collected in the walk that builds the bipartite
-    rows, and numbered in sorted order."""
+    vertices with Hopcroft-Karp, or return ``None`` when the matching
+    saturates the candidates. Otherwise the crown is every candidate that an
+    alternating path reaches from an unmatched one, the head its subedges,
+    and the matching restricted to the head certifies the injection into
+    the crown. The crown is Hall-deficient by construction (an unmatched
+    candidate lies in it), so saturated crowns are invisible here. The
+    subedges are collected in the walk that builds the bipartite rows, and
+    numbered in sorted order."""
     cand_pos = {v: i for i, v in enumerate(candidates)}
     pairs = [(cand_pos[x], rest) for x, rest in remainders(h, cand_pos.keys()) if rest]
     subedges = sorted({rest for _, rest in pairs})
@@ -136,15 +144,30 @@ def _crown_via_matching(h: Hypergraph, candidates: list[int]) -> HSCrown | None:
     rows: list[set[int]] = [set() for _ in candidates]
     for i, rest in pairs:
         rows[i].add(sub_pos[rest])
-    found = find_bipartite_crown(
-        BipartiteGraph(len(candidates), len(subedges), tuple(map(tuple, rows)))
-    )
-    if found is None:
+    g = BipartiteGraph(len(candidates), len(subedges), tuple(map(tuple, rows)))
+    mate = {j: i for i, j in matching.hopcroft_karp(g).pairs}
+    todo = list(set(range(len(candidates))).difference(mate.values()))
+    if not todo:
         return None
-    crown = frozenset(candidates[i] for i in found.crown)
-    head = frozenset(subedges[j] for j in found.head)
-    matching = tuple((subedges[j], candidates[i]) for j, i in found.matching)
-    return HSCrown(crown, head, matching)
+    crown, head = set(todo), set()
+    while todo:
+        for j in g.adjacency[todo.pop()]:
+            if j in head:
+                continue
+            head.add(j)
+            if j not in mate:
+                raise InternalConsistencyError("augmenting path survived a maximum matching")
+            if mate[j] not in crown:
+                crown.add(mate[j])
+                todo.append(mate[j])
+    found = HSCrown(
+        frozenset(candidates[i] for i in crown),
+        frozenset(subedges[j] for j in head),
+        tuple((subedges[j], candidates[mate[j]]) for j in head),
+    )
+    if not found.strict:
+        raise InternalConsistencyError("crown lost its Hall deficiency")
+    return found
 
 
 def format_crown(c: HSCrown) -> str:

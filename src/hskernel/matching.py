@@ -1,11 +1,10 @@
-"""Maximum matching in bipartite and general graphs, plus the crown finder.
+"""Maximum matching in bipartite and general graphs.
 
 Everything here is deterministic: vertices are processed in increasing index
 order and adjacency lists are sorted, so repeated runs produce identical
-matchings and crowns. The bipartite crown finder only emits Hall-deficient
-crowns (an unmatched left vertex must exist); saturated crowns are invisible
-to it by design. The blossom matching always runs to a full maximum: rule 4
-calls it only for a subedge its greedy bracket leaves undecided.
+matchings. Hopcroft-Karp serves rule 6's crown finder in ``crown``. The
+blossom matching always runs to a full maximum: rule 4 calls it only for a
+subedge its greedy bracket leaves undecided.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-
-from .errors import InternalConsistencyError
 
 _INF = -1
 
@@ -79,20 +76,6 @@ class Matching:
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class BipartiteCrown:
-    """A Hall-deficient crown in a bipartite graph.
-
-    ``crown`` is a nonempty left-side set whose neighborhood is exactly
-    ``head``; ``matching`` maps every head vertex injectively into the crown
-    along graph edges. The finder guarantees ``len(crown) >= len(head) + 1``.
-    """
-
-    crown: frozenset[int]
-    head: frozenset[int]
-    matching: tuple[tuple[int, int], ...]  # (head vertex, crown vertex)
 
 
 def hopcroft_karp(g: BipartiteGraph) -> Matching:
@@ -232,42 +215,3 @@ def blossom_max_matching(g: SimpleGraph) -> Matching:
             find_augmenting(v)
     pairs = tuple((v, match[v]) for v in range(n) if match[v] > v)
     return Matching(pairs)
-
-
-def find_bipartite_crown(g: BipartiteGraph) -> BipartiteCrown | None:
-    """Find a Hall-deficient crown, or ``None`` when the matching saturates A.
-
-    Computes a maximum matching; if some left vertices stay unmatched, the
-    crown is the set of left vertices reachable from them by alternating
-    paths, the head is its neighborhood, and the matching restricted to the
-    head certifies the injection head -> crown.
-    """
-    matching = hopcroft_karp(g)
-    match_a = {a: b for a, b in matching.pairs}
-    match_b = {b: a for a, b in matching.pairs}
-    free = [a for a in range(g.side_a) if a not in match_a]
-    if not free:
-        return None
-    reach_a: set[int] = set(free)
-    reach_b: set[int] = set()
-    q: deque[int] = deque(free)
-    while q:
-        a = q.popleft()
-        for b in g.adjacency[a]:
-            if b in reach_b:
-                continue
-            reach_b.add(b)
-            mate = match_b.get(b)
-            if mate is None:
-                raise InternalConsistencyError(
-                    "augmenting path survived a maximum matching"
-                )
-            if mate not in reach_a:
-                reach_a.add(mate)
-                q.append(mate)
-    pairs = tuple(sorted((b, match_b[b]) for b in reach_b))
-    crown = BipartiteCrown(frozenset(reach_a), frozenset(reach_b), pairs)
-    if len(crown.crown) < len(crown.head) + 1:
-        raise InternalConsistencyError("crown lost its Hall deficiency")
-    return crown
-

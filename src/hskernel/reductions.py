@@ -417,7 +417,7 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
 
     Below the vertex threshold nothing happens: the instance is already a
     kernel. Otherwise the crown LP is solved exactly; its zero vertices feed
-    the bipartite crown finder, which matches their completing subedges into
+    the crown finder, which matches their completing subedges into
     them. A found crown is validated and applied (budget unchanged); when no
     crown exists the instance cannot be a yes-instance and the rule
     concludes no.

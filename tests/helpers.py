@@ -137,6 +137,31 @@ def bipartite_augmenting_path_exists(g: BipartiteGraph, pairs) -> bool:
     return False
 
 
+def random_bipartite(rng: random.Random, max_side: int = 5) -> BipartiteGraph:
+    na = rng.randint(1, max_side)
+    nb = rng.randint(1, max_side)
+    adjacency = tuple(
+        tuple(sorted(rng.sample(range(nb), rng.randint(0, nb)))) for _ in range(na)
+    )
+    return BipartiteGraph(na, nb, adjacency)
+
+
+def bipartite_subedge(g: BipartiteGraph, b: int) -> Edge:
+    """The subedge that stands for right vertex ``b`` in
+    :func:`bipartite_as_hypergraph`."""
+    return (g.side_a + 2 * b, g.side_a + 2 * b + 1)
+
+
+def bipartite_as_hypergraph(g: BipartiteGraph) -> tuple[Hypergraph, list[int]]:
+    """``g`` as a 3-uniform hypergraph plus rule 6's crown candidates: left
+    vertex ``a`` is vertex ``a`` and a candidate, right vertex ``b`` is the
+    fresh subedge :func:`bipartite_subedge`, and each adjacency is one edge.
+    The head subedges of the candidates are then exactly the right vertices
+    with a neighbour, in index order."""
+    edges = [(a, *bipartite_subedge(g, b)) for a in range(g.side_a) for b in g.adjacency[a]]
+    return Hypergraph(g.side_a + 2 * g.side_b, tuple(edges), 3), list(range(g.side_a))
+
+
 def polytope_min_objective(problem: LPProblem) -> Fraction:
     """Exact minimum of the crown LP by brute-force vertex enumeration.
 

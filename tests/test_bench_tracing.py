@@ -141,3 +141,21 @@ def test_traced_blossom_counts_rule_4s_undecided_groups(fresh_hk, monkeypatch):
     finally:
         tracer.uninstall()
     assert values["matching.blossom.calls"] >= 1
+
+
+def test_traced_hopcroft_karp_counts_rule_6s_crown_matchings(fresh_hk, monkeypatch):
+    # Rule 6 solves the crown LP here and matches into its zero vertices.
+    # The tracer patches Hopcroft-Karp on hskernel.matching; a crown finder
+    # that bound it at import would dodge it.
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer(fresh_hk)
+    tracer.install()
+    try:
+        fresh_hk.reductions.kernelize(
+            fresh_hk.cli.parse_instance(write_instance(petal_cycle_instance(11, 2)))
+        )
+        values = tracer.collect()
+    finally:
+        tracer.uninstall()
+    assert values["matching.hopcroft_karp.calls"] >= 1

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hskernel import matching
 from hskernel.core import Hypergraph, Instance, normalize
 from hskernel.crown import (
     HSCrown,
@@ -11,8 +12,11 @@ from hskernel.crown import (
     induced_head,
     validate_hs_crown,
 )
-from hskernel.errors import InvalidCrownError
+from hskernel.errors import InternalConsistencyError, InvalidCrownError
+from hskernel.matching import BipartiteGraph, Matching, hopcroft_karp
 from hskernel.oracle import GenSpec, decide_brute_force, generate
+
+from helpers import bipartite_as_hypergraph, bipartite_subedge, random_bipartite
 
 SHOWCASE_EDGES = [["v1", "v2", "v4"], ["v1", "v2", "v5"], ["v2", "v3", "v4"], ["v2", "v3", "v5"]]
 # ids: v1=0 v2=1 v4=2 v5=3 v3=4
@@ -224,6 +228,73 @@ class TestStrictCrownFromIndependentSet:
             assert verdict.valid and verdict.strict
             assert crown.crown <= frozenset(indep)
         assert found >= 50
+
+
+class TestCrownFinderOnBipartiteGraphs:
+    """The finder on a bipartite graph encoded by ``bipartite_as_hypergraph``:
+    left vertex ``a`` is candidate ``a``, right vertex ``b`` is the head
+    subedge ``bipartite_subedge(g, b)``."""
+
+    def test_two_lefts_one_right(self):
+        g = BipartiteGraph(2, 1, ((0,), (0,)))
+        crown = _crown_via_matching(*bipartite_as_hypergraph(g))
+        assert crown is not None
+        assert crown.crown == frozenset({0, 1})
+        assert crown.head == frozenset({(2, 3)})
+        assert dict(crown.matching)[(2, 3)] == 0
+
+    def test_saturated_single_edge(self):
+        g = BipartiteGraph(1, 1, ((0,),))
+        assert _crown_via_matching(*bipartite_as_hypergraph(g)) is None
+
+    def test_saturated_complete_2x2_invisible(self):
+        # A perfect matching saturates the candidates, so the balanced crown
+        # that exists here is intentionally not found.
+        g = BipartiteGraph(2, 2, ((0, 1), (0, 1)))
+        assert _crown_via_matching(*bipartite_as_hypergraph(g)) is None
+
+    def test_returns_none_iff_left_saturated(self):
+        rng = random.Random(107)
+        for _ in range(150):
+            g = random_bipartite(rng)
+            crown = _crown_via_matching(*bipartite_as_hypergraph(g))
+            saturated = hopcroft_karp(g).size == g.side_a
+            assert (crown is None) == saturated
+
+    def test_crown_shape_invariants(self):
+        rng = random.Random(108)
+        found = 0
+        for _ in range(200):
+            g = random_bipartite(rng)
+            h, candidates = bipartite_as_hypergraph(g)
+            crown = _crown_via_matching(h, candidates)
+            if crown is None:
+                continue
+            found += 1
+            neighborhood = {bipartite_subedge(g, b) for a in crown.crown for b in g.adjacency[a]}
+            assert neighborhood == set(crown.head)
+            verdict = validate_hs_crown(h, crown)
+            assert verdict.valid and verdict.strict, verdict.problems
+            unmatched = crown.crown - {v for _, v in crown.matching}
+            assert unmatched
+        assert found >= 30
+
+    def test_augmenting_path_after_the_matching_is_an_internal_error(self, monkeypatch):
+        # An empty "maximum" matching leaves the edge 0-0 augmenting.
+        monkeypatch.setattr(matching, "hopcroft_karp", lambda g: Matching(()))
+        h, candidates = bipartite_as_hypergraph(BipartiteGraph(1, 1, ((0,),)))
+        with pytest.raises(
+            InternalConsistencyError, match="^augmenting path survived a maximum matching$"
+        ):
+            _crown_via_matching(h, candidates)
+
+    def test_crown_without_hall_deficiency_is_an_internal_error(self, monkeypatch):
+        # A "matching" that uses left vertex 0 twice: the one free left
+        # vertex reaches both right vertices but only one mate.
+        monkeypatch.setattr(matching, "hopcroft_karp", lambda g: Matching(((0, 0), (0, 1))))
+        h, candidates = bipartite_as_hypergraph(BipartiteGraph(2, 2, ((0, 1), (0, 1))))
+        with pytest.raises(InternalConsistencyError, match="^crown lost its Hall deficiency$"):
+            _crown_via_matching(h, candidates)
 
 
 def _greedy_independent_set(h):

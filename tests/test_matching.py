@@ -4,13 +4,11 @@ import pytest
 
 from hskernel import matching
 from hskernel.core import Hypergraph, Instance
-from hskernel.errors import InternalConsistencyError
 from hskernel.matching import (
     BipartiteGraph,
     Matching,
     SimpleGraph,
     blossom_max_matching,
-    find_bipartite_crown,
     hopcroft_karp,
 )
 from hskernel.reductions import rule4_high_degree_subedge
@@ -19,16 +17,8 @@ from helpers import (
     bipartite_augmenting_path_exists,
     exhaustive_max_matching,
     petersen_edges,
+    random_bipartite,
 )
-
-
-def random_bipartite(rng, max_side=5):
-    na = rng.randint(1, max_side)
-    nb = rng.randint(1, max_side)
-    adjacency = tuple(
-        tuple(sorted(rng.sample(range(nb), rng.randint(0, nb)))) for _ in range(na)
-    )
-    return BipartiteGraph(na, nb, adjacency)
 
 
 def random_simple(rng, max_n=10):
@@ -111,70 +101,6 @@ class TestBlossom:
             touched = [v for pair in m.pairs for v in pair]
             assert len(set(touched)) == len(touched)
             assert all(pair in g.edges for pair in m.pairs)
-
-
-class TestFindBipartiteCrown:
-    def test_two_lefts_one_right(self):
-        g = BipartiteGraph(2, 1, ((0,), (0,)))
-        crown = find_bipartite_crown(g)
-        assert crown is not None
-        assert crown.crown == frozenset({0, 1})
-        assert crown.head == frozenset({0})
-        assert dict(crown.matching)[0] == 0
-
-    def test_saturated_single_edge(self):
-        g = BipartiteGraph(1, 1, ((0,),))
-        assert find_bipartite_crown(g) is None
-
-    def test_saturated_complete_2x2_invisible(self):
-        # A perfect matching saturates the left side, so the balanced crown
-        # that exists here is intentionally not found.
-        g = BipartiteGraph(2, 2, ((0, 1), (0, 1)))
-        assert find_bipartite_crown(g) is None
-
-    def test_returns_none_iff_left_saturated(self):
-        rng = random.Random(107)
-        for _ in range(150):
-            g = random_bipartite(rng)
-            crown = find_bipartite_crown(g)
-            saturated = hopcroft_karp(g).size == g.side_a
-            assert (crown is None) == saturated
-
-    def test_crown_shape_invariants(self):
-        rng = random.Random(108)
-        found = 0
-        for _ in range(200):
-            g = random_bipartite(rng)
-            crown = find_bipartite_crown(g)
-            if crown is None:
-                continue
-            found += 1
-            neighborhood = {b for a in crown.crown for b in g.adjacency[a]}
-            assert neighborhood == set(crown.head)
-            mapping = dict(crown.matching)
-            assert set(mapping) == set(crown.head)
-            assert set(mapping.values()) <= set(crown.crown)
-            assert len(set(mapping.values())) == len(mapping)
-            assert len(crown.crown) >= len(crown.head) + 1
-            unmatched = crown.crown - set(mapping.values())
-            assert unmatched
-        assert found >= 30
-
-
-    def test_augmenting_path_after_the_matching_is_an_internal_error(self, monkeypatch):
-        # An empty "maximum" matching leaves the edge 0-0 augmenting.
-        monkeypatch.setattr(matching, "hopcroft_karp", lambda g: Matching(()))
-        with pytest.raises(
-            InternalConsistencyError, match="^augmenting path survived a maximum matching$"
-        ):
-            find_bipartite_crown(BipartiteGraph(1, 1, ((0,),)))
-
-    def test_crown_without_hall_deficiency_is_an_internal_error(self, monkeypatch):
-        # A "matching" that uses left vertex 0 twice: the one free left
-        # vertex reaches both right vertices but only one mate.
-        monkeypatch.setattr(matching, "hopcroft_karp", lambda g: Matching(((0, 0), (0, 1))))
-        with pytest.raises(InternalConsistencyError, match="^crown lost its Hall deficiency$"):
-            find_bipartite_crown(BipartiteGraph(2, 2, ((0, 1), (0, 1))))
 
 
 class TestExtensionPacking:
