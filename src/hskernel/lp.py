@@ -8,10 +8,16 @@ hand side would be 1), box bounds ``0 <= x <= 1``, and objective
 the crown search; every other vertex of an edge through one sits at one.
 
 Arithmetic is exact throughout: the simplex pivots a sparse tableau of
-integer rows without division, and the optimum is read out as exact
-rationals. Zero/one membership is decided by exact equality: a floating
-tolerance would misclassify the candidate sets and silently break the crown
-reduction, so no rounding happens anywhere in this module.
+integer rows without division, one connected component of the constraint
+rows at a time, and the optimum is read out as exact rationals. Splitting
+changes no pivot: a pivot in one component rewrites only that component's
+rows and reduced costs and scales the others by a positive factor, so Bland's
+lowest-index order over the whole tableau, restricted to one component, is
+that component's own order, and the values, basis and pivot count are those
+of a single solve over all variables. Zero/one membership is decided by
+exact equality: a floating tolerance would misclassify the candidate sets
+and silently break the crown reduction, so no rounding happens anywhere in
+this module.
 """
 
 from __future__ import annotations
@@ -93,6 +99,29 @@ class _Tableau:
         return self.rows[i]
 
 
+def _components(matrix: _Tableau, n: int) -> list[list[int]]:
+    """The variable columns ``0..n-1`` split into the connected components
+    of the tableau's rows, in order of their lowest column.
+
+    Read before any pivot, when every row holds only its own variables, its
+    slack and the right-hand side; a variable with a cap row is a component
+    of its own.
+    """
+    rows, cols = matrix.rows, matrix.cols
+    seen: set[int] = set()
+    components = []
+    for start in range(n):
+        if start not in seen:
+            seen.add(start)
+            component = [start]
+            for v in component:
+                fresh = {u for i in cols[v] for u in rows[i] if u < n} - seen
+                seen |= fresh
+                component.extend(fresh)
+            components.append(component)
+    return components
+
+
 class SimplexBackend:
     """Exact primal simplex over a sparse integer tableau, with Bland's
     anti-cycling rule.
@@ -116,6 +145,19 @@ class SimplexBackend:
     Pivoting is deterministic: lowest-index entering column with a negative
     reduced cost, leaving row by minimum ratio with ties broken on the lowest
     basic variable index.
+
+    The loop runs once per connected component of the rows (a capped
+    variable is a component of its own), with an objective row over that
+    component's variables alone, so a pivot never rescans or rescales the
+    reduced costs of another component. This is exact: a pivot in component
+    ``C`` updates only the rows with a nonzero in its entering column, which
+    are ``C``'s, and only the reduced costs of the pivot row's columns, which
+    are ``C``'s variables and slacks. Everywhere else one objective row
+    would only be multiplied by ``piv`` and divided by a gcd, both positive,
+    so no sign outside ``C`` changes. The global lowest-negative-column
+    sequence, restricted to ``C``, is therefore ``C``'s own sequence, and the
+    ratio test only ever compares ``C``'s rows. The tableau rows and the
+    basis are shared, and the pivots of the components are summed.
     """
 
     def solve(self, problem: LPProblem) -> ExactLPSolution:
@@ -132,29 +174,31 @@ class SimplexBackend:
         )
         matrix = _Tableau(rows, rhs + 1)
         basis = [n + i for i in range(m)]
-        # Reduced costs for min(-sum y); slack basis has zero cost.
-        obj = dict.fromkeys(range(n), -1)
 
         pivots = 0
-        while True:
-            negative = [j for j, c in obj.items() if c < 0]
-            if not negative:
-                break
-            enter = min(negative)
-            # Minimum ratio rhs_i / a_i, compared by cross-multiplying: the
-            # row denominators cancel.
-            leave, best_r, best_a = -1, 0, 1
-            for i in matrix.cols[enter]:
-                a = rows[i][enter]
-                if a > 0:
-                    r = rows[i].get(rhs, 0)
-                    mine, best = r * best_a, best_r * a
-                    if leave < 0 or mine < best or (mine == best and basis[i] < basis[leave]):
-                        leave, best_r, best_a = i, r, a
-            if leave < 0:
-                raise InternalConsistencyError("unbounded pivot in a boxed model")
-            self._pivot(matrix, obj, basis, leave, enter)
-            pivots += 1
+        for component in _components(matrix, n):
+            # Reduced costs for min(-sum y) over this component; the slack
+            # basis has zero cost.
+            obj = dict.fromkeys(component, -1)
+            while True:
+                negative = [j for j, c in obj.items() if c < 0]
+                if not negative:
+                    break
+                enter = min(negative)
+                # Minimum ratio rhs_i / a_i, compared by cross-multiplying:
+                # the row denominators cancel.
+                leave, best_r, best_a = -1, 0, 1
+                for i in matrix.cols[enter]:
+                    a = rows[i][enter]
+                    if a > 0:
+                        r = rows[i].get(rhs, 0)
+                        mine, best = r * best_a, best_r * a
+                        if leave < 0 or mine < best or (mine == best and basis[i] < basis[leave]):
+                            leave, best_r, best_a = i, r, a
+                if leave < 0:
+                    raise InternalConsistencyError("unbounded pivot in a boxed model")
+                self._pivot(matrix, obj, basis, leave, enter)
+                pivots += 1
 
         y = [_ZERO] * n
         for i, b in enumerate(basis):

@@ -75,14 +75,19 @@ def test_tracer_installs_counts_and_restores(fresh_hk, monkeypatch):
         assert vars(owner)[attr] is original
 
 
-def test_traced_pivots_equal_the_solves_pivots(fresh_hk, monkeypatch):
+@pytest.mark.parametrize(
+    "instance", [petal_cycle_instance(11, 2), blob_instance(1, 2)], ids=["petal", "blob"]
+)
+def test_traced_pivots_equal_the_solves_pivots(fresh_hk, monkeypatch, instance):
     # The tracer calls SimplexBackend._pivot by name and drops its return
     # value, so a pivot must update the tableau, objective and basis in
     # place. One that returned a new objective row instead would pivot
-    # forever here; the bound turns that into a failure.
+    # forever here; the bound turns that into a failure. The petal's LP is
+    # one connected component; the blob's is many, each solved with its own
+    # objective row, and every one of their pivots must reach the tracer.
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
-    text = write_instance(petal_cycle_instance(11, 2))
+    text = write_instance(instance)
     tracer = tracing.Tracer(fresh_hk)
     tracer.install()
     backend = fresh_hk.lp.SimplexBackend

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
+from hskernel import lp
 from hskernel.core import Hypergraph, is_independent, normalize
 from hskernel.crown import _crown_via_matching
 from hskernel.errors import InternalConsistencyError
@@ -210,8 +212,35 @@ class TestSparseSimplex:
                     kernelize(family(seed, k), observe)
                     yield from solved
 
+    @staticmethod
+    def _interleaved_components(prob):
+        """Whether the kept edges form two or more components whose column
+        ranges overlap, so that Bland's lowest-index order over the whole
+        tableau alternates between them."""
+        parent = list(range(prob.var_count))
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        kept = [e for e in prob.edges if len(e) >= 2]
+        for e in kept:
+            for v in e[1:]:
+                parent[find(v)] = find(e[0])
+        # In column order, the components' labels form more runs than
+        # there are components exactly when two of them interleave.
+        runs = [root for root, _ in groupby(find(v) for v in sorted({v for e in kept for v in e}))]
+        return len(runs) > len(set(runs))
+
     def test_same_solution_as_dense_reference(self):
-        seen = {"cap row": 0, "dropped row": 0, "tie on basic index": 0, "fractional": 0}
+        seen = {
+            "cap row": 0,
+            "dropped row": 0,
+            "tie on basic index": 0,
+            "fractional": 0,
+            "interleaved components": 0,
+        }
         problems = [*self._random_problems(320), *self._family_problems()]
         for prob in problems:
             sol = solve_exact(prob)
@@ -222,7 +251,27 @@ class TestSparseSimplex:
             seen["dropped row"] += any(len(e) == 1 for e in prob.edges)
             seen["tie on basic index"] += ties > 0
             seen["fractional"] += any(v.denominator > 1 for v in sol.values)
+            seen["interleaved components"] += self._interleaved_components(prob)
         assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_work_linear_in_n_over_many_components(self, monkeypatch, k):
+        # blob_instance(1, k) is n / 4 disjoint 4-cliques of triples. Each
+        # component is solved with its own objective row, so a pivot
+        # rewrites only its own clique's rows and reduced costs: about 14.5
+        # entries per vertex at both rungs. One objective row over all n
+        # variables would be rewritten on every pivot, quadratic in n.
+        eliminate = lp._eliminate
+        rewritten = []
+
+        def counting(target, *args):
+            rewritten.append(len(target))
+            eliminate(target, *args)
+
+        monkeypatch.setattr(lp, "_eliminate", counting)
+        h = blob_instance(1, k).hypergraph
+        solve_exact(build_crown_lp(h))
+        assert 0 < sum(rewritten) <= 20 * h.n
 
     def test_one_pivot_per_isolated_vertex(self):
         # Three cap rows; each y_v enters once and leaves no reduced cost.
