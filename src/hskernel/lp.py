@@ -14,7 +14,9 @@ changes no pivot: a pivot in one component rewrites only that component's
 rows and reduced costs and scales the others by a positive factor, so Bland's
 lowest-index order over the whole tableau, restricted to one component, is
 that component's own order, and the values, basis and pivot count are those
-of a single solve over all variables. Zero/one membership is decided by
+of a single solve over all variables. Bland's entering column is popped off a
+heap instead of found by a scan of the objective row, which changes no pivot
+either (see :class:`SimplexBackend`). Zero/one membership is decided by
 exact equality: a floating tolerance would misclassify the candidate sets
 and silently break the crown reduction, so no rounding happens anywhere in
 this module.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm
 
 from .core import Edge, Hypergraph, canonical_edge, remainders
@@ -139,12 +142,26 @@ class SimplexBackend:
     fraction-free (cross-multiplying, no division) and divides each updated
     row by the gcd of its entries. The objective row is kept as integer
     numerators scaled by a positive factor, so the signs of its reduced
-    costs are exact. Values become ``Fraction`` only when the optimum is
-    read out.
+    costs are exact. The pivot row's entries outside the pivot column are
+    listed once per pivot; each updated row drops its pivot-column entry,
+    which the update zeroes, and that column's row set is reset once. The
+    optimum is read off the integer numerators of the basic rows: a value
+    becomes a ``Fraction`` only when it is fractional, and the objective is
+    ``n`` minus the sum of the ``y`` values.
 
     Pivoting is deterministic: lowest-index entering column with a negative
     reduced cost, leaving row by minimum ratio with ties broken on the lowest
     basic variable index.
+
+    The entering column comes off a min-heap that holds every column with a
+    negative reduced cost, and maybe some that have none any more: those are
+    popped when they reach the top, so the top, once negative, is Bland's
+    column. This is exact because a pivot changes the sign of a reduced cost
+    only in a column of the pivot row. ``_eliminate`` multiplies every other
+    entry of the objective row by ``piv > 0`` and divides it by a positive
+    gcd, and neither flips a sign. So after each pivot only the pivot row's
+    columns that are now negative are pushed, and no pivot rescans the
+    objective row.
 
     The loop runs once per connected component of the rows (a capped
     variable is a component of its own), with an objective row over that
@@ -178,13 +195,15 @@ class SimplexBackend:
         pivots = 0
         for component in _components(matrix, n):
             # Reduced costs for min(-sum y) over this component; the slack
-            # basis has zero cost.
+            # basis has zero cost. The heap holds every column whose reduced
+            # cost is negative, and maybe some that no longer are.
             obj = dict.fromkeys(component, -1)
-            while True:
-                negative = [j for j, c in obj.items() if c < 0]
-                if not negative:
-                    break
-                enter = min(negative)
+            heap = sorted(component)
+            while heap:
+                enter = heap[0]
+                if obj.get(enter, 0) >= 0:
+                    heappop(heap)
+                    continue
                 # Minimum ratio rhs_i / a_i, compared by cross-multiplying:
                 # the row denominators cancel.
                 leave, best_r, best_a = -1, 0, 1
@@ -199,13 +218,28 @@ class SimplexBackend:
                     raise InternalConsistencyError("unbounded pivot in a boxed model")
                 self._pivot(matrix, obj, basis, leave, enter)
                 pivots += 1
+                # Only the pivot row's columns changed their reduced cost.
+                for j in rows[leave]:
+                    if obj.get(j, 0) < 0:
+                        heappush(heap, j)
 
-        y = [_ZERO] * n
+        # x_v = 1 - y_v, where y_v is the right-hand side over the
+        # denominator of v's row when v is basic and 0 otherwise. Only a
+        # fractional y_v becomes a Fraction.
+        values = [_ONE] * n
+        ones, fractional = 0, []
         for i, b in enumerate(basis):
             if b < n:
-                y[b] = Fraction(rows[i].get(rhs, 0), rows[i][b])
-        values = tuple(_ONE - yv for yv in y)
-        return ExactLPSolution(values, sum(values, _ZERO), tuple(basis), pivots)
+                num, den = rows[i].get(rhs, 0), rows[i][b]
+                if num == den:
+                    values[b] = _ZERO
+                    ones += 1
+                elif num:
+                    y = Fraction(num, den)
+                    values[b] = _ONE - y
+                    fractional.append(y)
+        objective = n - ones - sum(fractional, _ZERO)
+        return ExactLPSolution(tuple(values), objective, tuple(basis), pivots)
 
     @staticmethod
     def _pivot(
@@ -225,10 +259,11 @@ class SimplexBackend:
         rows, cols = matrix.rows, matrix.cols
         row = rows[prow]
         piv = row[pcol]
-        items = list(row.items())
-        for i in list(cols[pcol]):
+        items = [(j, v) for j, v in row.items() if j != pcol]
+        for i in cols[pcol]:
             if i != prow:
                 _eliminate(rows[i], i, cols, items, piv, pcol)
+        cols[pcol] = {prow}
         if obj.get(pcol):
             _eliminate(obj, -1, None, items, piv, pcol)
             obj.pop(matrix.rhs, None)  # reduced costs only
@@ -245,8 +280,10 @@ def _eliminate(
 ) -> None:
     """``target <- (piv * target - target[pcol] * pivot_row) / g`` with ``g``
     the gcd of the result, keeping ``cols`` (when given) in step with the
-    nonzero pattern of row ``index``."""
-    f = target[pcol]
+    nonzero pattern of row ``index``. ``items`` are the pivot row's entries
+    outside ``pcol``; the result is zero in ``pcol``, so that entry is
+    popped, and the caller resets ``cols[pcol]`` once for all rows."""
+    f = target.pop(pcol)
     if piv != 1:
         for j in target:
             target[j] *= piv

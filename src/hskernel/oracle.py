@@ -37,22 +37,29 @@ def _check_ceiling(n: int, ceiling: int | None) -> None:
 
 def _branch(edges: tuple[Edge, ...], k: int) -> tuple[int, ...] | None:
     """A hitting set of size <= k, or None, searched depth first without
-    recursion. Each stack entry is ``(unhit, path)``: ``path`` holds the
-    vertices chosen so far, in order, and ``unhit`` the edges they miss, in
-    canonical order. An entry with nothing unhit returns its path.
-    Otherwise, when its first unhit edge is non-empty and its path shorter
-    than ``k``, it pushes one child per vertex of that edge, each with its
-    own unhit edges and path built at once, in reverse so that the children
-    pop in vertex order. Canonical order puts an empty edge first, and an
-    empty edge cannot be hit."""
-    stack = [(edges, ())]
+    recursion. Each stack entry is ``(unhit, depth, link)``: ``depth``
+    counts the vertices chosen so far and ``link`` is ``(vertex, parent)``
+    for the last of them, or ``None`` at the root, so siblings share their
+    parent's chain instead of each copying a path. ``unhit`` holds the
+    edges the chosen vertices miss, in canonical order. An entry with
+    nothing unhit returns its chain unwound into the path of chosen
+    vertices, in order. Otherwise, when its first unhit edge is non-empty
+    and its depth below ``k``, it pushes one child per vertex of that edge,
+    each with its own unhit edges built at once, in reverse so that the
+    children pop in vertex order. Canonical order puts an empty edge first,
+    and an empty edge cannot be hit."""
+    stack = [(edges, 0, None)]
     while stack:
-        unhit, path = stack.pop()
+        unhit, depth, link = stack.pop()
         if not unhit:
-            return path
-        if unhit[0] and len(path) < k:
+            path = []
+            while link is not None:
+                v, link = link
+                path.append(v)
+            return tuple(reversed(path))
+        if unhit[0] and depth < k:
             for v in reversed(unhit[0]):
-                stack.append(([e for e in unhit if v not in e], (*path, v)))
+                stack.append(([e for e in unhit if v not in e], depth + 1, (v, link)))
     return None
 
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 from .core import Edge, Hypergraph, Instance, edges_through, subedge_groups
-from .crown import HSCrown, validate_hs_crown, _crown_via_matching
-from .crown import apply_hs_crown  # noqa: F401  unused here; bench/tracing.py patches it
-from .errors import InternalConsistencyError
+from .crown import HSCrown, apply_hs_crown, validate_hs_crown, _crown_via_matching
+from .errors import InternalConsistencyError, InvalidCrownError
 from .lp import ExactLPSolution, build_crown_lp, extract_crown_candidates, solve_exact
 from . import matching  # the blossom is looked up at call time; bench/tracing.py patches it
 from .matching import SimpleGraph
@@ -147,23 +146,26 @@ def _rebuild(
     *,
     remove_vertices: frozenset[int] = frozenset(),
     k_delta: int = 0,
+    successor: Instance | None = None,
     **events: object,
 ) -> RuleOutcome:
     """Assemble the successor instance and its trace step from the rule's
     delta in the current (old) ids: the edges of ``inst`` it drops and the
     canonical edges it adds. :meth:`Instance.successor` checks and applies
     the delta and compacts the surviving vertices; a successor it refuses is
-    the rule's fault, not the input's. The step counts as removed the
-    dropped edges not added again, and as added the edges ``inst`` lacks:
-    the change in the edge count plus the edges removed. The ``events``
-    (the hints, rule 6's crown and LP solution) go into the outcome as they
-    are.
+    the rule's fault, not the input's. A ``successor`` the rule already
+    built from that delta (rule 6's, by ``apply_hs_crown``) is taken as it
+    is. The step counts as removed the dropped edges not added again, and
+    as added the edges ``inst`` lacks: the change in the edge count plus
+    the edges removed. The ``events`` (the hints, rule 6's crown and LP
+    solution) go into the outcome as they are.
     """
     drop, add = set(drop), set(add)
-    try:
-        successor = inst.successor(drop, add, inst.k + k_delta, remove_vertices)
-    except ValueError as exc:
-        raise InternalConsistencyError(f"rule {rule} built an invalid successor: {exc}") from exc
+    if successor is None:
+        try:
+            successor = inst.successor(drop, add, inst.k + k_delta, remove_vertices)
+        except ValueError as exc:
+            raise InternalConsistencyError(f"rule {rule} built an invalid successor: {exc}") from exc
     removed = len(drop - add)
     step = TraceStep(
         rule=rule,
@@ -418,9 +420,9 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
     Below the vertex threshold nothing happens: the instance is already a
     kernel. Otherwise the crown LP is solved exactly; its zero vertices feed
     the crown finder, which matches their completing subedges into
-    them. A found crown is validated and applied (budget unchanged); when no
-    crown exists the instance cannot be a yes-instance and the rule
-    concludes no.
+    them. A found crown must be strict; ``apply_hs_crown`` validates and
+    applies it (budget unchanged). When no crown exists the instance cannot
+    be a yes-instance and the rule concludes no.
     """
     h = inst.hypergraph
     if not exceeds_bound(h.n, h.d, inst.k):
@@ -430,14 +432,16 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
     if crown is None:
         step = TraceStep(rule=6, vertices_removed=0, edges_removed=0, edges_added=0, k_delta=0)
         return RuleOutcome(step=step, lp_solution=solution)
-    verdict = validate_hs_crown(h, crown)
-    if not (verdict.valid and verdict.strict):
-        raise InternalConsistencyError(
-            f"LP crown failed validation: {verdict.problems}"
-        )
+    try:
+        if not crown.strict:  # apply_hs_crown takes a valid crown that is not strict
+            raise InvalidCrownError(validate_hs_crown(h, crown))
+        successor = apply_hs_crown(inst, crown)
+    except InvalidCrownError as exc:
+        raise InternalConsistencyError(f"LP crown failed validation: {exc.verdict.problems}") from exc
     meeting = edges_through(h.edges, crown.crown)
     return _rebuild(
-        inst, 6, meeting, crown.head, remove_vertices=crown.crown, crown=crown, lp_solution=solution
+        inst, 6, meeting, crown.head, remove_vertices=crown.crown, successor=successor,
+        crown=crown, lp_solution=solution,
     )
 
 

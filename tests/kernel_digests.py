@@ -15,6 +15,14 @@ rule-5 step directly after one that removed or added edges in
 than ``REPEAT_FLOOR`` of them, since a family that never repeats rule 5
 cannot show how the repeat behaves.
 
+The last line, ``lp-solution``, hashes no kernel: it solves the crown LP of
+each instance's whole hypergraph and hashes the ``ExactLPSolution`` (values,
+objective, basis and pivot count). Its instances are the petal, mixed-crown
+and blob families at seeds 0-3 with k = 4 and 8, and 400
+``random_rule_instance``s. A change to the simplex that keeps every pivot
+reproduces it; one that moves a pivot changes it even where the crown, and
+so the kernel, stays the same.
+
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
 
@@ -37,6 +45,7 @@ from helpers import (
     tournament_fvs_instance,
 )
 from hskernel.core import Instance
+from hskernel.lp import build_crown_lp, solve_exact
 from hskernel.oracle import GenSpec, generate
 from hskernel.reductions import kernelize
 
@@ -113,6 +122,28 @@ def digest(instances: list[Instance]) -> tuple[str, int]:
     return h.hexdigest(), repeats
 
 
+def lp_instances() -> list[Instance]:
+    """The instances whose crown LPs the ``lp-solution`` line hashes."""
+    instances = [
+        family(s, k)
+        for family in (petal_cycle_instance, mixed_crown_instance, blob_instance)
+        for k in (4, 8)
+        for s in SEEDS
+    ]
+    rng = random.Random(2626)
+    return instances + [random_rule_instance(rng) for _ in range(400)]
+
+
+def lp_digest(instances: list[Instance]) -> str:
+    """The hash of each instance's crown LP solution, in order."""
+    h = hashlib.sha256()
+    for inst in instances:
+        sol = solve_exact(build_crown_lp(inst.hypergraph))
+        h.update(repr((sol.values, sol.objective, sol.basis, sol.pivots)).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
 def main() -> None:
     for name, instances in families():
         hexdigest, repeats = digest(instances)
@@ -122,6 +153,8 @@ def main() -> None:
                 f"rule5-repeat: rule 5 followed a changing rule-5 step {repeats} times,"
                 f" fewer than {REPEAT_FLOOR}"
             )
+    instances = lp_instances()
+    print(f"digest lp-solution {len(instances)} {lp_digest(instances)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -164,3 +164,26 @@ def test_traced_hopcroft_karp_counts_rule_6s_crown_matchings(fresh_hk, monkeypat
     finally:
         tracer.uninstall()
     assert values["matching.hopcroft_karp.calls"] >= 1
+
+
+def test_traced_crown_apply_times_the_crown_workloads_crowns(fresh_hk, monkeypatch):
+    # Rule 6 builds its successor through apply_hs_crown, looked up on
+    # hskernel.reductions where the tracer patches it, and apply_hs_crown
+    # validates through the copy the tracer patches on hskernel.crown. A
+    # rule 6 that built its successor another way would leave crown.apply
+    # at zero on the crown workload.
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    cases = workloads.crown(fresh_hk, 1)
+    tracer = tracing.Tracer(fresh_hk)
+    tracer.install()
+    try:
+        for case in cases:
+            fresh_hk.reductions.kernelize(case.instance)
+        values = tracer.collect()
+    finally:
+        tracer.uninstall()
+    assert values["reductions.rule6.applied"] >= 1
+    assert values["crown.apply.self_s"] > 0
+    assert values["crown.validate.self_s"] > 0

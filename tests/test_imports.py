@@ -9,10 +9,6 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "hskernel"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.name != "__init__.py")
 
-# Imported but not read, on purpose: bench/tracing.py patches
-# reductions.apply_hs_crown, so the name must exist on that module.
-UNREAD_ON_PURPOSE = {("reductions", "apply_hs_crown")}
-
 
 def imported_and_read(tree):
     """The names the module binds by import (``from __future__`` imports
@@ -35,6 +31,5 @@ def test_every_module_is_checked():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_imported_name_is_read(module):
-    # Equality, not a subset test: an exemption the module no longer needs fails too.
     imported, read = imported_and_read(ast.parse((SRC / f"{module}.py").read_text()))
-    assert imported - read == {name for m, name in UNREAD_ON_PURPOSE if m == module}
+    assert imported - read == set()

@@ -4,6 +4,7 @@ from itertools import groupby
 
 import pytest
 
+import helpers
 from hskernel import lp
 from hskernel.core import Hypergraph, is_independent, normalize
 from hskernel.crown import _crown_via_matching
@@ -213,10 +214,9 @@ class TestSparseSimplex:
                     yield from solved
 
     @staticmethod
-    def _interleaved_components(prob):
-        """Whether the kept edges form two or more components whose column
-        ranges overlap, so that Bland's lowest-index order over the whole
-        tableau alternates between them."""
+    def _lowest_in_component(prob):
+        """For each variable, the lowest variable of its connected
+        component of kept edges (a variable in no kept edge is its own)."""
         parent = list(range(prob.var_count))
 
         def find(v):
@@ -224,13 +224,23 @@ class TestSparseSimplex:
                 v = parent[v]
             return v
 
+        for e in prob.edges:
+            if len(e) >= 2:
+                for v in e[1:]:
+                    parent[find(v)] = find(e[0])
+        lowest = {}
+        return [lowest.setdefault(find(v), v) for v in range(prob.var_count)]
+
+    @classmethod
+    def _interleaved_components(cls, prob):
+        """Whether the kept edges form two or more components whose column
+        ranges overlap, so that Bland's lowest-index order over the whole
+        tableau alternates between them."""
+        lowest = cls._lowest_in_component(prob)
         kept = [e for e in prob.edges if len(e) >= 2]
-        for e in kept:
-            for v in e[1:]:
-                parent[find(v)] = find(e[0])
         # In column order, the components' labels form more runs than
         # there are components exactly when two of them interleave.
-        runs = [root for root, _ in groupby(find(v) for v in sorted({v for e in kept for v in e}))]
+        runs = [root for root, _ in groupby(lowest[v] for v in sorted({v for e in kept for v in e}))]
         return len(runs) > len(set(runs))
 
     def test_same_solution_as_dense_reference(self):
@@ -253,6 +263,54 @@ class TestSparseSimplex:
             seen["fractional"] += any(v.denominator > 1 for v in sol.values)
             seen["interleaved components"] += self._interleaved_components(prob)
         assert all(seen.values()), seen
+
+    def test_same_pivots_as_dense_reference(self, monkeypatch):
+        # Every (row, entering column) pair the sparse simplex pivots on is
+        # the dense reference's, in the same order within each component
+        # of the rows. The components are solved one after another, in
+        # order of their lowest variable, so the sparse sequence is the
+        # dense one stably sorted by the pivot row's component. Equal
+        # solutions could hide a pivot that moved; this cannot.
+        problems = [
+            *self._random_problems(320),
+            *self._family_problems(),
+            *(
+                build_crown_lp(family(0, k).hypergraph)
+                for family in (petal_cycle_instance, mixed_crown_instance, blob_instance)
+                for k in (4, 8)
+            ),
+        ]
+        sparse, dense = [], []
+        sparse_pivot, dense_pivot = SimplexBackend._pivot, helpers._dense_pivot
+
+        def record_sparse(matrix, obj, basis, prow, pcol):
+            sparse.append((prow, pcol))
+            sparse_pivot(matrix, obj, basis, prow, pcol)
+
+        def record_dense(matrix, obj, basis, prow, pcol):
+            dense.append((prow, pcol))
+            dense_pivot(matrix, obj, basis, prow, pcol)
+
+        monkeypatch.setattr(SimplexBackend, "_pivot", staticmethod(record_sparse))
+        monkeypatch.setattr(helpers, "_dense_pivot", record_dense)
+        reordered = 0
+        for prob in problems:
+            sparse.clear()
+            dense.clear()
+            SimplexBackend().solve(prob)
+            naive_dense_simplex(prob)
+            # Tableau rows: the kept edges in order, then one cap row per
+            # variable in no kept edge.
+            lowest = self._lowest_in_component(prob)
+            kept = [e for e in prob.edges if len(e) >= 2]
+            covered = {v for e in kept for v in e}
+            row_component = [lowest[e[0]] for e in kept]
+            row_component += [v for v in range(prob.var_count) if v not in covered]
+            in_component_order = sorted(dense, key=lambda pivot: row_component[pivot[0]])
+            assert sparse == in_component_order
+            reordered += dense != in_component_order
+        assert len(problems) == 346
+        assert reordered > 0
 
     @pytest.mark.parametrize("k", [8, 16])
     def test_work_linear_in_n_over_many_components(self, monkeypatch, k):
