@@ -14,10 +14,10 @@ threads; every transformation produces a new value. A successor
 checks only what its parent did not: the edges it drops and adds and the
 vertices it removes (each one of the parent's). Each added edge is
 canonicalised and looked up once, and only those the parent lacks are
-checked, by a throwaway :class:`Hypergraph` that canonicalises them a second
-time. It inherits ``d`` and the label table less the removed vertices,
-and nothing else: a hypergraph caches nothing, and ``e in h`` bisects its
-sorted edges. A successor that changes nothing is its parent.
+checked, once, by the same per-edge check a :class:`Hypergraph` runs at
+construction. It inherits ``d`` and the label table less the removed
+vertices, and nothing else: a hypergraph caches nothing, and ``e in h``
+bisects its sorted edges. A successor that changes nothing is its parent.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ class Hypergraph:
 
     Edges are canonicalized (sorted, deduplicated, set semantics) at
     construction. Every edge must have at most ``d`` vertices and reference
-    only ids below ``n``. :meth:`Instance.successor` builds without this
-    check once it has checked the edges itself. Nothing else is stored:
+    only ids below ``n``. :meth:`Instance.successor` builds one without
+    these checks, and runs the per-edge one only on the edges it adds that
+    its parent lacks. Nothing else is stored:
     ``e in h`` bisects the sorted edges, so it costs ``O(log m)`` tuple
     comparisons and finds only canonical edges.
     """
@@ -69,11 +70,7 @@ class Hypergraph:
         if self.d < 1:
             raise ValueError(f"edge size bound must be positive, got {self.d}")
         canon = sorted({canonical_edge(e) for e in self.edges})
-        for e in canon:
-            if len(e) > self.d:
-                raise FormatError(f"edge {e} has {len(e)} vertices, bound is {self.d}")
-            if e and (e[0] < 0 or e[-1] >= self.n):
-                raise ValueError(f"edge {e} references a vertex outside 0..{self.n - 1}")
+        _check_edges(canon, self.n, self.d)
         object.__setattr__(self, "edges", tuple(canon))
 
     def __contains__(self, e: Edge) -> bool:
@@ -144,14 +141,15 @@ class Instance:
         added edge is canonicalised and then looked up once. An edge this
         instance has is at most ``d`` long and in range, as its construction
         checked, and the monotone renumbering keeps it so; such edges are
-        not checked again. Only the added edges this instance lacks go to a
-        throwaway :class:`Hypergraph`, which canonicalises them a second
-        time and checks them with its own errors: one longer than ``d``
-        raises :class:`FormatError`, one outside ``0..n-1`` raises
-        :class:`ValueError`. A ``removed`` vertex outside ``0..n-1``, or an
-        edge that keeps a ``removed`` vertex, raises :class:`ValueError`.
-        Nothing else is checked again: ``d`` is this instance's, and the
-        labels are a subsequence of its label table.
+        not checked again. The added edges this instance lacks are sorted
+        once, checked in that order as a :class:`Hypergraph` checks its
+        edges, and merged as they are: the first bad one in canonical order
+        raises, :class:`FormatError` when it is longer than ``d`` and
+        :class:`ValueError` when it leaves ``0..n-1``. A ``removed`` vertex
+        outside ``0..n-1``, or an edge that keeps a ``removed`` vertex,
+        raises :class:`ValueError`. Nothing else is checked again: ``d`` is
+        this instance's, and the labels are a subsequence of its label
+        table.
 
         The cost follows the delta, not ``m``, wherever it can: dropped
         edges are found by bisection, which also checks them, added edges
@@ -167,15 +165,14 @@ class Instance:
         if lacking:
             raise ValueError(f"the dropped edge {min(lacking)} is not an edge")
         add = set(map(canonical_edge, add))
-        new = {e for e in add if e not in h}
-        if new:
-            Hypergraph(self.n, tuple(new), self.d)  # raises on a long or stray edge
+        new = sorted(e for e in add if e not in h)
+        _check_edges(new, self.n, self.d)
         drop = at.keys() - add
         if not (drop or new or removed) and k == self.k:
             return self
         canon = _without(edges, sorted(map(at.__getitem__, drop)))
         if new:
-            canon += sorted(new)
+            canon += new
             canon.sort()  # two sorted runs: a linear merge
         labels = self.labels
         n = self.n
@@ -197,6 +194,17 @@ class Instance:
         return _unchecked(
             Instance, hypergraph=hypergraph, k=k, labels=labels, comments=self.comments
         )
+
+
+def _check_edges(edges: Iterable[Edge], n: int, d: int) -> None:
+    """Raise for the first of the canonical ``edges`` that is longer than
+    ``d`` (:class:`FormatError`) or holds a vertex outside ``0..n-1``
+    (:class:`ValueError`)."""
+    for e in edges:
+        if len(e) > d:
+            raise FormatError(f"edge {e} has {len(e)} vertices, bound is {d}")
+        if e and (e[0] < 0 or e[-1] >= n):
+            raise ValueError(f"edge {e} references a vertex outside 0..{n - 1}")
 
 
 def _without(items: Sequence, positions: Iterable[int]) -> list:

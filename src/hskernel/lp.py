@@ -264,9 +264,9 @@ class SimplexBackend:
             if i != prow:
                 _eliminate(rows[i], i, cols, items, piv, pcol)
         cols[pcol] = {prow}
-        if obj.get(pcol):
-            _eliminate(obj, -1, None, items, piv, pcol)
-            obj.pop(matrix.rhs, None)  # reduced costs only
+        # solve enters only a column of negative reduced cost.
+        _eliminate(obj, -1, None, items, piv, pcol)
+        obj.pop(matrix.rhs, None)  # reduced costs only
         basis[prow] = pcol
 
 

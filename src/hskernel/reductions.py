@@ -80,9 +80,11 @@ class RuleOutcome:
     it with on the next pass (only rule 2 hands any on; its own carries
     the successor's edge set, so that a chain of rule-2 steps does not
     rebuild it); it is read, never changed, and left out of the hash.
-    Rule 6 additionally carries the crown it applied and the solution of
-    the LP it solved, for tracing and debugging; that LP is
-    ``build_crown_lp`` of the instance the rule was given."""
+    Rules 1-5 get theirs from :func:`_rebuild`. Rule 6 assembles its own,
+    with the step counted off its crown, and additionally carries the
+    crown it applied and the solution of the LP it solved, for tracing and
+    debugging; that LP is ``build_crown_lp`` of the instance the rule was
+    given."""
 
     new_instance: Instance | None = None
     step: TraceStep | None = None
@@ -146,26 +148,24 @@ def _rebuild(
     *,
     remove_vertices: frozenset[int] = frozenset(),
     k_delta: int = 0,
-    successor: Instance | None = None,
     **events: object,
 ) -> RuleOutcome:
     """Assemble the successor instance and its trace step from the rule's
     delta in the current (old) ids: the edges of ``inst`` it drops and the
-    canonical edges it adds. :meth:`Instance.successor` checks and applies
-    the delta and compacts the surviving vertices; a successor it refuses is
-    the rule's fault, not the input's. A ``successor`` the rule already
-    built from that delta (rule 6's, by ``apply_hs_crown``) is taken as it
-    is. The step counts as removed the dropped edges not added again, and
-    as added the edges ``inst`` lacks: the change in the edge count plus
-    the edges removed. The ``events`` (the hints, rule 6's crown and LP
-    solution) go into the outcome as they are.
+    canonical edges it adds. It is the one path of rules 1-5; rule 6 takes
+    ``apply_hs_crown``'s successor and counts its step off its crown.
+    :meth:`Instance.successor` checks and applies the delta and compacts
+    the surviving vertices; a successor it refuses is the rule's fault, not
+    the input's. The step counts as removed the dropped edges not added
+    again, and as added the edges ``inst`` lacks: the change in the edge
+    count plus the edges removed. The ``events`` (rule 2's hints) go into
+    the outcome as they are.
     """
     drop, add = set(drop), set(add)
-    if successor is None:
-        try:
-            successor = inst.successor(drop, add, inst.k + k_delta, remove_vertices)
-        except ValueError as exc:
-            raise InternalConsistencyError(f"rule {rule} built an invalid successor: {exc}") from exc
+    try:
+        successor = inst.successor(drop, add, inst.k + k_delta, remove_vertices)
+    except ValueError as exc:
+        raise InternalConsistencyError(f"rule {rule} built an invalid successor: {exc}") from exc
     removed = len(drop - add)
     step = TraceStep(
         rule=rule,
@@ -343,27 +343,27 @@ def rule4_high_degree_subedge(inst: Instance) -> RuleOutcome:
         if len(containing) <= k:
             continue
         s_set = frozenset(s)
-        singles: set[int] = set()
+        singles = 0  # distinct edges s + {v} have distinct v
         pair_edges: list[tuple[int, int]] = []
         matched: set[int] = set()
         for e in containing:
             ext = tuple(v for v in e if v not in s_set)
             if len(ext) == 1:
-                singles.add(ext[0])
+                singles += 1
             elif len(ext) == 2:
                 pair_edges.append(ext)
                 if matched.isdisjoint(ext):
                     matched.update(ext)
         greedy = len(matched) // 2
-        if len(singles) + 2 * greedy <= k:
+        if singles + 2 * greedy <= k:
             continue
-        if len(singles) + greedy <= k:
+        if singles + greedy <= k:
             pair_vertices = sorted({v for ext in pair_edges for v in ext})
             local = {v: i for i, v in enumerate(pair_vertices)}
             graph = SimpleGraph(
                 len(local), tuple((local[u], local[v]) for u, v in pair_edges)
             )
-            if len(singles) + matching.blossom_max_matching(graph).size <= k:
+            if singles + matching.blossom_max_matching(graph).size <= k:
                 continue
         return _rebuild(inst, 4, containing, (s,))
     return _NOT_APPLIED
@@ -423,6 +423,12 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
     them. A found crown must be strict; ``apply_hs_crown`` validates and
     applies it (budget unchanged). When no crown exists the instance cannot
     be a yes-instance and the rule concludes no.
+
+    The step is counted off the crown, not by walking its edges again. The
+    crown is independent, so no head subedge holds a crown vertex, and none
+    is an edge through the crown: the edges added are the head subedges
+    the instance lacks, and the edges removed are those through the crown,
+    the fall in the edge count plus the edges added.
     """
     h = inst.hypergraph
     if not exceeds_bound(h.n, h.d, inst.k):
@@ -438,11 +444,9 @@ def rule6_lp_crown(inst: Instance) -> RuleOutcome:
         successor = apply_hs_crown(inst, crown)
     except InvalidCrownError as exc:
         raise InternalConsistencyError(f"LP crown failed validation: {exc.verdict.problems}") from exc
-    meeting = edges_through(h.edges, crown.crown)
-    return _rebuild(
-        inst, 6, meeting, crown.head, remove_vertices=crown.crown, successor=successor,
-        crown=crown, lp_solution=solution,
-    )
+    added = sum(1 for y in crown.head if y not in h)
+    step = TraceStep(6, len(crown.crown), h.m - successor.m + added, added, 0)
+    return RuleOutcome(successor, step, crown=crown, lp_solution=solution)
 
 
 def _quick_verdict(inst: Instance) -> str | None:

@@ -333,6 +333,20 @@ class TestSuccessor:
         with pytest.raises(ValueError, match="outside 0..4"):
             self.parent().successor([(0, 1, 2)], [(0, 5)], 2, removed)
 
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            # (0, 1, 2, 3) sorts before (0, 5): the long edge is reported.
+            (((0, 1, 2, 3), (5, 0)), FormatError, r"^edge \(0, 1, 2, 3\) has 4 vertices, bound is 3$"),
+            # (0, 6) sorts before (1, 2, 3, 4): the stray edge is reported.
+            (((4, 3, 2, 1), (6, 0)), ValueError, r"^edge \(0, 6\) references a vertex outside 0\.\.4$"),
+        ],
+    )
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_first_bad_new_edge_in_canonical_order_raises(self, bad, error, message, order):
+        with pytest.raises(error, match=message):
+            self.parent().successor((), bad[::order], 2)
+
     @pytest.mark.parametrize("stray", [99, 4, -1])
     def test_removed_vertex_outside_the_parent_is_a_value_error(self, stray):
         inst = Instance(Hypergraph(4, ((0, 1, 2), (1, 2, 3)), 3), 2)

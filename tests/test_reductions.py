@@ -820,6 +820,33 @@ class TestRule6:
                 kernel = result.instance
                 assert decide_brute_force(kernel, ceiling=kernel.n) is answer
 
+    def test_step_counts_when_the_head_overlaps_the_edges(self):
+        # Rule 6 counts its step off its crown: the head subedges the
+        # instance lacks are added, the rest of the change in the edge count
+        # is removed. Under kernelize rule 2 declines only when no head
+        # subedge is an edge, so add one of the crown's head subedges as an
+        # edge and call the rule directly; recount on the labels.
+        def label_edges(inst):
+            return {frozenset(inst.labels[v] for v in e) for e in inst.edges}
+
+        overlapping = 0
+        for seed in range(20):
+            for family in (petal_cycle_instance, mixed_crown_instance):
+                inst = family(seed, 2)
+                y = min(rule6_lp_crown(inst).crown.head)
+                names = [f"v{v}" for v in range(inst.n)]
+                raw = [[names[v] for v in e] for e in (*inst.edges, y)]
+                before = normalize(raw, inst.d, inst.k, labels=names)
+                out = rule6_lp_crown(before)
+                assert out.applied, (family.__name__, seed)
+                after = out.new_instance
+                old, new = label_edges(before), label_edges(after)
+                assert out.step == TraceStep(
+                    6, len(set(before.labels) - set(after.labels)), len(old - new), len(new - old), 0
+                )
+                overlapping += out.step.edges_added < len(out.crown.head)
+        assert overlapping
+
     def test_no_instance_with_fractional_optimum_concludes_no(self):
         inst = blob_instance(5, 1)
         out = rule6_lp_crown(inst)
