@@ -130,13 +130,15 @@ def _crown_via_matching(h: Hypergraph, candidates: list[int]) -> HSCrown | None:
     """Rule 6's crown finder: match the head subedges -- the non-empty
     remainders of the edges through the ``candidates`` -- into the candidate
     vertices with Hopcroft-Karp, or return ``None`` when the matching
-    saturates the candidates. Otherwise the crown is every candidate that an
-    alternating path reaches from an unmatched one, the head its subedges,
-    and the matching restricted to the head certifies the injection into
-    the crown. The crown is Hall-deficient by construction (an unmatched
-    candidate lies in it), so saturated crowns are invisible here. The
-    subedges are collected in the walk that builds the bipartite rows, and
-    numbered in sorted order."""
+    saturates the candidates. Its pairs are checked to be a matching of the
+    bipartite graph, since a ``None`` read off a false one would be a wrong
+    no. Otherwise the crown is every candidate that an alternating path
+    reaches from an unmatched one, the head its subedges, and the matching
+    restricted to the head certifies the injection into the crown. The
+    crown is Hall-deficient by construction (an unmatched candidate lies in
+    it), so saturated crowns are invisible here. The subedges are collected
+    in the walk that builds the bipartite rows, and numbered in sorted
+    order."""
     cand_pos = {v: i for i, v in enumerate(candidates)}
     pairs = [(cand_pos[x], rest) for x, rest in remainders(h, cand_pos.keys()) if rest]
     subedges = sorted({rest for _, rest in pairs})
@@ -145,7 +147,12 @@ def _crown_via_matching(h: Hypergraph, candidates: list[int]) -> HSCrown | None:
     for i, rest in pairs:
         rows[i].add(sub_pos[rest])
     g = BipartiteGraph(len(candidates), len(subedges), tuple(map(tuple, rows)))
-    mate = {j: i for i, j in matching.hopcroft_karp(g).pairs}
+    matched = matching.hopcroft_karp(g).pairs
+    mate = {j: i for i, j in matched}
+    if len(mate) < len(matched) or len(set(mate.values())) < len(matched) or not all(
+        0 <= i < g.side_a and j in g.adjacency[i] for i, j in matched
+    ):
+        raise InternalConsistencyError("Hopcroft-Karp pairs are not a matching of the graph")
     todo = list(set(range(len(candidates))).difference(mate.values()))
     if not todo:
         return None

@@ -8,18 +8,13 @@ hand side would be 1), box bounds ``0 <= x <= 1``, and objective
 the crown search; every other vertex of an edge through one sits at one.
 
 Arithmetic is exact throughout: the simplex pivots a sparse tableau of
-integer rows without division, one connected component of the constraint
-rows at a time, and the optimum is read out as exact rationals. Splitting
-changes no pivot: a pivot in one component rewrites only that component's
-rows and reduced costs and scales the others by a positive factor, so Bland's
-lowest-index order over the whole tableau, restricted to one component, is
-that component's own order, and the values, basis and pivot count are those
-of a single solve over all variables. Bland's entering column is popped off a
-heap instead of found by a scan of the objective row, which changes no pivot
-either (see :class:`SimplexBackend`). Zero/one membership is decided by
-exact equality: a floating tolerance would misclassify the candidate sets
-and silently break the crown reduction, so no rounding happens anywhere in
-this module.
+integer rows without division, keeps each reduced cost as its own exact
+rational, and reads the optimum out as exact rationals. Bland's entering
+column is popped off a heap instead of found by a scan of the reduced costs,
+which changes no pivot (see :class:`SimplexBackend`). Zero/one membership is
+decided by exact equality: a floating tolerance would misclassify the
+candidate sets and silently break the crown reduction, so no rounding
+happens anywhere in this module.
 """
 
 from __future__ import annotations
@@ -34,6 +29,7 @@ from .errors import InternalConsistencyError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_NO_COST = (0, 1)  # a reduced cost of zero, which is not stored
 
 
 @dataclass(frozen=True)
@@ -80,15 +76,15 @@ def build_crown_lp(h: Hypergraph) -> LPProblem:
 class _Tableau:
     """Sparse fraction-free simplex tableau.
 
-    ``rows[i]`` maps a column to a nonzero integer numerator; column
-    ``rhs`` holds the right-hand side. Every row's values are its numerators
-    over one positive integer denominator, which is never stored: the basic
-    variable of row ``i`` has value 1 in its own column, so the denominator
-    is the numerator there. ``cols[j]`` lists the rows with a nonzero in
-    column ``j``.
+    ``rows[i]`` maps a column to a nonzero integer numerator; the last of
+    the ``width`` columns holds the right-hand side. Every row's values are
+    its numerators over one positive integer denominator, which is never
+    stored: the basic variable of row ``i`` has value 1 in its own column,
+    so the denominator is the numerator there. ``cols[j]`` lists the rows
+    with a nonzero in column ``j``.
     """
 
-    __slots__ = ("rows", "cols", "rhs")
+    __slots__ = ("rows", "cols")
 
     def __init__(self, rows: list[dict[int, int]], width: int) -> None:
         self.rows = rows
@@ -96,33 +92,9 @@ class _Tableau:
         for i, row in enumerate(rows):
             for j in row:
                 self.cols[j].add(i)
-        self.rhs = width - 1
 
     def __getitem__(self, i: int) -> dict[int, int]:
         return self.rows[i]
-
-
-def _components(matrix: _Tableau, n: int) -> list[list[int]]:
-    """The variable columns ``0..n-1`` split into the connected components
-    of the tableau's rows, in order of their lowest column.
-
-    Read before any pivot, when every row holds only its own variables, its
-    slack and the right-hand side; a variable with a cap row is a component
-    of its own.
-    """
-    rows, cols = matrix.rows, matrix.cols
-    seen: set[int] = set()
-    components = []
-    for start in range(n):
-        if start not in seen:
-            seen.add(start)
-            component = [start]
-            for v in component:
-                fresh = {u for i in cols[v] for u in rows[i] if u < n} - seen
-                seen |= fresh
-                component.extend(fresh)
-            components.append(component)
-    return components
 
 
 class SimplexBackend:
@@ -140,14 +112,20 @@ class SimplexBackend:
     Rows are integer numerator maps (see :class:`_Tableau`); a pivot touches
     only the rows with a nonzero in the pivot column, eliminates
     fraction-free (cross-multiplying, no division) and divides each updated
-    row by the gcd of its entries. The objective row is kept as integer
-    numerators scaled by a positive factor, so the signs of its reduced
-    costs are exact. The pivot row's entries outside the pivot column are
-    listed once per pivot; each updated row drops its pivot-column entry,
-    which the update zeroes, and that column's row set is reset once. The
-    optimum is read off the integer numerators of the basic rows: a value
-    becomes a ``Fraction`` only when it is fractional, and the objective is
-    ``n`` minus the sum of the ``y`` values.
+    row by the gcd of its entries. The pivot row's entries outside the pivot
+    column are listed once per pivot; each updated row drops its
+    pivot-column entry, which the update zeroes, and that column's row set
+    is reset once.
+
+    Each reduced cost is its own exact rational, an integer
+    ``(numerator, denominator)`` pair in lowest terms with a positive
+    denominator, and a zero one is absent. A pivot on entry ``piv`` of
+    column ``p`` sets ``c_j <- c_j - c_p * a_j / piv`` for each column ``j``
+    of the pivot row only: every other column has ``a_j = 0`` there and
+    keeps its reduced cost untouched. The entry at the right-hand side
+    column is the current sum of the ``y`` values, so the objective is ``n``
+    minus it. The values are read off the integer numerators of the basic
+    rows: a value becomes a ``Fraction`` only when it is fractional.
 
     Pivoting is deterministic: lowest-index entering column with a negative
     reduced cost, leaving row by minimum ratio with ties broken on the lowest
@@ -156,25 +134,9 @@ class SimplexBackend:
     The entering column comes off a min-heap that holds every column with a
     negative reduced cost, and maybe some that have none any more: those are
     popped when they reach the top, so the top, once negative, is Bland's
-    column. This is exact because a pivot changes the sign of a reduced cost
-    only in a column of the pivot row. ``_eliminate`` multiplies every other
-    entry of the objective row by ``piv > 0`` and divides it by a positive
-    gcd, and neither flips a sign. So after each pivot only the pivot row's
-    columns that are now negative are pushed, and no pivot rescans the
-    objective row.
-
-    The loop runs once per connected component of the rows (a capped
-    variable is a component of its own), with an objective row over that
-    component's variables alone, so a pivot never rescans or rescales the
-    reduced costs of another component. This is exact: a pivot in component
-    ``C`` updates only the rows with a nonzero in its entering column, which
-    are ``C``'s, and only the reduced costs of the pivot row's columns, which
-    are ``C``'s variables and slacks. Everywhere else one objective row
-    would only be multiplied by ``piv`` and divided by a gcd, both positive,
-    so no sign outside ``C`` changes. The global lowest-negative-column
-    sequence, restricted to ``C``, is therefore ``C``'s own sequence, and the
-    ratio test only ever compares ``C``'s rows. The tableau rows and the
-    basis are shared, and the pivots of the components are summed.
+    column. This is exact because a pivot changes only the reduced costs of
+    the pivot row's columns, so after each pivot only those that are now
+    negative are pushed, and no pivot scans the other reduced costs.
     """
 
     def solve(self, problem: LPProblem) -> ExactLPSolution:
@@ -192,59 +154,52 @@ class SimplexBackend:
         matrix = _Tableau(rows, rhs + 1)
         basis = [n + i for i in range(m)]
 
+        # Reduced costs for min(-sum y); the slack basis has zero cost. The
+        # heap holds every column whose reduced cost is negative, and maybe
+        # some that no longer are.
+        obj = dict.fromkeys(range(n), (-1, 1))
+        heap = list(range(n))
         pivots = 0
-        for component in _components(matrix, n):
-            # Reduced costs for min(-sum y) over this component; the slack
-            # basis has zero cost. The heap holds every column whose reduced
-            # cost is negative, and maybe some that no longer are.
-            obj = dict.fromkeys(component, -1)
-            heap = sorted(component)
-            while heap:
-                enter = heap[0]
-                if obj.get(enter, 0) >= 0:
-                    heappop(heap)
-                    continue
-                # Minimum ratio rhs_i / a_i, compared by cross-multiplying:
-                # the row denominators cancel.
-                leave, best_r, best_a = -1, 0, 1
-                for i in matrix.cols[enter]:
-                    a = rows[i][enter]
-                    if a > 0:
-                        r = rows[i].get(rhs, 0)
-                        mine, best = r * best_a, best_r * a
-                        if leave < 0 or mine < best or (mine == best and basis[i] < basis[leave]):
-                            leave, best_r, best_a = i, r, a
-                if leave < 0:
-                    raise InternalConsistencyError("unbounded pivot in a boxed model")
-                self._pivot(matrix, obj, basis, leave, enter)
-                pivots += 1
-                # Only the pivot row's columns changed their reduced cost.
-                for j in rows[leave]:
-                    if obj.get(j, 0) < 0:
-                        heappush(heap, j)
+        while heap:
+            enter = heap[0]
+            if obj.get(enter, _NO_COST)[0] >= 0:
+                heappop(heap)
+                continue
+            # Minimum ratio rhs_i / a_i, compared by cross-multiplying: the
+            # row denominators cancel.
+            leave, best_r, best_a = -1, 0, 1
+            for i in matrix.cols[enter]:
+                a = rows[i][enter]
+                if a > 0:
+                    r = rows[i].get(rhs, 0)
+                    mine, best = r * best_a, best_r * a
+                    if leave < 0 or mine < best or (mine == best and basis[i] < basis[leave]):
+                        leave, best_r, best_a = i, r, a
+            if leave < 0:
+                raise InternalConsistencyError("unbounded pivot in a boxed model")
+            self._pivot(matrix, obj, basis, leave, enter)
+            pivots += 1
+            # Only the pivot row's columns changed their reduced cost.
+            for j in rows[leave]:
+                if obj.get(j, _NO_COST)[0] < 0:
+                    heappush(heap, j)
 
         # x_v = 1 - y_v, where y_v is the right-hand side over the
         # denominator of v's row when v is basic and 0 otherwise. Only a
         # fractional y_v becomes a Fraction.
         values = [_ONE] * n
-        ones, fractional = 0, []
         for i, b in enumerate(basis):
             if b < n:
                 num, den = rows[i].get(rhs, 0), rows[i][b]
-                if num == den:
-                    values[b] = _ZERO
-                    ones += 1
-                elif num:
-                    y = Fraction(num, den)
-                    values[b] = _ONE - y
-                    fractional.append(y)
-        objective = n - ones - sum(fractional, _ZERO)
+                if num:
+                    values[b] = _ZERO if num == den else _ONE - Fraction(num, den)
+        objective = n - Fraction(*obj.get(rhs, _NO_COST))
         return ExactLPSolution(tuple(values), objective, tuple(basis), pivots)
 
     @staticmethod
     def _pivot(
         matrix: _Tableau,
-        obj: dict[int, int],
+        obj: dict[int, tuple[int, int]],
         basis: list[int],
         prow: int,
         pcol: int,
@@ -254,7 +209,10 @@ class SimplexBackend:
 
         The pivot row keeps its numerators; its denominator becomes the
         pivot entry. Every other row ``t`` with ``f = t[pcol] != 0`` becomes
-        ``piv * t - f * row``: a positive multiple of the exact update.
+        ``piv * t - f * row``: a positive multiple of the exact update. The
+        reduced cost of each column ``j`` of the pivot row becomes
+        ``c_j - c_pcol * a_j / piv``, that of ``pcol`` zero, and no other
+        reduced cost is read or written.
         """
         rows, cols = matrix.rows, matrix.cols
         row = rows[prow]
@@ -264,25 +222,38 @@ class SimplexBackend:
             if i != prow:
                 _eliminate(rows[i], i, cols, items, piv, pcol)
         cols[pcol] = {prow}
-        # solve enters only a column of negative reduced cost.
-        _eliminate(obj, -1, None, items, piv, pcol)
-        obj.pop(matrix.rhs, None)  # reduced costs only
+        # c_pcol / piv as p / q in lowest terms, q > 0: solve enters only a
+        # column of negative reduced cost, and piv > 0.
+        p, q = obj.pop(pcol)
+        q *= piv
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        for j, a in items:
+            num, den = obj.get(j, _NO_COST)
+            num = num * q - p * a * den
+            if num:
+                den *= q
+                g = gcd(num, den)
+                obj[j] = (num // g, den // g)
+            else:
+                del obj[j]  # p * a != 0, so a zero result had a cost before
         basis[prow] = pcol
 
 
 def _eliminate(
     target: dict[int, int],
     index: int,
-    cols: list[set[int]] | None,
+    cols: list[set[int]],
     items: list[tuple[int, int]],
     piv: int,
     pcol: int,
 ) -> None:
-    """``target <- (piv * target - target[pcol] * pivot_row) / g`` with ``g``
-    the gcd of the result, keeping ``cols`` (when given) in step with the
-    nonzero pattern of row ``index``. ``items`` are the pivot row's entries
-    outside ``pcol``; the result is zero in ``pcol``, so that entry is
-    popped, and the caller resets ``cols[pcol]`` once for all rows."""
+    """Tableau row ``index``, ``target``, becomes
+    ``(piv * target - target[pcol] * pivot_row) / g`` with ``g`` the gcd of
+    the result, and ``cols`` stays in step with its nonzero pattern.
+    ``items`` are the pivot row's entries outside ``pcol``; the result is
+    zero in ``pcol``, so that entry is popped, and the caller resets
+    ``cols[pcol]`` once for all rows."""
     f = target.pop(pcol)
     if piv != 1:
         for j in target:
@@ -290,13 +261,12 @@ def _eliminate(
     for j, v in items:
         w = target.get(j, 0) - f * v
         if w:
-            if cols is not None and j not in target:
+            if j not in target:
                 cols[j].add(index)
             target[j] = w
         else:
             del target[j]
-            if cols is not None:
-                cols[j].discard(index)
+            cols[j].discard(index)
     g = gcd(*target.values())
     if g > 1:
         for j in target:

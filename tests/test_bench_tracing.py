@@ -83,8 +83,8 @@ def test_traced_pivots_equal_the_solves_pivots(fresh_hk, monkeypatch, instance):
     # value, so a pivot must update the tableau, objective and basis in
     # place. One that returned a new objective row instead would pivot
     # forever here; the bound turns that into a failure. The petal's LP is
-    # one connected component; the blob's is many, each solved with its own
-    # objective row, and every one of their pivots must reach the tracer.
+    # one connected component and the blob's many, all solved in one loop,
+    # and every one of their pivots must reach the tracer.
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     text = write_instance(instance)

@@ -290,11 +290,28 @@ class TestCrownFinderOnBipartiteGraphs:
 
     def test_crown_without_hall_deficiency_is_an_internal_error(self, monkeypatch):
         # A "matching" that uses left vertex 0 twice: the one free left
-        # vertex reaches both right vertices but only one mate.
+        # vertex would reach both right vertices but only one mate, a crown
+        # without Hall deficiency. The pairs are refused before the walk.
         monkeypatch.setattr(matching, "hopcroft_karp", lambda g: Matching(((0, 0), (0, 1))))
         h, candidates = bipartite_as_hypergraph(BipartiteGraph(2, 2, ((0, 1), (0, 1))))
-        with pytest.raises(InternalConsistencyError, match="^crown lost its Hall deficiency$"):
+        with pytest.raises(InternalConsistencyError, match="^Hopcroft-Karp pairs are not a matching"):
             _crown_via_matching(h, candidates)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [((0, 0), (1, 1)), ((0, 0), (1, 0))],
+        ids=["not an adjacency", "right vertex twice"],
+    )
+    def test_pairs_outside_the_graph_are_an_internal_error(self, monkeypatch, pairs):
+        # Left vertices 0 and 1 share the one right vertex 0, so the finder
+        # returns the strict crown {0, 1}. Unchecked, the first pairs would
+        # saturate the candidates and read as "no crown"; the second match
+        # right vertex 0 twice, so no maximum matching has that size.
+        h = Hypergraph(4, ((0, 2, 3), (1, 2, 3)), 3)
+        assert _crown_via_matching(h, [0, 1]).crown == frozenset({0, 1})
+        monkeypatch.setattr(matching, "hopcroft_karp", lambda g: Matching(pairs))
+        with pytest.raises(InternalConsistencyError, match="^Hopcroft-Karp pairs are not a matching"):
+            _crown_via_matching(h, [0, 1])
 
 
 def _greedy_independent_set(h):

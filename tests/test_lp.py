@@ -266,11 +266,10 @@ class TestSparseSimplex:
 
     def test_same_pivots_as_dense_reference(self, monkeypatch):
         # Every (row, entering column) pair the sparse simplex pivots on is
-        # the dense reference's, in the same order within each component
-        # of the rows. The components are solved one after another, in
-        # order of their lowest variable, so the sparse sequence is the
-        # dense one stably sorted by the pivot row's component. Equal
-        # solutions could hide a pivot that moved; this cannot.
+        # the dense reference's, in the same order, and at the optimum each
+        # of its reduced costs is the reference's in lowest terms (a zero
+        # one absent). Equal solutions could hide a pivot that moved, or a
+        # reduced cost kept at a scale; this cannot.
         problems = [
             *self._random_problems(320),
             *self._family_problems(),
@@ -281,52 +280,57 @@ class TestSparseSimplex:
             ),
         ]
         sparse, dense = [], []
+        final = {}
         sparse_pivot, dense_pivot = SimplexBackend._pivot, helpers._dense_pivot
 
         def record_sparse(matrix, obj, basis, prow, pcol):
             sparse.append((prow, pcol))
+            final["sparse"] = obj
             sparse_pivot(matrix, obj, basis, prow, pcol)
 
         def record_dense(matrix, obj, basis, prow, pcol):
             dense.append((prow, pcol))
+            final["dense"] = obj
             dense_pivot(matrix, obj, basis, prow, pcol)
 
         monkeypatch.setattr(SimplexBackend, "_pivot", staticmethod(record_sparse))
         monkeypatch.setattr(helpers, "_dense_pivot", record_dense)
-        reordered = 0
         for prob in problems:
             sparse.clear()
             dense.clear()
+            final.clear()
             SimplexBackend().solve(prob)
             naive_dense_simplex(prob)
-            # Tableau rows: the kept edges in order, then one cap row per
-            # variable in no kept edge.
-            lowest = self._lowest_in_component(prob)
-            kept = [e for e in prob.edges if len(e) >= 2]
-            covered = {v for e in kept for v in e}
-            row_component = [lowest[e[0]] for e in kept]
-            row_component += [v for v in range(prob.var_count) if v not in covered]
-            in_component_order = sorted(dense, key=lambda pivot: row_component[pivot[0]])
-            assert sparse == in_component_order
-            reordered += dense != in_component_order
+            assert sparse == dense
+            # Columns 0..n+m-1; the last dense entry is the right-hand side.
+            width = len(final["dense"]) - 1
+            assert {j: c for j, c in final["sparse"].items() if j < width} == {
+                j: (c.numerator, c.denominator) for j, c in enumerate(final["dense"][:width]) if c
+            }
         assert len(problems) == 346
-        assert reordered > 0
 
     @pytest.mark.parametrize("k", [8, 16])
     def test_work_linear_in_n_over_many_components(self, monkeypatch, k):
-        # blob_instance(1, k) is n / 4 disjoint 4-cliques of triples. Each
-        # component is solved with its own objective row, so a pivot
-        # rewrites only its own clique's rows and reduced costs: about 14.5
-        # entries per vertex at both rungs. One objective row over all n
-        # variables would be rewritten on every pivot, quadratic in n.
-        eliminate = lp._eliminate
+        # blob_instance(1, k) is n / 4 disjoint 4-cliques of triples. A
+        # pivot rewrites only the rows with a nonzero in its column, which
+        # are its own clique's, and the reduced costs of the pivot row's
+        # columns: 12 row entries and under 5 reduced costs per vertex at
+        # both rungs. Rewriting every reduced cost on each pivot would be
+        # quadratic in n.
+        pivot, eliminate = SimplexBackend._pivot, lp._eliminate
         rewritten = []
 
-        def counting(target, *args):
+        def counting_eliminate(target, *args):
             rewritten.append(len(target))
             eliminate(target, *args)
 
-        monkeypatch.setattr(lp, "_eliminate", counting)
+        def counting_pivot(matrix, obj, basis, prow, pcol):
+            before = dict(obj)
+            pivot(matrix, obj, basis, prow, pcol)
+            rewritten.append(len({j for j, _ in before.items() ^ obj.items()}))
+
+        monkeypatch.setattr(lp, "_eliminate", counting_eliminate)
+        monkeypatch.setattr(SimplexBackend, "_pivot", staticmethod(counting_pivot))
         h = blob_instance(1, k).hypergraph
         solve_exact(build_crown_lp(h))
         assert 0 < sum(rewritten) <= 20 * h.n
