@@ -135,10 +135,12 @@ def _crown_via_matching(h: Hypergraph, candidates: list[int]) -> HSCrown | None:
     no. Otherwise the crown is every candidate that an alternating path
     reaches from an unmatched one, the head its subedges, and the matching
     restricted to the head certifies the injection into the crown. The
-    crown is Hall-deficient by construction (an unmatched candidate lies in
-    it), so saturated crowns are invisible here. The subedges are collected
-    in the walk that builds the bipartite rows, and numbered in sorted
-    order."""
+    crown is strict with no further check: the pairs are checked to be a
+    matching, and the walk meets no unmatched head subedge, so each head
+    subedge has its own mate in the crown, and an unmatched candidate lies
+    in it besides. Saturated crowns are thus invisible here. The subedges
+    are collected in the walk that builds the bipartite rows, and numbered
+    in sorted order."""
     cand_pos = {v: i for i, v in enumerate(candidates)}
     pairs = [(cand_pos[x], rest) for x, rest in remainders(h, cand_pos.keys()) if rest]
     subedges = sorted({rest for _, rest in pairs})
@@ -167,14 +169,11 @@ def _crown_via_matching(h: Hypergraph, candidates: list[int]) -> HSCrown | None:
             if mate[j] not in crown:
                 crown.add(mate[j])
                 todo.append(mate[j])
-    found = HSCrown(
+    return HSCrown(
         frozenset(candidates[i] for i in crown),
         frozenset(subedges[j] for j in head),
         tuple((subedges[j], candidates[mate[j]]) for j in head),
     )
-    if not found.strict:
-        raise InternalConsistencyError("crown lost its Hall deficiency")
-    return found
 
 
 def format_crown(c: HSCrown) -> str:

@@ -7,9 +7,11 @@ hand side would be 1), box bounds ``0 <= x <= 1``, and objective
 ``min sum(x)``. The zero-valued vertices of an optimal basic solution seed
 the crown search; every other vertex of an edge through one sits at one.
 
-Arithmetic is exact throughout: the simplex pivots a sparse tableau of
-integer rows without division, keeps each reduced cost as its own exact
-rational, and reads the optimum out as exact rationals. Bland's entering
+Arithmetic is exact throughout: one function, ``SimplexBackend._pivot``,
+rewrites the sparse tableau of integer rows, fraction-free (Bareiss-style
+cross-multiplication, then each updated row divided exactly by the gcd of
+its entries); each reduced cost is its own exact rational, and the optimum
+is read out as exact rationals. Bland's entering
 column is popped off a heap instead of found by a scan of the reduced costs,
 which changes no pivot (see :class:`SimplexBackend`). Zero/one membership is
 decided by exact equality: a floating tolerance would misclassify the
@@ -109,13 +111,15 @@ class SimplexBackend:
     by the boxes and dropped; variables in no kept row get an explicit
     ``y <= 1`` cap row so the box stays active.
 
-    Rows are integer numerator maps (see :class:`_Tableau`); a pivot touches
+    Rows are integer numerator maps (see :class:`_Tableau`), and
+    :meth:`_pivot` alone writes them and their column index: a pivot touches
     only the rows with a nonzero in the pivot column, eliminates
     fraction-free (cross-multiplying, no division) and divides each updated
     row by the gcd of its entries. The pivot row's entries outside the pivot
     column are listed once per pivot; each updated row drops its
-    pivot-column entry, which the update zeroes, and that column's row set
-    is reset once.
+    pivot-column entry, which the update zeroes, ``cols`` gains and loses
+    the row where its other entries appear and vanish, and the pivot
+    column's row set is reset once.
 
     Each reduced cost is its own exact rational, an integer
     ``(numerator, denominator)`` pair in lowest terms with a positive
@@ -205,22 +209,44 @@ class SimplexBackend:
         pcol: int,
     ) -> None:
         """Make ``pcol`` basic in row ``prow``, updating ``matrix``, ``obj``
-        and ``basis`` in place.
+        and ``basis`` in place: the only code that rewrites tableau rows and
+        ``cols``.
 
         The pivot row keeps its numerators; its denominator becomes the
         pivot entry. Every other row ``t`` with ``f = t[pcol] != 0`` becomes
-        ``piv * t - f * row``: a positive multiple of the exact update. The
-        reduced cost of each column ``j`` of the pivot row becomes
-        ``c_j - c_pcol * a_j / piv``, that of ``pcol`` zero, and no other
-        reduced cost is read or written.
+        ``(piv * t - f * row) / g`` (Bareiss-style fraction-free
+        elimination), a positive multiple of the exact update, with ``g``
+        the gcd of its entries; its ``pcol`` entry, which the update zeroes,
+        is popped, ``cols`` follows the other entries it gains or loses, and
+        ``cols[pcol]`` is reset once. The reduced cost of each column ``j``
+        of the pivot row becomes ``c_j - c_pcol * a_j / piv``, that of
+        ``pcol`` zero, and no other reduced cost is read or written.
         """
         rows, cols = matrix.rows, matrix.cols
         row = rows[prow]
         piv = row[pcol]
         items = [(j, v) for j, v in row.items() if j != pcol]
         for i in cols[pcol]:
-            if i != prow:
-                _eliminate(rows[i], i, cols, items, piv, pcol)
+            if i == prow:
+                continue
+            target = rows[i]
+            f = target.pop(pcol)
+            if piv != 1:
+                for j in target:
+                    target[j] *= piv
+            for j, v in items:
+                w = target.get(j, 0) - f * v
+                if w:
+                    if j not in target:
+                        cols[j].add(i)
+                    target[j] = w
+                else:
+                    del target[j]
+                    cols[j].discard(i)
+            g = gcd(*target.values())
+            if g > 1:
+                for j in target:
+                    target[j] //= g
         cols[pcol] = {prow}
         # c_pcol / piv as p / q in lowest terms, q > 0: solve enters only a
         # column of negative reduced cost, and piv > 0.
@@ -238,39 +264,6 @@ class SimplexBackend:
             else:
                 del obj[j]  # p * a != 0, so a zero result had a cost before
         basis[prow] = pcol
-
-
-def _eliminate(
-    target: dict[int, int],
-    index: int,
-    cols: list[set[int]],
-    items: list[tuple[int, int]],
-    piv: int,
-    pcol: int,
-) -> None:
-    """Tableau row ``index``, ``target``, becomes
-    ``(piv * target - target[pcol] * pivot_row) / g`` with ``g`` the gcd of
-    the result, and ``cols`` stays in step with its nonzero pattern.
-    ``items`` are the pivot row's entries outside ``pcol``; the result is
-    zero in ``pcol``, so that entry is popped, and the caller resets
-    ``cols[pcol]`` once for all rows."""
-    f = target.pop(pcol)
-    if piv != 1:
-        for j in target:
-            target[j] *= piv
-    for j, v in items:
-        w = target.get(j, 0) - f * v
-        if w:
-            if j not in target:
-                cols[j].add(index)
-            target[j] = w
-        else:
-            del target[j]
-            cols[j].discard(index)
-    g = gcd(*target.values())
-    if g > 1:
-        for j in target:
-            target[j] //= g
 
 
 def solve_exact(problem: LPProblem) -> ExactLPSolution:

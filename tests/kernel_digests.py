@@ -19,8 +19,9 @@ The last line, ``lp-solution``, hashes no kernel: it solves the crown LP of
 each instance's whole hypergraph and hashes the ``ExactLPSolution`` (values,
 objective, basis and pivot count). Its instances are the petal, mixed-crown
 and blob families at seeds 0-3 with k = 4 and 8, the petal family at seeds
-0-1 with k = 16 (one connected component of about 1000 variables each), and
-400 ``random_rule_instance``s. A change to the simplex that keeps every pivot
+0-1 with k = 16 (one connected component of about 1000 variables each),
+``blob_instance(1, 64)`` (16 452 variables in 4113 components) and 400
+``random_rule_instance``s. A change to the simplex that keeps every pivot
 reproduces it; one that moves a pivot changes it even where the crown, and
 so the kernel, stays the same.
 
@@ -132,6 +133,7 @@ def lp_instances() -> list[Instance]:
         for s in SEEDS
     ]
     instances += [petal_cycle_instance(s, 16) for s in range(2)]
+    instances.append(blob_instance(1, 64))
     rng = random.Random(2626)
     return instances + [random_rule_instance(rng) for _ in range(400)]
 

@@ -5,7 +5,6 @@ from itertools import groupby
 import pytest
 
 import helpers
-from hskernel import lp
 from hskernel.core import Hypergraph, is_independent, normalize
 from hskernel.crown import _crown_via_matching
 from hskernel.errors import InternalConsistencyError
@@ -287,6 +286,19 @@ class TestSparseSimplex:
             sparse.append((prow, pcol))
             final["sparse"] = obj
             sparse_pivot(matrix, obj, basis, prow, pcol)
+            # cols[j] is exactly the set of rows with a nonzero in column j.
+            # Only the first column that differs is reported: a diff of two
+            # long lists of sets is slow to print.
+            nonzero = [set() for _ in matrix.cols]
+            for i, row in enumerate(matrix.rows):
+                for j, v in row.items():
+                    if v:
+                        nonzero[j].add(i)
+            wrong = next((j for j, rows in enumerate(nonzero) if rows != matrix.cols[j]), None)
+            assert wrong is None, (
+                f"pivot {len(sparse)}: cols[{wrong}] = {sorted(matrix.cols[wrong])},"
+                f" nonzero rows {sorted(nonzero[wrong])}"
+            )
 
         def record_dense(matrix, obj, basis, prow, pcol):
             dense.append((prow, pcol))
@@ -316,20 +328,17 @@ class TestSparseSimplex:
         # are its own clique's, and the reduced costs of the pivot row's
         # columns: 12 row entries and under 5 reduced costs per vertex at
         # both rungs. Rewriting every reduced cost on each pivot would be
-        # quadratic in n.
-        pivot, eliminate = SimplexBackend._pivot, lp._eliminate
+        # quadratic in n. The row entries are counted before the pivot, as
+        # the rows it will eliminate hold them.
+        pivot = SimplexBackend._pivot
         rewritten = []
 
-        def counting_eliminate(target, *args):
-            rewritten.append(len(target))
-            eliminate(target, *args)
-
         def counting_pivot(matrix, obj, basis, prow, pcol):
+            rewritten.append(sum(len(matrix[i]) for i in matrix.cols[pcol] if i != prow))
             before = dict(obj)
             pivot(matrix, obj, basis, prow, pcol)
             rewritten.append(len({j for j, _ in before.items() ^ obj.items()}))
 
-        monkeypatch.setattr(lp, "_eliminate", counting_eliminate)
         monkeypatch.setattr(SimplexBackend, "_pivot", staticmethod(counting_pivot))
         h = blob_instance(1, k).hypergraph
         solve_exact(build_crown_lp(h))
