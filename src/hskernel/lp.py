@@ -55,9 +55,10 @@ class ExactLPSolution:
 
     ``basis`` holds the basic column of each :class:`SimplexBackend` tableau
     row at the optimum, which nonnegative reduced costs certified. Of ``n``
-    variables and ``r`` kept edge rows, column ``v < n`` is ``y_v = 1 - x_v``,
-    ``n + i`` the slack of kept row ``i`` and ``n + r + b`` that of the cap
-    row of the ``b``-th variable in no kept row. ``pivots`` counts pivots.
+    variables, column ``v < n`` is ``y_v = 1 - x_v`` and column ``n + i`` the
+    slack of row ``i``; the rows are the edges of two or more vertices in
+    canonical order, followed by the one-vertex edge ``(v,)`` of each
+    variable in none of them, in increasing ``v``. ``pivots`` counts pivots.
     """
 
     values: tuple[Fraction, ...]
@@ -108,8 +109,10 @@ class SimplexBackend:
     ``sum(y_v for v in e) <= 1``: the all-slack basis is then feasible from
     the start and no artificial variables or separate feasibility phase are
     ever needed. The row of a shorter edge (right-hand side <= 0) is implied
-    by the boxes and dropped; variables in no kept row get an explicit
-    ``y <= 1`` cap row so the box stays active.
+    by the boxes and dropped. Each variable ``v`` in no kept row then gets
+    the row of the one-vertex edge ``(v,)``, which reads ``y_v <= 1``, so
+    its box stays active: every row is ``sum(y_v for v in e) <= 1`` for an
+    edge ``e``, and row ``i``'s slack is column ``n + i``.
 
     Rows are integer numerator maps (see :class:`_Tableau`), and
     :meth:`_pivot` alone writes them and their column index: a pivot touches
@@ -147,16 +150,12 @@ class SimplexBackend:
         n = problem.var_count
         kept = [e for e in problem.edges if len(e) >= 2]
         covered = {v for e in kept for v in e}
-        boxed = [v for v in range(n) if v not in covered]
-        m = len(kept) + len(boxed)
-        rhs = n + m
+        kept.extend((v,) for v in range(n) if v not in covered)
+        rhs = n + len(kept)
 
         rows = [dict.fromkeys((*variables, n + r, rhs), 1) for r, variables in enumerate(kept)]
-        rows.extend(
-            {v: 1, n + len(kept) + b: 1, rhs: 1} for b, v in enumerate(boxed)
-        )
         matrix = _Tableau(rows, rhs + 1)
-        basis = [n + i for i in range(m)]
+        basis = list(range(n, rhs))
 
         # Reduced costs for min(-sum y); the slack basis has zero cost. The
         # heap holds every column whose reduced cost is negative, and maybe

@@ -392,9 +392,8 @@ def rule5_weakly_related_counting(inst: Instance) -> RuleOutcome:
     """
     h = inst.hypergraph
     k = inst.k
-    index = frozenset(h.edges)
     family = set(weakly_related_family(h))
-    live = set(index)
+    live = set(h.edges)
     # No subedge is larger than the longest family member, however large d.
     top = min(h.d - 2, max(map(len, family), default=0))
     for i in range(top, 0, -1):
@@ -411,7 +410,7 @@ def rule5_weakly_related_counting(inst: Instance) -> RuleOutcome:
                 live -= hit
                 family -= hit
                 live.add(s)
-    return _rebuild(inst, 5, index - live, live - index)
+    return _rebuild(inst, 5, set(h.edges) - live, live.difference(h.edges))
 
 
 def rule6_lp_crown(inst: Instance) -> RuleOutcome:

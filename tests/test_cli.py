@@ -375,7 +375,7 @@ class TestKernelizeCommand:
         err = capsys.readouterr().err.splitlines()
         data = json.loads(report.read_text())
         assert code == 20
-        # Two blobs of four triples, no cap rows: the LP keeps eight rows.
+        # Two blobs of four triples, no one-vertex rows: the LP keeps eight rows.
         assert data["lp_solves"] == 1 and data["lp_pivots"] > 0
         lp_line = f"  lp: 8 rows, {data['lp_pivots']} pivots"
         assert err[err.index("rule6: concluded no") + 1] == lp_line

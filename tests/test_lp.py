@@ -134,7 +134,8 @@ class TestSolveExact:
         # optimum is x = (1, 1, 0, 0, 1).
         sol = solve_exact(build_crown_lp(showcase_hypergraph()))
         assert sol.basis == (2, 3, 4, 8)
-        # Three isolated vertices: three cap rows, each made basic in y_v.
+        # Three isolated vertices: three one-vertex rows, each made basic
+        # in y_v.
         assert solve_exact(build_crown_lp(Hypergraph(3, (), 3))).basis == (0, 1, 2)
 
 
@@ -175,11 +176,37 @@ class TestPostChecks:
 
 
 class TestSparseSimplex:
+    @pytest.fixture
+    def pivot_cap(self, monkeypatch):
+        """Fail, instead of hanging, once one solve pivots more than
+        ``2 * (n + rows)`` times; the dense-reference LPs take at most 0.74
+        times that. Requested before the problems are built, so it also
+        bounds the solves of the kernelize runs in ``_family_problems``."""
+        pivot = SimplexBackend._pivot
+        current = {"matrix": None, "pivots": 0}
+
+        def capped_pivot(matrix, obj, basis, prow, pcol):
+            # Holding the last tableau keeps its id from being reused, so a
+            # new tableau is a new solve.
+            if matrix is not current["matrix"]:
+                current.update(matrix=matrix, pivots=0)
+            current["pivots"] += 1
+            size = len(matrix.cols) - 1  # n + rows; the last column is the rhs
+            if current["pivots"] > 2 * size:
+                pytest.fail(
+                    f"an LP of {size - len(basis)} variables and {len(basis)} rows"
+                    f" ran past {2 * size} pivots",
+                    pytrace=False,
+                )
+            pivot(matrix, obj, basis, prow, pcol)
+
+        monkeypatch.setattr(SimplexBackend, "_pivot", staticmethod(capped_pivot))
+
     @staticmethod
     def _random_problems(count):
         """Seeded d in {3, 4} hypergraphs with edges of every size from one
         to d (unit edges drop their rows) and some vertices in no edge of
-        size two or more (they get cap rows)."""
+        size two or more (each gets the row of its one-vertex edge)."""
         rng = random.Random(21)
         for _ in range(count):
             d = rng.choice((3, 4))
@@ -242,9 +269,9 @@ class TestSparseSimplex:
         runs = [root for root, _ in groupby(lowest[v] for v in sorted({v for e in kept for v in e}))]
         return len(runs) > len(set(runs))
 
-    def test_same_solution_as_dense_reference(self):
+    def test_same_solution_as_dense_reference(self, pivot_cap):
         seen = {
-            "cap row": 0,
+            "lone-variable row": 0,
             "dropped row": 0,
             "tie on basic index": 0,
             "fractional": 0,
@@ -256,14 +283,14 @@ class TestSparseSimplex:
             reference, ties = naive_dense_simplex(prob)
             assert sol == reference  # values, objective, basis and pivots
             kept = {v for e in prob.edges if len(e) >= 2 for v in e}
-            seen["cap row"] += len(kept) < prob.var_count
+            seen["lone-variable row"] += len(kept) < prob.var_count
             seen["dropped row"] += any(len(e) == 1 for e in prob.edges)
             seen["tie on basic index"] += ties > 0
             seen["fractional"] += any(v.denominator > 1 for v in sol.values)
             seen["interleaved components"] += self._interleaved_components(prob)
         assert all(seen.values()), seen
 
-    def test_same_pivots_as_dense_reference(self, monkeypatch):
+    def test_same_pivots_as_dense_reference(self, monkeypatch, pivot_cap):
         # Every (row, entering column) pair the sparse simplex pivots on is
         # the dense reference's, in the same order, and at the optimum each
         # of its reduced costs is the reference's in lowest terms (a zero
@@ -345,7 +372,8 @@ class TestSparseSimplex:
         assert 0 < sum(rewritten) <= 20 * h.n
 
     def test_one_pivot_per_isolated_vertex(self):
-        # Three cap rows; each y_v enters once and leaves no reduced cost.
+        # Three one-vertex rows; each y_v enters once and leaves no reduced
+        # cost.
         assert solve_exact(build_crown_lp(Hypergraph(3, (), 3))).pivots == 3
 
 

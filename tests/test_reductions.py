@@ -847,6 +847,44 @@ class TestRule6:
                 overlapping += out.step.edges_added < len(out.crown.head)
         assert overlapping
 
+    def test_no_lp_under_kernelize_has_a_lone_variable_row(self):
+        # Under kernelize rule 6 runs only once rules 1 and 3 decline, and
+        # only above the kernel bound, so n >= 2: no edge has fewer than two
+        # vertices, and every vertex lies in an edge. The crown LP then
+        # keeps one tableau row per edge, and no variable gets the row of
+        # its one-vertex edge. The seeded generate sweeps of the kernel
+        # digests never reach rule 6 (the earlier rules end each run first),
+        # so the crown families carry the check, their seeds drawn from one
+        # seeded generator as the bench draws them.
+        rng = random.Random(1)
+        instances = [
+            family(rng.getrandbits(63), k)
+            for family in (petal_cycle_instance, mixed_crown_instance)
+            for k in (2, 3, 4)
+            for _ in range(3)
+        ]
+        instances += [blob_instance(rng.getrandbits(63), k) for k in (1, 2, 4)]
+        instances += [blob4_instance(rng.getrandbits(63), k) for k in (1, 2)]
+        instances += [
+            family(seed, 2, d)
+            for family in (petal_cycle_instance, mixed_crown_instance)
+            for d in (4, 5)
+            for seed in range(2)
+        ]
+        events = []
+
+        def observer(rule, before, outcome):
+            if rule == 6:
+                events.append((before.hypergraph, outcome.lp_solution))
+
+        for inst in instances:
+            kernelize(inst, observer)
+        assert len(events) >= len(instances)
+        for h, solution in events:
+            assert min(map(len, h.edges)) >= 2
+            assert {v for e in h.edges for v in e} == set(range(h.n))
+            assert len(solution.basis) == len(h.edges)
+
     def test_no_instance_with_fractional_optimum_concludes_no(self):
         inst = blob_instance(5, 1)
         out = rule6_lp_crown(inst)
