@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import combinations, filterfalse, islice
+from itertools import combinations, filterfalse, islice, repeat
 from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence
 
 from .errors import FormatError, UnsupportedParameterError
@@ -186,7 +186,7 @@ class Instance:
                 kept = next(v for e in canon for v in e if v in removed)
                 raise ValueError(f"an edge keeps the removed vertex {kept}")
             remap = {v: v - bisect_left(gone, v) for v in present}
-            canon = [tuple(map(remap.__getitem__, e)) for e in canon]
+            canon = list(map(tuple, map(map, repeat(remap.__getitem__), canon)))
             if labels is not None:
                 labels = tuple(_without(labels, gone))
             n -= len(gone)

@@ -5,8 +5,8 @@ optional hint) and returns a :class:`RuleOutcome`; the controller applies
 the lowest-numbered applicable rule until either a verdict falls out or no
 rule applies, at which point the surviving instance is a kernel with at
 most ``(2d-2)*k**(d-1) + k`` vertices. Each outcome names the hints the
-next pass hands the rules (only rule 2 names any); the controller passes
-them on unread.
+next pass hands the rules (rules 1-4 name some, for rules 1 and 2 only);
+the controller passes them on unread.
 
 Rule order is load-bearing: each rule's correctness may assume all previous
 rules are inapplicable, and the controller enforces exactly that. Quick
@@ -16,6 +16,7 @@ the controller, not in any rule.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, islice
@@ -77,9 +78,10 @@ class RuleOutcome:
     """Result of attempting one rule: nothing when it declines; the
     successor and its step when it applies; a step alone when it concludes
     no. ``hints`` maps a rule to the extra argument the controller calls
-    it with on the next pass (only rule 2 hands any on; its own carries
-    the successor's edge set, so that a chain of rule-2 steps does not
-    rebuild it); it is read, never changed, and left out of the hash.
+    it with on the next pass (rules 1-4 hand them on, to rules 1 and 2
+    only; rule 2's own carries the successor's edge set, so that a chain
+    of rule-2 steps does not rebuild it); it is read, never changed, and
+    left out of the hash.
     Rules 1-5 get theirs from :func:`_rebuild`. Rule 6 assembles its own,
     with the step counted off its crown, and additionally carries the
     crown it applied and the solution of the LP it solved, for tracing and
@@ -158,14 +160,23 @@ def _rebuild(
     the surviving vertices; a successor it refuses is the rule's fault, not
     the input's. The step counts as removed the dropped edges not added
     again, and as added the edges ``inst`` lacks: the change in the edge
-    count plus the edges removed. The ``events`` (rule 2's hints) go into
-    the outcome as they are.
+    count plus the edges removed. The ``events`` (the hints of rules 1 and
+    2) go into the outcome as they are. The hints of rules 3 and 4 are
+    built here: rule 1 gets the vertices of the dropped and added edges
+    less the removed ones, renumbered, and rule 2 a start past the
+    successor's last edge, its edge set and the least size 0. Rules 3 and
+    4 say why that is exact.
     """
     drop, add = set(drop), set(add)
     try:
         successor = inst.successor(drop, add, inst.k + k_delta, remove_vertices)
     except ValueError as exc:
         raise InternalConsistencyError(f"rule {rule} built an invalid successor: {exc}") from exc
+    if rule in (3, 4):
+        gone = sorted(remove_vertices)
+        touched = set().union(*drop, *add).difference(remove_vertices)
+        renumbered = [v - bisect_left(gone, v) for v in touched]
+        events["hints"] = {1: renumbered, 2: (successor.m, frozenset(successor.edges), 0)}
     removed = len(drop - add)
     step = TraceStep(
         rule=rule,
@@ -220,6 +231,17 @@ def rule1_vertex_domination(
     start at or below the highest vertex asked for. The caller guarantees
     that no vertex outside ``candidates`` is dominated; then the lowest
     dominated candidate is the lowest dominated vertex.
+
+    Having removed ``x``, the rule hands rule 1 the vertices after ``x``
+    in its scan order whose intersection less ``x`` still holds a second
+    vertex, renumbered. By then the scan has read every edge through each
+    candidate. A vertex's edges in the successor are its edges less ``x``,
+    so its intersection is its old one less ``x``: the vertices before
+    ``x`` and those outside ``candidates`` met only in themselves, and
+    still do. So the hinted call returns what a full scan of the successor
+    would. A later vertex in no edge has no intersection to read; then
+    nothing is handed on and the next call scans everything. Rule 2 gets
+    no hint: a shrunk edge may now lie inside any other.
     """
     h = inst.hypergraph
     edges: Iterable[Edge] = h.edges
@@ -249,13 +271,22 @@ def rule1_vertex_domination(
                 undecided -= 1
                 if not undecided:
                     return _NOT_APPLIED
-    for x in order:
+    for i, x in enumerate(order):
         c = common[x]
         if c is not _UNDOMINATED and (c is not None or h.n > 1):
             gone = frozenset((x,))
             through = list(edges_through(h.edges, gone))
             shrunk = [tuple(v for v in e if v != x) for e in through]
-            return _rebuild(inst, 1, through, shrunk, remove_vertices=gone)
+            hints = {}
+            # Without this guard a run of isolated vertices would loop over
+            # every later vertex on each step; the full scan finds them in C.
+            if None not in islice(common, x + 1, None):
+                hints[1] = later = []
+                for v in order[i + 1 :]:
+                    c = common[v]
+                    if len(c) > 2 or len(c) == 2 and x not in c:
+                        later.append(v - 1)
+            return _rebuild(inst, 1, through, shrunk, remove_vertices=gone, hints=hints)
     return _NOT_APPLIED
 
 
@@ -308,6 +339,12 @@ def rule3_unit_edge(inst: Instance) -> RuleOutcome:
     Under the controller's ordering the unit edge is the only edge through
     its vertex (supersets are already gone); deleting all incident edges is
     a safety net, not a semantic change. Lowest unit edge first.
+
+    The step hands rule 1 the other vertices of the dropped edges,
+    renumbered (under the controller none), and rule 2 a start past the
+    successor's last edge. Rules 1 and 2 declined on ``inst``: the
+    surviving edges are its edges, of which none contains another, and a
+    vertex in no dropped edge keeps its edges and stays undominated.
     """
     h = inst.hypergraph
     for e in h.edges:
@@ -336,6 +373,13 @@ def rule4_high_degree_subedge(inst: Instance) -> RuleOutcome:
     declined when singles plus ``2|M|`` is at most ``k``, applied when
     singles plus ``|M|`` exceeds ``k``, and only in between does a maximum
     blossom matching decide.
+
+    The step hands rule 1 the vertices of the dropped edges, and rule 2 a
+    start past the successor's last edge. Rules 1 and 2 declined on
+    ``inst``. No remaining edge contains ``e``, and ``e`` contains none,
+    since such an edge would lie inside an edge through ``e``, which rule
+    2 would have removed. A vertex in no dropped edge keeps its edges and
+    stays undominated.
     """
     h = inst.hypergraph
     k = inst.k
@@ -393,7 +437,8 @@ def rule5_weakly_related_counting(inst: Instance) -> RuleOutcome:
     h = inst.hypergraph
     k = inst.k
     family = set(weakly_related_family(h))
-    live = set(h.edges)
+    edges = set(h.edges)
+    live = edges.copy()
     # No subedge is larger than the longest family member, however large d.
     top = min(h.d - 2, max(map(len, family), default=0))
     for i in range(top, 0, -1):
@@ -410,7 +455,7 @@ def rule5_weakly_related_counting(inst: Instance) -> RuleOutcome:
                 live -= hit
                 family -= hit
                 live.add(s)
-    return _rebuild(inst, 5, set(h.edges) - live, live.difference(h.edges))
+    return _rebuild(inst, 5, edges - live, live - edges)
 
 
 def rule6_lp_crown(inst: Instance) -> RuleOutcome:
@@ -473,8 +518,10 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     the first that records a step: it applies, or it concludes no. What the
     last step leaves undone reaches the rules through its outcome's
     ``hints``, which map a rule to the extra argument it is called with; a
-    rule without one scans everything. Only rule 2 hands any on: where
-    rules 1 and 2 resume (see its docstring). After a step whose successor
+    rule without one scans everything. Rules 1-4 hand hints on to rules 1
+    and 2 (each rule's docstring says what and why the hinted scan finds
+    what the full one would); on the first pass and after rules 5 and 6
+    they scan everything. After a step whose successor
     is the instance it was given, the next pass starts at the rule after
     that step's: the rules before it have just declined on that very
     instance, and the rule itself would change nothing again. That alone

@@ -95,7 +95,10 @@ class TestRule1:
         inst = Instance(Hypergraph(5, ((0, 1, 2), (1, 2, 3), (3, 4)), 3), 2, labels)
         full = rule1_vertex_domination(inst)
         assert self.removed(inst, full) == "v0"
-        assert rule1_vertex_domination(inst, (4, 0)) == full
+        # The hint (4, 0) leaves out the dominated v1 and v2, so the
+        # outcome's own hint for the successor rightly differs.
+        hinted = rule1_vertex_domination(inst, (4, 0))
+        assert (hinted.new_instance, hinted.step) == (full.new_instance, full.step)
         assert self.removed(inst, rule1_vertex_domination(inst, (3, 4, 1))) == "v1"
         assert self.removed(inst, rule1_vertex_domination(inst, [4, 3])) == "v4"
         assert not rule1_vertex_domination(inst, (3,)).applied
@@ -106,6 +109,20 @@ class TestRule1:
         assert self.removed(inst, rule1_vertex_domination(inst)) == "a"
         assert self.removed(inst, rule1_vertex_domination(inst, (2,))) == "c"
         assert not rule1_vertex_domination(Instance(Hypergraph(1, (), 3), 1), (0,)).applied
+
+    def test_a_step_hands_on_the_later_vertices_still_dominated(self):
+        # v0 goes; v1 then meets only itself, v2 and v3 still meet each
+        # other. With v4 in no edge the successor is left to a full scan.
+        inst = Instance(Hypergraph(4, ((0, 1), (2, 3)), 3), 1)
+        out = rule1_vertex_domination(inst)
+        assert out.new_instance.edges == ((0,), (1, 2)) and out.hints == {1: [1, 2]}
+        assert rule1_vertex_domination(out.new_instance, [1, 2]) == rule1_vertex_domination(
+            out.new_instance
+        )
+        inst = Instance(Hypergraph(5, ((0, 1), (2, 3)), 3), 1)
+        for candidates in (None, range(5)):
+            out = rule1_vertex_domination(inst, candidates)
+            assert out.new_instance.edges == ((0,), (1, 2)) and out.hints == {}
 
     @staticmethod
     def counting(inst):
@@ -294,11 +311,15 @@ def _resume_instances():
     return instances
 
 
+def has_a_vertex_in_no_edge(inst) -> bool:
+    return len(set().union(*inst.edges)) < inst.n
+
+
 class TestResumeAfterRule2:
     """After a rule-2 step that removed ``e``, the outcome hands rule 1
     the vertices of ``e`` and rule 2 the place of ``e``, the successor's
-    edge set and a least edge size; those calls must give exactly what the
-    full scans give."""
+    edge set and a least edge size; rules 1, 3 and 4 hand on hints of
+    their own. Those calls must give exactly what the full scans give."""
 
     def test_same_run_as_a_hint_free_controller(self, monkeypatch):
         instances = _resume_instances()
@@ -322,9 +343,11 @@ class TestResumeAfterRule2:
 
     def test_hinted_calls_equal_full_scans_after_every_rule2_step(self):
         """Every hint an outcome hands rule 1 or 2 gives what the full scan
-        of the successor gives; only rule 2 hands them on, and no step hands
-        rule 5 anything. Rule 2 carries the successor's edge set and a lower
-        bound on its edge sizes."""
+        of the successor gives. Rule 1 hands rule 1 a hint unless its
+        successor has a vertex in no edge; rules 2, 3 and 4 hand on hints
+        for rules 1 and 2; rules 5 and 6 hand on none. Rule 2's hint carries
+        the successor's edge set and a lower bound on its edge sizes; after
+        rules 3 and 4 it starts past the last edge."""
         seen = {
             "e - f dominated": 0,
             "rule 2 applies": 0,
@@ -332,22 +355,32 @@ class TestResumeAfterRule2:
             "start > 0": 0,
             "e - f has two vertices": 0,
             "rule 5 steps": 0,
+            "hinted after rule 1": 0,
+            "hinted after rule 3": 0,
+            "hinted after rule 4": 0,
         }
+        floors = {"hinted after rule 4": 50}
         scans = {1: rule1_vertex_domination, 2: rule2_edge_domination}
 
         def check(rule, before, outcome):
             after = outcome.new_instance
-            resumes = {r: hint for r, hint in outcome.hints.items() if r in scans}
-            full = {r: scans[r](after) for r in resumes}
-            for r, hint in resumes.items():
+            full = {r: scans[r](after) for r in outcome.hints}
+            for r, hint in outcome.hints.items():
                 assert scans[r](after, hint) == full[r]
-            assert set(resumes) == ({1, 2} if rule == 2 else set())
-            assert 5 not in outcome.hints
+            if rule == 1:
+                expected = set() if has_a_vertex_in_no_edge(after) else {1}
+            else:
+                expected = {1, 2} if rule in (2, 3, 4) else set()
+            assert set(outcome.hints) == expected
             seen["rule 5 steps"] += rule == 5
+            if rule in (1, 3, 4):
+                seen[f"hinted after rule {rule}"] += bool(outcome.hints)
+            if rule in (3, 4):
+                assert outcome.hints[2] == (after.m, frozenset(after.edges), 0)
             if rule != 2:
                 return
             (e,) = set(before.edges) - set(after.edges)
-            outside, (start, edges, least) = resumes[1], resumes[2]
+            outside, (start, edges, least) = outcome.hints[1], outcome.hints[2]
             f = tuple(v for v in e if v not in outside)
             assert f in after.edges and set(f) < set(e)
             assert start == bisect_left(after.edges, e)
@@ -362,7 +395,39 @@ class TestResumeAfterRule2:
 
         for inst in _resume_instances():
             kernelize(inst, check)
-        assert min(seen.values()) > 100, seen
+        assert all(count > floors.get(key, 100) for key, count in seen.items()), seen
+
+    def test_rule1_scans_in_full_only_where_no_step_hands_it_candidates(self, monkeypatch):
+        """Under ``kernelize`` rule 1 runs without a hint only on the first
+        pass, after rule-5 and rule-6 steps, and after a rule-1 step whose
+        successor has a vertex in no edge."""
+        rule1 = rule1_vertex_domination
+        seen = {key: 0 for key in ("first", 1, 2, 3, 4, 5, 6, "rule 1, no edge")}
+        after = ["first"]  # what the last step was, per run
+
+        def spy(inst, *hint):
+            assert bool(hint) == (after[0] in (1, 2, 3, 4)), (inst, after[0])
+            seen[after[0]] += 1
+            return rule1(inst, *hint)
+
+        def observe(rule, before, outcome):
+            no_edge = rule == 1 and has_a_vertex_in_no_edge(outcome.new_instance)
+            after[0] = "rule 1, no edge" if no_edge else rule
+
+        monkeypatch.setattr(reductions, "rule1_vertex_domination", spy)
+        instances = _resume_instances()
+        for seed in range(3):
+            instances += [
+                petal_cycle_instance(seed, 2),
+                mixed_crown_instance(seed, 2),
+                blob_instance(seed, 1),
+                blob4_instance(seed, 1),
+                double_star_instance(seed, 2),
+            ]
+        for inst in instances:
+            after[0] = "first"
+            kernelize(inst, observe)
+        assert all(seen.values()), seen
 
 
 def check_fields_only(successor) -> None:
@@ -492,6 +557,8 @@ class TestRule3:
         assert out.new_instance.labels == ("b", "c")
         assert out.new_instance.k == 1
         assert out.step == TraceStep(3, 1, 2, 0, -1)
+        # b lost {a, b}: it is handed on in the successor's ids.
+        assert out.hints == {1: [0], 2: (1, frozenset({(0, 1)}), 0)}
         assert decide_brute_force(inst) == decide_brute_force(out.new_instance)
 
 
