@@ -76,10 +76,10 @@ def build_crown_lp(h: Hypergraph) -> LPProblem:
     return LPProblem(h.n, h.edges)
 
 
-class _Tableau:
-    """Sparse fraction-free simplex tableau.
+class _Tableau(list):
+    """Sparse fraction-free simplex tableau: the list of its rows.
 
-    ``rows[i]`` maps a column to a nonzero integer numerator; the last of
+    Row ``i`` maps a column to a nonzero integer numerator; the last of
     the ``width`` columns holds the right-hand side. Every row's values are
     its numerators over one positive integer denominator, which is never
     stored: the basic variable of row ``i`` has value 1 in its own column,
@@ -87,17 +87,14 @@ class _Tableau:
     with a nonzero in column ``j``.
     """
 
-    __slots__ = ("rows", "cols")
+    __slots__ = ("cols",)
 
     def __init__(self, rows: list[dict[int, int]], width: int) -> None:
-        self.rows = rows
+        super().__init__(rows)
         self.cols: list[set[int]] = [set() for _ in range(width)]
-        for i, row in enumerate(rows):
+        for i, row in enumerate(self):
             for j in row:
                 self.cols[j].add(i)
-
-    def __getitem__(self, i: int) -> dict[int, int]:
-        return self.rows[i]
 
 
 class SimplexBackend:
@@ -153,8 +150,9 @@ class SimplexBackend:
         kept.extend((v,) for v in range(n) if v not in covered)
         rhs = n + len(kept)
 
-        rows = [dict.fromkeys((*variables, n + r, rhs), 1) for r, variables in enumerate(kept)]
-        matrix = _Tableau(rows, rhs + 1)
+        rows = _Tableau(
+            [dict.fromkeys((*variables, n + r, rhs), 1) for r, variables in enumerate(kept)], rhs + 1
+        )
         basis = list(range(n, rhs))
 
         # Reduced costs for min(-sum y); the slack basis has zero cost. The
@@ -171,7 +169,7 @@ class SimplexBackend:
             # Minimum ratio rhs_i / a_i, compared by cross-multiplying: the
             # row denominators cancel.
             leave, best_r, best_a = -1, 0, 1
-            for i in matrix.cols[enter]:
+            for i in rows.cols[enter]:
                 a = rows[i][enter]
                 if a > 0:
                     r = rows[i].get(rhs, 0)
@@ -180,7 +178,7 @@ class SimplexBackend:
                         leave, best_r, best_a = i, r, a
             if leave < 0:
                 raise InternalConsistencyError("unbounded pivot in a boxed model")
-            self._pivot(matrix, obj, basis, leave, enter)
+            self._pivot(rows, obj, basis, leave, enter)
             pivots += 1
             # Only the pivot row's columns changed their reduced cost.
             for j in rows[leave]:
@@ -221,7 +219,7 @@ class SimplexBackend:
         of the pivot row becomes ``c_j - c_pcol * a_j / piv``, that of
         ``pcol`` zero, and no other reduced cost is read or written.
         """
-        rows, cols = matrix.rows, matrix.cols
+        rows, cols = matrix, matrix.cols
         row = rows[prow]
         piv = row[pcol]
         items = [(j, v) for j, v in row.items() if j != pcol]

@@ -6,7 +6,8 @@ the lowest-numbered applicable rule until either a verdict falls out or no
 rule applies, at which point the surviving instance is a kernel with at
 most ``(2d-2)*k**(d-1) + k`` vertices. Each outcome names the hints the
 next pass hands the rules (rules 1-4 name some, for rules 1 and 2 only);
-the controller passes them on unread.
+each rule builds its own next to the proof that it is exact, and the
+controller passes them on unread.
 
 Rule order is load-bearing: each rule's correctness may assume all previous
 rules are inapplicable, and the controller enforces exactly that. Quick
@@ -16,7 +17,6 @@ the controller, not in any rule.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, islice
@@ -78,11 +78,13 @@ class RuleOutcome:
     """Result of attempting one rule: nothing when it declines; the
     successor and its step when it applies; a step alone when it concludes
     no. ``hints`` maps a rule to the extra argument the controller calls
-    it with on the next pass (rules 1-4 hand them on, to rules 1 and 2
+    it with on the next pass (rules 1-4 build them, for rules 1 and 2
     only; rule 2's own carries the successor's edge set, so that a chain
-    of rule-2 steps does not rebuild it); it is read, never changed, and
-    left out of the hash.
-    Rules 1-5 get theirs from :func:`_rebuild`. Rule 6 assembles its own,
+    of rule-2 steps does not rebuild it, and those of rules 3 and 4 an
+    empty set that a scan past the last edge never reads); it is read,
+    never changed, and left out of the hash.
+    Rules 1-5 get theirs from :func:`_rebuild`, which puts in the hints
+    the rule hands it. Rule 6 assembles its own,
     with the step counted off its crown, and additionally carries the
     crown it applied and the solution of the LP it solved, for tracing and
     debugging; that LP is ``build_crown_lp`` of the instance the rule was
@@ -150,7 +152,7 @@ def _rebuild(
     *,
     remove_vertices: frozenset[int] = frozenset(),
     k_delta: int = 0,
-    **events: object,
+    hints: Mapping[int, object] | None = None,
 ) -> RuleOutcome:
     """Assemble the successor instance and its trace step from the rule's
     delta in the current (old) ids: the edges of ``inst`` it drops and the
@@ -160,23 +162,14 @@ def _rebuild(
     the surviving vertices; a successor it refuses is the rule's fault, not
     the input's. The step counts as removed the dropped edges not added
     again, and as added the edges ``inst`` lacks: the change in the edge
-    count plus the edges removed. The ``events`` (the hints of rules 1 and
-    2) go into the outcome as they are. The hints of rules 3 and 4 are
-    built here: rule 1 gets the vertices of the dropped and added edges
-    less the removed ones, renumbered, and rule 2 a start past the
-    successor's last edge, its edge set and the least size 0. Rules 3 and
-    4 say why that is exact.
+    count plus the edges removed. The ``hints`` go into the outcome as
+    they are; each rule builds its own next to its proof.
     """
     drop, add = set(drop), set(add)
     try:
         successor = inst.successor(drop, add, inst.k + k_delta, remove_vertices)
     except ValueError as exc:
         raise InternalConsistencyError(f"rule {rule} built an invalid successor: {exc}") from exc
-    if rule in (3, 4):
-        gone = sorted(remove_vertices)
-        touched = set().union(*drop, *add).difference(remove_vertices)
-        renumbered = [v - bisect_left(gone, v) for v in touched]
-        events["hints"] = {1: renumbered, 2: (successor.m, frozenset(successor.edges), 0)}
     removed = len(drop - add)
     step = TraceStep(
         rule=rule,
@@ -185,7 +178,7 @@ def _rebuild(
         edges_added=successor.m - inst.m + removed,
         k_delta=k_delta,
     )
-    return RuleOutcome(successor, step, **events)
+    return RuleOutcome(successor, step, hints=hints or {})
 
 
 def weakly_related_family(h: Hypergraph) -> list[Edge]:
@@ -301,10 +294,12 @@ def rule2_edge_domination(
     have one size, no edge is looked up at all.
 
     ``resume`` is ``(start, edges, least)``: the scan starts at the edge at
-    position ``start``, looks subsets up in ``edges``, which must equal the
-    set of the instance's edges, and from size ``least`` upwards. Without
-    it the scan starts at the first edge and builds the set and the least
-    size with a pass over the edges. The caller guarantees that no edge
+    position ``start`` and looks subsets up in ``edges``, from size
+    ``least`` upwards. ``edges`` must agree with the instance's edge set on
+    every subset the scan looks up from ``start`` on, so an empty set is
+    exact when ``start`` is past the last edge. Without ``resume`` the scan
+    starts at the first edge and builds the set and the least size with a
+    pass over the edges. The caller guarantees that no edge
     before ``start`` contains another edge; then the first hit from
     ``start`` on is the first in canonical order. ``least`` need only be a
     lower bound on the edge sizes: a smaller subset is never an edge, so
@@ -340,17 +335,20 @@ def rule3_unit_edge(inst: Instance) -> RuleOutcome:
     its vertex (supersets are already gone); deleting all incident edges is
     a safety net, not a semantic change. Lowest unit edge first.
 
-    The step hands rule 1 the other vertices of the dropped edges,
-    renumbered (under the controller none), and rule 2 a start past the
-    successor's last edge. Rules 1 and 2 declined on ``inst``: the
-    surviving edges are its edges, of which none contains another, and a
-    vertex in no dropped edge keeps its edges and stays undominated.
+    The step hands rule 1 no candidate and rule 2 a start at ``inst``'s
+    edge count with an empty edge set. Under the controller rules 1 and 2
+    declined on ``inst``, so the unit edge is the only edge dropped and no
+    other vertex loses an edge: each keeps its edges and stays
+    undominated. The surviving edges are ``inst``'s, of which none
+    contains another, and the successor has fewer of them, so a scan from
+    that start looks nothing up.
     """
     h = inst.hypergraph
     for e in h.edges:
         if len(e) == 1:
-            gone = frozenset(e)
-            return _rebuild(inst, 3, edges_through(h.edges, gone), remove_vertices=gone, k_delta=-1)
+            gone, hints = frozenset(e), {1: (), 2: (h.m, frozenset(), 0)}
+            through = edges_through(h.edges, gone)
+            return _rebuild(inst, 3, through, remove_vertices=gone, k_delta=-1, hints=hints)
     return _NOT_APPLIED
 
 
@@ -374,12 +372,15 @@ def rule4_high_degree_subedge(inst: Instance) -> RuleOutcome:
     singles plus ``|M|`` exceeds ``k``, and only in between does a maximum
     blossom matching decide.
 
-    The step hands rule 1 the vertices of the dropped edges, and rule 2 a
-    start past the successor's last edge. Rules 1 and 2 declined on
-    ``inst``. No remaining edge contains ``e``, and ``e`` contains none,
-    since such an edge would lie inside an edge through ``e``, which rule
-    2 would have removed. A vertex in no dropped edge keeps its edges and
-    stays undominated.
+    The step hands rule 1 the vertices of the dropped edges, which keep
+    their ids since no vertex goes, and rule 2 a start at ``inst``'s edge
+    count with an empty edge set. Under the controller rules 1 and 2
+    declined on ``inst``. A vertex in no dropped edge keeps its edges and
+    stays undominated. No remaining edge contains ``e``, and ``e``
+    contains none, since such an edge would lie inside an edge through
+    ``e``, which rule 2 would have removed. The one edge added replaces
+    more than ``k`` dropped ones, so the successor has no more edges than
+    ``inst`` and a scan from that start looks nothing up.
     """
     h = inst.hypergraph
     k = inst.k
@@ -409,7 +410,8 @@ def rule4_high_degree_subedge(inst: Instance) -> RuleOutcome:
             )
             if singles + matching.blossom_max_matching(graph).size <= k:
                 continue
-        return _rebuild(inst, 4, containing, (s,))
+        hints = {1: set().union(*containing), 2: (h.m, frozenset(), 0)}
+        return _rebuild(inst, 4, containing, (s,), hints=hints)
     return _NOT_APPLIED
 
 

@@ -317,7 +317,7 @@ class TestSparseSimplex:
             # Only the first column that differs is reported: a diff of two
             # long lists of sets is slow to print.
             nonzero = [set() for _ in matrix.cols]
-            for i, row in enumerate(matrix.rows):
+            for i, row in enumerate(matrix):
                 for j, v in row.items():
                     if v:
                         nonzero[j].add(i)

@@ -213,6 +213,8 @@ class TestRule2:
             assert out.new_instance.edges == ((0,), (0, 1), (1, 2))
             assert out.step == TraceStep(2, 0, 1, 0, 0)
         assert not rule2_edge_domination(inst, (4, edges, 1)).applied
+        # A start past the last edge looks nothing up.
+        assert not rule2_edge_domination(inst, (4, frozenset(), 1)).applied
 
     def test_a_least_size_below_every_edge_changes_no_hit(self):
         # Every edge has two or three vertices; (1, 2, 3) contains (1, 2).
@@ -347,7 +349,9 @@ class TestResumeAfterRule2:
         successor has a vertex in no edge; rules 2, 3 and 4 hand on hints
         for rules 1 and 2; rules 5 and 6 hand on none. Rule 2's hint carries
         the successor's edge set and a lower bound on its edge sizes; after
-        rules 3 and 4 it starts past the last edge."""
+        rules 3 and 4 it starts past the last edge with an empty set, and
+        after rule 3, which drops only its unit edge, rule 1 gets no
+        candidate."""
         seen = {
             "e - f dominated": 0,
             "rule 2 applies": 0,
@@ -376,7 +380,12 @@ class TestResumeAfterRule2:
             if rule in (1, 3, 4):
                 seen[f"hinted after rule {rule}"] += bool(outcome.hints)
             if rule in (3, 4):
-                assert outcome.hints[2] == (after.m, frozenset(after.edges), 0)
+                start, edges, least = outcome.hints[2]
+                assert start >= after.m and edges == frozenset() and least == 0
+            if rule == 3:
+                # The precondition of rule 3's hint: only the unit edge goes.
+                assert outcome.step.edges_removed == 1
+                assert outcome.hints[1] == ()
             if rule != 2:
                 return
             (e,) = set(before.edges) - set(after.edges)
@@ -557,8 +566,10 @@ class TestRule3:
         assert out.new_instance.labels == ("b", "c")
         assert out.new_instance.k == 1
         assert out.step == TraceStep(3, 1, 2, 0, -1)
-        # b lost {a, b}: it is handed on in the successor's ids.
-        assert out.hints == {1: [0], 2: (1, frozenset({(0, 1)}), 0)}
+        # The hint is the one for the controller's case, where the unit
+        # edge is the only edge through its vertex: no rule-1 candidate,
+        # and a rule-2 start at the parent's edge count with no edge set.
+        assert out.hints == {1: (), 2: (3, frozenset(), 0)}
         assert decide_brute_force(inst) == decide_brute_force(out.new_instance)
 
 
