@@ -151,26 +151,34 @@ class Instance:
         this instance's, and the labels are a subsequence of its label
         table.
 
-        The cost follows the delta, not ``m``, wherever it can: dropped
-        edges are found by bisection, which also checks them, added edges
-        are looked up by bisection, and the kept runs are copied as slices.
+        The cost follows the delta, not ``m``, wherever it can. ``drop``,
+        which may be a lazy walk, is read and deduplicated once, and one
+        loop finds each dropped edge by bisection, which also checks it.
+        Added edges are canonicalised, looked up by bisection, sorted and
+        checked only when there are any, so a delta that only drops edges
+        pays for its bisections and the kept runs, copied as slices.
         Removing vertices renumbers every edge instead, mapping only the
         vertices that occur in one.
         """
         h = self.hypergraph
         edges = h.edges
-        at = {e: bisect_left(edges, e) for e in drop}
-        # Past the end the slice is empty, so no index is read out of range.
-        lacking = [e for e, i in at.items() if edges[i : i + 1] != (e,)]
-        if lacking:
-            raise ValueError(f"the dropped edge {min(lacking)} is not an edge")
-        add = set(map(canonical_edge, add))
-        new = sorted(e for e in add if e not in h)
-        _check_edges(new, self.n, self.d)
-        drop = at.keys() - add
-        if not (drop or new or removed) and k == self.k:
+        at = dict.fromkeys(drop)
+        for e in at:
+            i = at[e] = bisect_left(edges, e)
+            # Past the end the slice is empty, so no index is read out of range.
+            if edges[i : i + 1] != (e,):
+                lacking = min(x for x in at if x not in h)
+                raise ValueError(f"the dropped edge {lacking} is not an edge")
+        new = []
+        if add:
+            add = set(map(canonical_edge, add))
+            new = sorted(e for e in add if e not in h)
+            _check_edges(new, self.n, self.d)
+            for e in add.intersection(at):
+                del at[e]
+        if not (at or new or removed) and k == self.k:
             return self
-        canon = _without(edges, sorted(map(at.__getitem__, drop)))
+        canon = _without(edges, sorted(at.values()))
         if new:
             canon += new
             canon.sort()  # two sorted runs: a linear merge

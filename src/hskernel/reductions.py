@@ -17,7 +17,7 @@ the controller, not in any rule.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
@@ -79,10 +79,11 @@ class RuleOutcome:
     successor and its step when it applies; a step alone when it concludes
     no. ``hints`` maps a rule to the extra argument the controller calls
     it with on the next pass (rules 1-4 build them, for rules 1 and 2
-    only; rule 2's own carries the successor's edge set, so that a chain
-    of rule-2 steps does not rebuild it, and those of rules 3 and 4 an
-    empty set that a scan past the last edge never reads); it is read,
-    never changed, and left out of the hash.
+    only; rule 2's own carries the edge set its scan read, unchanged, so
+    that a chain of rule-2 steps shares one set that also holds the edges
+    the chain removed, and those of rules 3 and 4 an empty set that a scan
+    past the last edge never reads); it is read, never changed, and left
+    out of the hash.
     Rules 1-5 get theirs from :func:`_rebuild`, which puts in the hints
     the rule hands it. Rule 6 assembles its own,
     with the step counted off its crown, and additionally carries the
@@ -148,7 +149,7 @@ def _rebuild(
     inst: Instance,
     rule: int,
     drop: Iterable[Edge],
-    add: Iterable[Edge] = (),
+    add: Collection[Edge] = (),
     *,
     remove_vertices: frozenset[int] = frozenset(),
     k_delta: int = 0,
@@ -156,8 +157,9 @@ def _rebuild(
 ) -> RuleOutcome:
     """Assemble the successor instance and its trace step from the rule's
     delta in the current (old) ids: the edges of ``inst`` it drops and the
-    canonical edges it adds. It is the one path of rules 1-5; rule 6 takes
-    ``apply_hs_crown``'s successor and counts its step off its crown.
+    canonical edges it adds, a collection, since it is read twice. It is
+    the one path of rules 1-5; rule 6 takes ``apply_hs_crown``'s successor
+    and counts its step off its crown.
     :meth:`Instance.successor` checks and applies the delta and compacts
     the surviving vertices; a successor it refuses is the rule's fault, not
     the input's. The step counts as removed the dropped edges not added
@@ -165,19 +167,13 @@ def _rebuild(
     count plus the edges removed. The ``hints`` go into the outcome as
     they are; each rule builds its own next to its proof.
     """
-    drop, add = set(drop), set(add)
+    drop = set(drop)
     try:
         successor = inst.successor(drop, add, inst.k + k_delta, remove_vertices)
     except ValueError as exc:
         raise InternalConsistencyError(f"rule {rule} built an invalid successor: {exc}") from exc
-    removed = len(drop - add)
-    step = TraceStep(
-        rule=rule,
-        vertices_removed=len(remove_vertices),
-        edges_removed=removed,
-        edges_added=successor.m - inst.m + removed,
-        k_delta=k_delta,
-    )
+    removed = len(drop.difference(add))
+    step = TraceStep(rule, len(remove_vertices), removed, successor.m - inst.m + removed, k_delta)
     return RuleOutcome(successor, step, hints=hints or {})
 
 
@@ -295,34 +291,44 @@ def rule2_edge_domination(
 
     ``resume`` is ``(start, edges, least)``: the scan starts at the edge at
     position ``start`` and looks subsets up in ``edges``, from size
-    ``least`` upwards. ``edges`` must agree with the instance's edge set on
-    every subset the scan looks up from ``start`` on, so an empty set is
-    exact when ``start`` is past the last edge. Without ``resume`` the scan
-    starts at the first edge and builds the set and the least size with a
-    pass over the edges. The caller guarantees that no edge
-    before ``start`` contains another edge; then the first hit from
-    ``start`` on is the first in canonical order. ``least`` need only be a
-    lower bound on the edge sizes: a smaller subset is never an edge, so
-    looking it up changes no hit.
+    ``least`` upwards. ``edges`` must hold every edge of the instance, and
+    each other member must strictly contain one of them; an empty set is
+    also exact when ``start`` is past the last edge, since then nothing is
+    looked up. Without ``resume`` the scan starts at the first edge and
+    builds the set and the least size with a pass over the edges. The
+    caller guarantees that no edge before ``start`` contains another edge;
+    then the first hit from ``start`` on is the first in canonical order.
+    ``least`` need only be a lower bound on the edge sizes: a smaller
+    subset is never an edge, so looking it up changes no hit. Nor does an
+    extra member ``s`` of ``edges``: if ``s`` lies inside the scanned edge
+    ``g``, so does the edge that ``s`` strictly contains, and that edge,
+    at least ``least`` long and shorter than ``s``, is found first. So
+    every first hit is an edge of the instance, the one the exact set
+    gives.
 
     Having removed ``e`` for its first hit ``f``, the rule hands rule 1 the
     vertices of ``e`` outside ``f`` as its only candidates, and itself
-    ``(i, edges - {e}, least)``: the position ``i`` its scan reached,
-    ``e``'s, which in the successor is the next edge's, the successor's
-    edge set, and the same least size, still a lower bound. Under the
-    controller's order rule 1 declined on this instance, and only the
-    vertices of ``e`` lost an edge. A vertex of ``f`` keeps ``f``, which
-    lies inside ``e``, so the intersection of its edges is the same without
-    ``e``, and it stays undominated. No edge before ``e`` had a subset, and
-    removing an edge gives none one. So both hinted calls return what a
-    full scan of the successor would.
+    ``(i, edges, least)``: the position ``i`` its scan reached, ``e``'s,
+    which in the successor is the next edge's, the same set, unchanged and
+    not copied, and the same least size, still a lower bound. The set
+    holds every edge of the successor, and its one new extra, ``e``,
+    strictly contains ``f``, which stays. An earlier extra strictly
+    contained an edge of this instance; if that edge is ``e``, it also
+    contains ``f``. So the set still meets the contract, and a chain of
+    rule-2 steps carries one set. Under the controller's order rule 1
+    declined on this instance, and only the vertices of ``e`` lost an
+    edge. A vertex of ``f`` keeps ``f``, which lies inside ``e``, so the
+    intersection of its edges is the same without ``e``, and it stays
+    undominated. No edge before ``e`` had a subset, and removing an edge
+    gives none one. So both hinted calls return what a full scan of the
+    successor would.
     """
     h = inst.hypergraph
     start, index, least = resume or (0, frozenset(h.edges), min(map(len, h.edges), default=0))
     for i, e in enumerate(islice(h.edges, start, None), start):
         f = next((s for r in range(least, len(e)) for s in combinations(e, r) if s in index), None)
         if f is not None:
-            hints = {1: tuple(v for v in e if v not in f), 2: (i, index - {e}, least)}
+            hints = {1: tuple(v for v in e if v not in f), 2: (i, index, least)}
             return _rebuild(inst, 2, (e,), hints=hints)
     return _NOT_APPLIED
 

@@ -16,7 +16,7 @@ from hskernel.core import (
 )
 from hskernel.errors import FormatError, UnsupportedParameterError
 
-from helpers import naive_incident_edges, naive_is_independent
+from helpers import naive_incident_edges, naive_is_independent, naive_successor
 
 # Hyperedges {v1,v2,v4},{v1,v2,v5},{v2,v3,v4},{v2,v3,v5}; ids follow first
 # appearance: v1=0 v2=1 v4=2 v5=3 v3=4.
@@ -379,6 +379,54 @@ class TestSuccessor:
         message = rf"^the dropped edge {re.escape(str(dropped))} is not an edge$"
         with pytest.raises(ValueError, match=message):
             self.parent().successor([(1, 2, 3), dropped], (), 2)
+
+
+class TestSuccessorOnArbitraryDeltas:
+    """``Instance.successor`` against renumbering and rebuilding every edge
+    (``helpers.naive_successor``) on deltas no rule makes: dropped edges
+    listed twice and passed lazily, added edges unsorted, with repeated
+    vertices or also dropped, and any valid set of removed vertices."""
+
+    @given(small_hypergraphs(), st.data())
+    def test_equals_the_full_rebuild(self, h, data):
+        labels = data.draw(st.sampled_from((None, tuple(f"v{v}" for v in range(h.n)))))
+        inst = Instance(h, 2, labels=labels, comments=("c",))
+        removed = frozenset(data.draw(st.sets(st.integers(0, h.n - 1))))
+        # Every edge through a removed vertex must go.
+        forced = [e for e in h.edges if not removed.isdisjoint(e)]
+        drop = forced + (data.draw(st.lists(st.sampled_from(h.edges), max_size=4)) if h.edges else [])
+        drop += data.draw(st.lists(st.sampled_from(drop), max_size=3)) if drop else []
+        keep = [v for v in range(h.n) if v not in removed]
+        add = []
+        for _ in range(data.draw(st.integers(0, 3)) if keep else 0):
+            vertices = sorted(data.draw(st.sets(st.sampled_from(keep), min_size=1, max_size=3)))
+            repeats = data.draw(st.lists(st.sampled_from(vertices), max_size=2))
+            add.append(tuple(data.draw(st.permutations(vertices + repeats))))
+        again = [e for e in drop if removed.isdisjoint(e)]
+        if again:
+            add += [e[::-1] for e in data.draw(st.lists(st.sampled_from(again), max_size=2))]
+        k = data.draw(st.sampled_from((1, 2)))
+        dropped = set(drop)
+        kept = [e for e in h.edges if e not in dropped]
+        expected = naive_successor(inst, kept + add, k, removed)
+        lazy = data.draw(st.booleans())
+        got = inst.successor(iter(drop) if lazy else drop, add, k, removed)
+        assert got == expected
+        assert got.comments == expected.comments
+        assert (got is inst) == (expected == inst)
+
+    @given(small_hypergraphs(), st.data())
+    def test_a_dropped_edge_the_parent_lacks_names_the_least(self, h, data):
+        inst = Instance(h, 2)
+        vertices = st.integers(-1, h.n)
+        strays = st.lists(vertices, max_size=4).map(tuple).filter(lambda e: e not in h)
+        lacking = data.draw(st.lists(strays, min_size=1, max_size=3))
+        present = data.draw(st.lists(st.sampled_from(h.edges), max_size=3)) if h.edges else []
+        drop = data.draw(st.permutations(present + lacking + lacking[:1]))
+        lazy = data.draw(st.booleans())
+        message = rf"^the dropped edge {re.escape(str(min(lacking)))} is not an edge$"
+        with pytest.raises(ValueError, match=message):
+            inst.successor(iter(drop) if lazy else drop, (), 2)
 
 
 def test_every_exported_name_resolves():

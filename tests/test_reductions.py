@@ -202,14 +202,14 @@ class TestRule2:
         inst = Instance(Hypergraph(4, ((0,), (0, 1), (1, 2), (1, 2, 3)), 3), 2)
         edges = frozenset(inst.edges)
         full = rule2_edge_domination(inst)
-        # (0, 1) went for (0,)
-        assert full.hints == {1: (1,), 2: (1, edges - {(0, 1)}, 1)}
+        # (0, 1) went for (0,); the set is handed on unchanged.
+        assert full.hints == {1: (1,), 2: (1, edges, 1)}
         assert full.new_instance.edges == ((0,), (1, 2), (1, 2, 3))
         assert rule2_edge_domination(inst, (1, edges, 1)) == full
         for start in (2, 3):
             out = rule2_edge_domination(inst, (start, edges, 1))
             # (1, 2, 3) went for (1, 2)
-            assert out.hints == {1: (3,), 2: (3, edges - {(1, 2, 3)}, 1)}
+            assert out.hints == {1: (3,), 2: (3, edges, 1)}
             assert out.new_instance.edges == ((0,), (0, 1), (1, 2))
             assert out.step == TraceStep(2, 0, 1, 0, 0)
         assert not rule2_edge_domination(inst, (4, edges, 1)).applied
@@ -221,11 +221,11 @@ class TestRule2:
         inst = Instance(Hypergraph(5, ((0, 4), (1, 2), (1, 2, 3), (2, 3, 4)), 3), 2)
         edges = frozenset(inst.edges)
         full = rule2_edge_domination(inst)
-        assert full.hints[2] == (2, edges - {(1, 2, 3)}, 2)
+        assert full.hints[2] == (2, edges, 2)
         for least in (0, 1):
             out = rule2_edge_domination(inst, (0, edges, least))
             assert (out.new_instance, out.step) == (full.new_instance, full.step)
-            assert out.hints == {1: (3,), 2: (2, edges - {(1, 2, 3)}, least)}
+            assert out.hints == {1: (3,), 2: (2, edges, least)}
         one_size = Instance(Hypergraph(4, ((0, 1, 2), (1, 2, 3)), 3), 2)
         assert not rule2_edge_domination(one_size, (0, frozenset(one_size.edges), 0)).applied
 
@@ -317,11 +317,32 @@ def has_a_vertex_in_no_edge(inst) -> bool:
     return len(set().union(*inst.edges)) < inst.n
 
 
+def contains_an_edge_of(x, inst) -> bool:
+    """Whether the edge ``x`` strictly contains an edge of ``inst``."""
+    return any(s in inst.hypergraph for r in range(len(x)) for s in combinations(x, r))
+
+
+def with_live_rule2_set(outcome):
+    """``outcome`` with the edge set of rule 2's hint cut down to the
+    successor's edges, once each edge cut is checked to strictly contain one
+    of them: a chain of rule-2 steps carries one set, which keeps the edges
+    the chain removed."""
+    if 2 not in outcome.hints:
+        return outcome
+    start, edges, least = outcome.hints[2]
+    after = outcome.new_instance
+    live = edges.intersection(after.edges)
+    assert all(contains_an_edge_of(x, after) for x in edges.difference(live)), outcome
+    hints = {**outcome.hints, 2: (start, live, least)}
+    return dataclasses.replace(outcome, hints=hints)
+
+
 class TestResumeAfterRule2:
     """After a rule-2 step that removed ``e``, the outcome hands rule 1
-    the vertices of ``e`` and rule 2 the place of ``e``, the successor's
-    edge set and a least edge size; rules 1, 3 and 4 hand on hints of
-    their own. Those calls must give exactly what the full scans give."""
+    the vertices of ``e`` and rule 2 the place of ``e``, the edge set it
+    scanned and a least edge size; rules 1, 3 and 4 hand on hints of their
+    own. Those calls must give exactly what the full scans give, but for
+    the edge set rule 2 hands on."""
 
     def test_same_run_as_a_hint_free_controller(self, monkeypatch):
         instances = _resume_instances()
@@ -348,10 +369,13 @@ class TestResumeAfterRule2:
         of the successor gives. Rule 1 hands rule 1 a hint unless its
         successor has a vertex in no edge; rules 2, 3 and 4 hand on hints
         for rules 1 and 2; rules 5 and 6 hand on none. Rule 2's hint carries
-        the successor's edge set and a lower bound on its edge sizes; after
-        rules 3 and 4 it starts past the last edge with an empty set, and
-        after rule 3, which drops only its unit edge, rule 1 gets no
-        candidate."""
+        a set that holds every edge of the successor, each other member an
+        edge rule 2 removed earlier in the run that strictly contains one of
+        them, and a lower bound on the edge sizes; the hinted rule-2 call
+        equals the full scan once both sets are cut down to the successor's
+        edges. After rules 3 and 4 the hint
+        starts past the last edge with an empty set, and after rule 3, which
+        drops only its unit edge, rule 1 gets no candidate."""
         seen = {
             "e - f dominated": 0,
             "rule 2 applies": 0,
@@ -362,15 +386,17 @@ class TestResumeAfterRule2:
             "hinted after rule 1": 0,
             "hinted after rule 3": 0,
             "hinted after rule 4": 0,
+            "set holds removed edges": 0,
         }
         floors = {"hinted after rule 4": 50}
         scans = {1: rule1_vertex_domination, 2: rule2_edge_domination}
+        gone = set()  # the edges rule 2 removed in this run
 
         def check(rule, before, outcome):
             after = outcome.new_instance
             full = {r: scans[r](after) for r in outcome.hints}
             for r, hint in outcome.hints.items():
-                assert scans[r](after, hint) == full[r]
+                assert with_live_rule2_set(scans[r](after, hint)) == with_live_rule2_set(full[r])
             if rule == 1:
                 expected = set() if has_a_vertex_in_no_edge(after) else {1}
             else:
@@ -393,7 +419,11 @@ class TestResumeAfterRule2:
             f = tuple(v for v in e if v not in outside)
             assert f in after.edges and set(f) < set(e)
             assert start == bisect_left(after.edges, e)
-            assert edges == frozenset(after.edges)
+            gone.add(e)
+            assert edges.issuperset(after.edges)
+            extras = edges.difference(after.edges)
+            assert all(x in gone and contains_an_edge_of(x, after) for x in extras)
+            seen["set holds removed edges"] += bool(extras)
             assert least <= min(map(len, after.edges))
             assert rule1_vertex_domination(after, e) == full[1]
             seen["e - f dominated"] += full[1].applied
@@ -403,8 +433,45 @@ class TestResumeAfterRule2:
             seen["e - f has two vertices"] += len(outside) > 1
 
         for inst in _resume_instances():
+            gone.clear()
             kernelize(inst, check)
         assert all(count > floors.get(key, 100) for key, count in seen.items()), seen
+
+    def test_a_run_of_rule2_steps_carries_one_edge_set(self):
+        """Along every run of consecutive rule-2 steps under ``kernelize``
+        each hint carries one and the same set object, and its members
+        beyond the successor's edges are exactly the edges those steps
+        removed: no step copies the set or builds a new one."""
+        run = []  # while a run of rule-2 steps lasts: its set and the edges it removed
+        seen = {"runs": 0, "steps after the first": 0}
+
+        def watch(rule, before, outcome):
+            if rule != 2:
+                run.clear()
+                return
+            after = outcome.new_instance
+            carried = outcome.hints[2][1]
+            (e,) = set(before.edges) - set(after.edges)
+            if run:
+                assert carried is run[0]
+                seen["steps after the first"] += 1
+            else:
+                run[:] = [carried, set()]
+                seen["runs"] += 1
+            run[1].add(e)
+            assert carried.issuperset(after.edges)
+            assert carried.difference(after.edges) == run[1]
+
+        rng = random.Random(3434)
+        instances = _resume_instances()
+        instances += [
+            generate(GenSpec(seed=rng.getrandbits(63), n=64, m=320, d=3, k=6, planted=6))
+            for _ in range(12)
+        ]
+        for inst in instances:
+            run.clear()
+            kernelize(inst, watch)
+        assert min(seen.values()) > 1000, seen
 
     def test_rule1_scans_in_full_only_where_no_step_hands_it_candidates(self, monkeypatch):
         """Under ``kernelize`` rule 1 runs without a hint only on the first
@@ -1340,7 +1407,9 @@ class TestKernelize:
         # tries them all again. Verdict, kernel, steps, LP work and every
         # observer event must agree. The d = 5, k = 2 draws make rule 5
         # follow a rule-5 step that changed edges; the oracle checks the
-        # decision of each such run.
+        # decision of each such run. A rule-2 hint carries the edge set its
+        # scan read, which differs between the two runs only in edges that
+        # are gone, so each event's set is cut down to the live edges.
         rng = random.Random(31)
         instances = [
             generate(
@@ -1385,7 +1454,9 @@ class TestKernelize:
                 reference.trace.lp_solves,
                 reference.trace.lp_pivots,
             )
-            assert events == reference_events
+            assert [(r, b, with_live_rule2_set(o)) for r, b, o in events] == [
+                (r, b, with_live_rule2_set(o)) for r, b, o in reference_events
+            ]
             seen[result.verdict] += 1
             steps = result.trace.steps
             seen["rule-5 no-op then rule 6"] += any(
