@@ -17,11 +17,12 @@ the controller, not in any rule.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterable, Mapping
+from collections import Counter
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
-from .core import Edge, Hypergraph, Instance, edges_through, subedge_groups
+from .core import Edge, Hypergraph, Instance, _unchecked, edges_through, subedge_groups
 from .crown import HSCrown, apply_hs_crown, validate_hs_crown, _crown_via_matching
 from .errors import InternalConsistencyError, InvalidCrownError
 from .lp import ExactLPSolution, build_crown_lp, extract_crown_candidates, solve_exact
@@ -45,7 +46,8 @@ class ReductionTrace:
     """Ordered log of rule applications; the verdict is in :class:`ReduceResult`.
 
     ``attempts[r]`` counts the controller's calls of rule ``r``, declined
-    ones included. Everything else is read off the steps, except
+    ones included, and inside a run of rule-2 steps the calls of its
+    finder that stand for them. Everything else is read off the steps, except
     ``lp_pivots``, which the steps do not hold.
     """
 
@@ -60,10 +62,8 @@ class ReductionTrace:
         return sum(1 for s in self.steps if s.rule == 6)
 
     def rule_counts(self) -> dict[int, int]:
-        counts = {r: 0 for r in range(1, 7)}
-        for s in self.steps:
-            counts[s.rule] += 1
-        return counts
+        counts = Counter(s.rule for s in self.steps)
+        return {r: counts[r] for r in range(1, 7)}
 
     def rule5_noops(self) -> int:
         """Rule-5 steps that removed and added nothing (counted as
@@ -198,6 +198,64 @@ def weakly_related_family(h: Hypergraph) -> list[Edge]:
     return chosen
 
 
+def _dominated(
+    edges: Sequence[Edge], n: int, candidates: Iterable[int] | None = None
+) -> tuple[int, dict[int, list[int]]] | None:
+    """Rule 1's finder on any sorted sequence of canonical ``edges`` over
+    ``n`` vertices: None when no candidate (every vertex by default) is
+    dominated; otherwise the lowest dominated candidate ``x`` and the
+    hints its removal hands on: rule 1 gets the later candidates whose
+    intersection less ``x`` still holds a second vertex, renumbered as
+    they are once ``x`` goes, unless a later vertex is in no edge, when
+    nothing is handed on. :func:`rule1_vertex_domination` says why the
+    scan is exact and what the caller guarantees. The public rule and
+    :func:`_edge_domination_run`, which passes a list of edges it deletes
+    from, share it; it reads nothing else of an instance.
+    """
+    # Per vertex: None before its first edge, then the intersection of its
+    # edges until only the vertex itself is left, then _UNDOMINATED; a vertex
+    # that is no candidate starts as _UNDOMINATED.
+    if candidates is None:
+        common: list[frozenset[int] | None] = [None] * n
+        order: Sequence[int] = range(n)
+        scan: Iterable[Edge] = edges
+    else:
+        wanted = frozenset(candidates)
+        common = [_UNDOMINATED] * n
+        for v in wanted:
+            common[v] = None
+        order = sorted(wanted)
+        scan = edges_through(edges, wanted)
+    undecided = len(order)
+    for e in scan:
+        for v in e:
+            c = common[v]
+            if c is _UNDOMINATED:
+                continue
+            c = frozenset(e) if c is None else c.intersection(e)
+            if len(c) > 1:
+                common[v] = c
+            else:
+                common[v] = _UNDOMINATED
+                undecided -= 1
+                if not undecided:
+                    return None
+    for i, x in enumerate(order):
+        c = common[x]
+        if c is not _UNDOMINATED and (c is not None or n > 1):
+            # Without this guard a run of isolated vertices would loop over
+            # every later vertex on each step; the full scan finds them in C.
+            if None in islice(common, x + 1, None):
+                return x, {}
+            later = []
+            for v in order[i + 1 :]:
+                c = common[v]
+                if len(c) > 2 or len(c) == 2 and x not in c:
+                    later.append(v - 1)
+            return x, {1: later}
+    return None
+
+
 def rule1_vertex_domination(
     inst: Instance, candidates: Iterable[int] | None = None
 ) -> RuleOutcome:
@@ -233,50 +291,34 @@ def rule1_vertex_domination(
     no hint: a shrunk edge may now lie inside any other.
     """
     h = inst.hypergraph
-    edges: Iterable[Edge] = h.edges
-    # Per vertex: None before its first edge, then the intersection of its
-    # edges until only the vertex itself is left, then _UNDOMINATED; a vertex
-    # that is no candidate starts as _UNDOMINATED.
-    common: list[frozenset[int] | None] = [None] * h.n
-    order: Iterable[int] = range(h.n)
-    if candidates is not None:
-        wanted = frozenset(candidates)
-        edges = edges_through(edges, wanted)
-        common = [_UNDOMINATED] * h.n
-        for v in wanted:
-            common[v] = None
-        order = sorted(wanted)
-    undecided = len(order)
-    for e in edges:
-        for v in e:
-            c = common[v]
-            if c is _UNDOMINATED:
-                continue
-            c = frozenset(e) if c is None else c.intersection(e)
-            if len(c) > 1:
-                common[v] = c
-            else:
-                common[v] = _UNDOMINATED
-                undecided -= 1
-                if not undecided:
-                    return _NOT_APPLIED
-    for i, x in enumerate(order):
-        c = common[x]
-        if c is not _UNDOMINATED and (c is not None or h.n > 1):
-            gone = frozenset((x,))
-            through = list(edges_through(h.edges, gone))
-            shrunk = [tuple(v for v in e if v != x) for e in through]
-            hints = {}
-            # Without this guard a run of isolated vertices would loop over
-            # every later vertex on each step; the full scan finds them in C.
-            if None not in islice(common, x + 1, None):
-                hints[1] = later = []
-                for v in order[i + 1 :]:
-                    c = common[v]
-                    if len(c) > 2 or len(c) == 2 and x not in c:
-                        later.append(v - 1)
-            return _rebuild(inst, 1, through, shrunk, remove_vertices=gone, hints=hints)
-    return _NOT_APPLIED
+    found = _dominated(h.edges, h.n, candidates)
+    if found is None:
+        return _NOT_APPLIED
+    x, hints = found
+    gone = frozenset((x,))
+    through = list(edges_through(h.edges, gone))
+    shrunk = [tuple(v for v in e if v != x) for e in through]
+    return _rebuild(inst, 1, through, shrunk, remove_vertices=gone, hints=hints)
+
+
+def _first_superset(
+    edges: Sequence[Edge], start: int, index: Collection[Edge], least: int
+) -> dict[int, object] | None:
+    """Rule 2's finder on any sorted sequence of canonical ``edges``: None
+    when no edge from position ``start`` on has a proper subset of at
+    least ``least`` vertices in ``index``; otherwise the hints that
+    removing the first such edge ``e`` hands on, for its first such subset
+    ``f`` (by size, then in ``combinations`` order): ``{1: the vertices of
+    e outside f, 2: (e's position, index, least)}``, so ``e`` is
+    ``edges[hints[2][0]]``. :func:`rule2_edge_domination` says what
+    ``index`` and ``least`` must be and why the scan and the hints are
+    exact. The public rule and :func:`_edge_domination_run` share it.
+    """
+    for i, e in enumerate(islice(edges, start, None), start):
+        f = next((s for r in range(least, len(e)) for s in combinations(e, r) if s in index), None)
+        if f is not None:
+            return {1: tuple(v for v in e if v not in f), 2: (i, index, least)}
+    return None
 
 
 def rule2_edge_domination(
@@ -321,16 +363,16 @@ def rule2_edge_domination(
     intersection of its edges is the same without ``e``, and it stays
     undominated. No edge before ``e`` had a subset, and removing an edge
     gives none one. So both hinted calls return what a full scan of the
-    successor would.
+    successor would. Without an observer, :func:`kernelize` takes the
+    passes after such a step in place (:func:`_edge_domination_run`),
+    with these same hints and the two finders.
     """
     h = inst.hypergraph
     start, index, least = resume or (0, frozenset(h.edges), min(map(len, h.edges), default=0))
-    for i, e in enumerate(islice(h.edges, start, None), start):
-        f = next((s for r in range(least, len(e)) for s in combinations(e, r) if s in index), None)
-        if f is not None:
-            hints = {1: tuple(v for v in e if v not in f), 2: (i, index, least)}
-            return _rebuild(inst, 2, (e,), hints=hints)
-    return _NOT_APPLIED
+    hints = _first_superset(h.edges, start, index, least)
+    if hints is None:
+        return _NOT_APPLIED
+    return _rebuild(inst, 2, (h.edges[hints[2][0]],), hints=hints)
 
 
 def rule3_unit_edge(inst: Instance) -> RuleOutcome:
@@ -518,6 +560,50 @@ def _quick_verdict(inst: Instance) -> str | None:
     return None
 
 
+_EDGE_DOMINATION_STEP = TraceStep(2, 0, 1, 0, 0)  # what every rule-2 step records
+
+
+def _edge_domination_run(
+    inst: Instance, hints: Mapping[int, object], trace: ReductionTrace, ceiling: int
+) -> tuple[Instance, Mapping[int, object], int]:
+    """The passes of :func:`kernelize` from ``inst``, to which the last
+    step handed ``hints`` for rules 1 and 2, for as long as each ends in a
+    rule-2 step, run in place on one list of ``inst``'s edges. Each pass
+    calls rule 1's finder on its candidates and stops the run if one is
+    dominated; otherwise it counts both attempts and calls rule 2's
+    finder from the carried start, and stops if that finds nothing. A hit
+    deletes its edge from the list, records its step, checks the
+    iteration ceiling and hands the next pass what
+    :func:`rule2_edge_domination` would. No vertex goes, so the finders
+    read the very edge sequence the per-step successors would hold, and
+    decide as those rules would.
+
+    Returns the instance reached (one unchecked :class:`Instance`, built
+    only if the run took a step), the hints of the next pass and the rule
+    it starts at: rule 1, whose hinted candidates hold a dominated vertex
+    and which counts its own attempt; or rule 3, rules 1 and 2 having
+    declined. No quick verdict falls inside a run: a rule-2 step keeps the
+    edge ``f`` it found and changes no budget, and the list holds no empty
+    edge, which would have been first at the run's start.
+    """
+    edges, first = list(inst.edges), 1
+    while _dominated(edges, inst.n, hints[1]) is None:
+        trace.attempts[1] += 1
+        trace.attempts[2] += 1
+        hints = _first_superset(edges, *hints[2])
+        if hints is None:
+            hints, first = {}, 3
+            break
+        del edges[hints[2][0]]  # the removed edge's position
+        trace.steps.append(_EDGE_DOMINATION_STEP)
+        if len(trace.steps) > ceiling:
+            raise InternalConsistencyError("iteration ceiling exceeded; reduction diverged")
+    if len(edges) < inst.m:
+        hypergraph = _unchecked(Hypergraph, n=inst.n, edges=tuple(edges), d=inst.d)
+        inst = _unchecked(Instance, **{**vars(inst), "hypergraph": hypergraph})
+    return inst, hints, first
+
+
 def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     """Run the full reduction loop to a kernel or a verdict.
 
@@ -537,12 +623,23 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     the first rule. The controller names no rule. Every step that changes
     the instance lowers ``n + m``, and a no-op is followed by rule 6, so an
     explicit iteration ceiling of ``3n + 4m + 4`` trace steps guards
-    termination. The rules are the module's globals as they stand when the
-    call starts, so a tracer installed before the call sees every attempt.
+    termination.
+
+    Without an observer, a step that hands hints to both rules 1 and 2 (a
+    rule-2, rule-3 or rule-4 step) starts a run (:func:`_edge_domination_run`):
+    the passes that follow, for as long as each ends in a rule-2 step, call
+    the two rules' finders on one list of edges and build one successor at
+    the end instead of one per step. Its trace, attempts and result are
+    those of the per-step passes; only its calls of the finders bypass the
+    public rules, so a wrapper of a rule installed before the call sees
+    every attempt outside runs and none inside. The rules are the module's
+    globals as they stand when the call starts.
 
     ``observer(rule, before, outcome)`` is called for every rule event,
-    including no-op rule-5 attempts and rule-6 no-verdicts. The trace
-    records the events in order; its counts are derived from them.
+    including no-op rule-5 attempts and rule-6 no-verdicts. With an
+    observer every pass calls the public rules, so each step builds its
+    own successor and outcome. The trace records the events in order; its
+    counts are derived from them.
     """
     trace = ReductionTrace()
     current = inst
@@ -561,6 +658,8 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
         verdict = _quick_verdict(current)
         if verdict is not None:
             return ReduceResult(verdict, current, trace)
+        if observer is None and 1 in hints and 2 in hints:
+            current, hints, first = _edge_domination_run(current, hints, trace, ceiling)
 
         for rule_id, rule in enumerate(rules[first - 1 :], first):
             trace.attempts[rule_id] += 1

@@ -510,6 +510,45 @@ class TestKernelizeCommand:
         assert data["k_override"] is True
         assert data["k_input"] == 1
 
+    @pytest.mark.parametrize(
+        "extra, observed",
+        [((), False), (("--report-json", "r.json"), False), (("--trace",), True)],
+    )
+    def test_only_trace_and_dump_lp_pass_an_observer(
+        self, tmp_path, capsys, monkeypatch, extra, observed
+    ):
+        # Without an observer kernelize runs chains of rule-2 steps in place.
+        real, observers = cli.kernelize, []
+
+        def spy(inst, observer=None):
+            observers.append(observer)
+            return real(inst, observer)
+
+        monkeypatch.setattr(cli, "kernelize", spy)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "in.hs"
+        path.write_text(SHOWCASE_TEXT)
+        assert main(["kernelize", str(path), *extra]) == 10
+        capsys.readouterr()
+        (observer,) = observers
+        assert callable(observer) if observed else observer is None
+
+    def test_trace_changes_neither_output_nor_report(self, tmp_path, capsys):
+        inst = generate(GenSpec(seed=3535, n=64, m=320, d=3, k=6, planted=6))
+        path = tmp_path / "in.hs"
+        path.write_text(write_instance(inst))
+        outputs = []
+        for extra in ((), ("--trace",)):
+            report = tmp_path / f"report{len(extra)}.json"
+            code = main(["kernelize", str(path), "--report-json", str(report), *extra])
+            data = json.loads(report.read_text())
+            del data["wall_time_s"]
+            outputs.append((code, capsys.readouterr().out, data))
+        assert outputs[0] == outputs[1]
+        # The input has chains of rule-2 steps, which run in place without --trace.
+        steps = reductions.kernelize(inst).trace.steps
+        assert any(a.rule == b.rule == 2 for a, b in zip(steps, steps[1:]))
+
     def test_trace_goes_to_stderr(self, tmp_path, capsys):
         path = tmp_path / "in.hs"
         path.write_text(SHOWCASE_TEXT)

@@ -313,6 +313,31 @@ def _resume_instances():
     return instances
 
 
+def _planted_instances():
+    """Twelve planted draws shaped like the ``planted`` benchmark inputs,
+    with long chains of rule-2 steps."""
+    rng = random.Random(3434)
+    return [
+        generate(GenSpec(seed=rng.getrandbits(63), n=64, m=320, d=3, k=6, planted=6))
+        for _ in range(12)
+    ]
+
+
+def _crown_family_instances():
+    """The structured families of the acceptance suite, small."""
+    instances = []
+    for seed in range(3):
+        for k in (2, 3):
+            instances += [
+                petal_cycle_instance(seed, k),
+                mixed_crown_instance(seed, k),
+                blob_instance(seed, k - 1),
+                blob4_instance(seed, k - 1),
+                double_star_instance(seed, k),
+            ]
+    return instances
+
+
 def has_a_vertex_in_no_edge(inst) -> bool:
     return len(set().union(*inst.edges)) < inst.n
 
@@ -350,7 +375,8 @@ class TestResumeAfterRule2:
         with monkeypatch.context() as m:
             m.setattr(reductions, "rule1_vertex_domination", lambda inst, *hint: rule1(inst))
             m.setattr(reductions, "rule2_edge_domination", lambda inst, *hint: rule2(inst))
-            references = [kernelize(inst) for inst in instances]
+            # An observer makes every pass call the rules as patched.
+            references = [kernelize(inst, lambda *event: None) for inst in instances]
         seen = {"kernel": 0, "yes": 0, "no": 0, "rule 1 after rule 2": 0, "rule 2 after rule 2": 0}
         for inst, reference in zip(instances, references):
             result = kernelize(inst)
@@ -462,13 +488,7 @@ class TestResumeAfterRule2:
             assert carried.issuperset(after.edges)
             assert carried.difference(after.edges) == run[1]
 
-        rng = random.Random(3434)
-        instances = _resume_instances()
-        instances += [
-            generate(GenSpec(seed=rng.getrandbits(63), n=64, m=320, d=3, k=6, planted=6))
-            for _ in range(12)
-        ]
-        for inst in instances:
+        for inst in _resume_instances() + _planted_instances():
             run.clear()
             kernelize(inst, watch)
         assert min(seen.values()) > 1000, seen
@@ -504,6 +524,90 @@ class TestResumeAfterRule2:
             after[0] = "first"
             kernelize(inst, observe)
         assert all(seen.values()), seen
+
+
+def chained_rule2_steps(steps) -> int:
+    """The rule-2 steps of ``steps`` that directly follow a rule-2 step."""
+    return sum(1 for a, b in zip(steps, steps[1:]) if a.rule == b.rule == 2)
+
+
+class TestRunsInPlace:
+    """Without an observer, the passes after a step that hands hints to
+    rules 1 and 2 run in place for as long as each ends in a rule-2 step;
+    with one, every pass calls the public rules."""
+
+    def test_same_result_with_and_without_an_observer(self):
+        seen = {"chained rule-2 steps": 0, "kernel": 0, "yes": 0, "no": 0}
+        for inst in _resume_instances() + _planted_instances() + _crown_family_instances():
+            fast = kernelize(inst)
+            slow = kernelize(inst, lambda *event: None)
+            assert fast.verdict == slow.verdict, inst
+            assert fast.instance == slow.instance, inst
+            assert fast.instance.labels == slow.instance.labels, inst
+            assert fast.trace.steps == slow.trace.steps, inst
+            assert fast.trace.attempts == slow.trace.attempts, inst
+            assert fast.trace.lp_pivots == slow.trace.lp_pivots, inst
+            seen["chained rule-2 steps"] += chained_rule2_steps(fast.trace.steps)
+            seen[fast.verdict] += 1
+        assert min(seen.values()) > 100, seen
+
+    def test_a_run_builds_no_successor_per_step(self, monkeypatch):
+        rebuilds = []
+        rebuild = reductions._rebuild
+        monkeypatch.setattr(
+            reductions, "_rebuild", lambda *args, **kw: rebuilds.append(args) or rebuild(*args, **kw)
+        )
+        saved = 0
+        for inst in _planted_instances():
+            for observer in (None, lambda *event: None):
+                rebuilds.clear()
+                steps = kernelize(inst, observer).trace.steps
+                applied = sum(1 for s in steps if s.rule <= 5)
+                chained = 0 if observer else chained_rule2_steps(steps)
+                assert len(rebuilds) == applied - chained
+                saved += chained
+        assert saved > 1000, saved
+
+    @staticmethod
+    def chain():
+        """An instance on which rule 2 removes ``(0, 1, 2)`` and then, in a
+        run, ``(0, 1, 3)``; no vertex is ever dominated."""
+        edges = [(0, 1), (0, 1, 2), (0, 1, 3), (0, 6), (1, 6), (2, 4), (2, 5), (3, 4), (3, 5)]
+        return Instance(Hypergraph(7, tuple(edges), 3), 3, labels=tuple("abcdefg"))
+
+    def test_a_run_builds_its_successor_once_and_resumes_at_rule3(self):
+        inst = self.chain()
+        assert not rule1_vertex_domination(inst).applied
+        outcome = rule2_edge_domination(inst)
+        trace = ReductionTrace()
+        after, hints, first = reductions._edge_domination_run(
+            outcome.new_instance, outcome.hints, trace, 1
+        )
+        kept = [e for e in inst.edges if e not in ((0, 1, 2), (0, 1, 3))]
+        expected = naive_successor(inst, kept, inst.k)
+        assert after == expected and after.labels == expected.labels
+        assert (hints, first) == ({}, 3)
+        assert trace.steps == [TraceStep(2, 0, 1, 0, 0)]
+        assert trace.attempts == {1: 2, 2: 2, 3: 0, 4: 0, 5: 0, 6: 0}
+
+    def test_a_run_checks_the_ceiling_after_each_step(self):
+        outcome = rule2_edge_domination(self.chain())
+        with pytest.raises(InternalConsistencyError, match="iteration ceiling"):
+            reductions._edge_domination_run(outcome.new_instance, outcome.hints, ReductionTrace(), 0)
+
+    def test_a_dominated_candidate_stops_the_run_before_its_attempt(self):
+        # Rule 2 removes (0, 1, 2), leaving vertex 2 dominated by 3: the
+        # run hands the next pass rule 1 with that candidate, uncounted.
+        inst = inst_of([(0, 1), (0, 1, 2), (0, 3), (1, 3), (2, 3)], 2)
+        assert not rule1_vertex_domination(inst).applied
+        outcome = rule2_edge_domination(inst)
+        trace = ReductionTrace()
+        after, hints, first = reductions._edge_domination_run(
+            outcome.new_instance, outcome.hints, trace, 10
+        )
+        assert after is outcome.new_instance
+        assert (hints, first) == (outcome.hints, 1) and hints[1] == (2,)
+        assert trace.steps == [] and not any(trace.attempts.values())
 
 
 def check_fields_only(successor) -> None:
