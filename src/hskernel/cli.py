@@ -204,8 +204,9 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
         if args.dump_lp and outcome.lp_solution is not None:
             print(format_lp(build_crown_lp(before.hypergraph)), file=sys.stderr)
 
-    # Only --trace and --dump-lp read the events; without an observer a
-    # chain of rule-2 steps runs in place (--report-json reads the result).
+    # Only --trace and --dump-lp read the events; without an observer the
+    # steps of rules 1-3 after a step of rules 2-4 run in place
+    # (--report-json reads the result).
     start = time.perf_counter()
     result = kernelize(inst, observer=observer if args.trace or args.dump_lp else None)
     wall = time.perf_counter() - start

@@ -182,10 +182,10 @@ class Instance:
         if new:
             canon += new
             canon.sort()  # two sorted runs: a linear merge
-        labels = self.labels
-        n = self.n
+        gone = sorted(removed)
+        present = None
         if removed:
-            gone = sorted(removed)
+            n = self.n
             if gone[0] < 0 or gone[-1] >= n:
                 stray = min(v for v in removed if not 0 <= v < n)
                 raise ValueError(f"the removed vertex {stray} is outside 0..{n - 1}")
@@ -193,15 +193,26 @@ class Instance:
             if not present.isdisjoint(removed):
                 kept = next(v for e in canon for v in e if v in removed)
                 raise ValueError(f"an edge keeps the removed vertex {kept}")
-            remap = {v: v - bisect_left(gone, v) for v in present}
-            canon = list(map(tuple, map(map, repeat(remap.__getitem__), canon)))
-            if labels is not None:
-                labels = tuple(_without(labels, gone))
-            n -= len(gone)
-        hypergraph = _unchecked(Hypergraph, n=n, edges=tuple(canon), d=self.d)
-        return _unchecked(
-            Instance, hypergraph=hypergraph, k=k, labels=labels, comments=self.comments
-        )
+        return _compacted(self, canon, k, gone, present)
+
+
+def _compacted(
+    inst: Instance, edges: list[Edge], k: int, gone: Sequence[int], present: set[int] | None = None
+) -> Instance:
+    """An unchecked instance with ``inst``'s ``d`` and comments, budget
+    ``k`` and the sorted canonical ``edges`` over ``inst``'s vertices less
+    the increasing ``gone``, which no edge holds. The other vertices are
+    renumbered densely in their old order, mapping only the ``present``
+    ones (those in an edge, found when not given), and the label table
+    loses the entries of ``gone``."""
+    labels = inst.labels
+    if gone:
+        remap = {v: v - bisect_left(gone, v) for v in present or set().union(*edges)}
+        edges = list(map(tuple, map(map, repeat(remap.__getitem__), edges)))
+        if labels is not None:
+            labels = tuple(_without(labels, gone))
+    hypergraph = _unchecked(Hypergraph, n=inst.n - len(gone), edges=tuple(edges), d=inst.d)
+    return _unchecked(Instance, hypergraph=hypergraph, k=k, labels=labels, comments=inst.comments)
 
 
 def _check_edges(edges: Iterable[Edge], n: int, d: int) -> None:

@@ -17,12 +17,13 @@ the controller, not in any rule.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations, compress, filterfalse, islice
 
-from .core import Edge, Hypergraph, Instance, _unchecked, edges_through, subedge_groups
+from .core import Edge, Hypergraph, Instance, _compacted, edges_through, subedge_groups
 from .crown import HSCrown, apply_hs_crown, validate_hs_crown, _crown_via_matching
 from .errors import InternalConsistencyError, InvalidCrownError
 from .lp import ExactLPSolution, build_crown_lp, extract_crown_candidates, solve_exact
@@ -46,9 +47,10 @@ class ReductionTrace:
     """Ordered log of rule applications; the verdict is in :class:`ReduceResult`.
 
     ``attempts[r]`` counts the controller's calls of rule ``r``, declined
-    ones included, and inside a run of rule-2 steps the calls of its
-    finder that stand for them. Everything else is read off the steps, except
-    ``lp_pivots``, which the steps do not hold.
+    ones included, and inside a run in place (rules 1-3, see
+    :func:`kernelize`) the calls of its finder that stand for them, so
+    the counts are those of the per-step passes. Everything else is read
+    off the steps, except ``lp_pivots``, which the steps do not hold.
     """
 
     steps: list[TraceStep] = field(default_factory=list)
@@ -199,25 +201,30 @@ def weakly_related_family(h: Hypergraph) -> list[Edge]:
 
 
 def _dominated(
-    edges: Sequence[Edge], n: int, candidates: Iterable[int] | None = None
-) -> tuple[int, dict[int, list[int]]] | None:
+    edges: Sequence[Edge], n: int, candidates: Iterable[int] | None, gone: Collection[int]
+) -> tuple[int, list[int] | None] | None:
     """Rule 1's finder on any sorted sequence of canonical ``edges`` over
-    ``n`` vertices: None when no candidate (every vertex by default) is
+    the vertices ``0..n-1`` less ``gone``, which no edge holds: None when
+    no candidate (every such vertex when ``candidates`` is None) is
     dominated; otherwise the lowest dominated candidate ``x`` and the
-    hints its removal hands on: rule 1 gets the later candidates whose
-    intersection less ``x`` still holds a second vertex, renumbered as
-    they are once ``x`` goes, unless a later vertex is in no edge, when
-    nothing is handed on. :func:`rule1_vertex_domination` says why the
-    scan is exact and what the caller guarantees. The public rule and
-    :func:`_edge_domination_run`, which passes a list of edges it deletes
-    from, share it; it reads nothing else of an instance.
+    later candidates whose intersection less ``x`` still holds a second
+    vertex, in the same ids, or None in their place when a later vertex
+    is in no edge. A candidate in no edge is dominated when some other
+    vertex is left, so that test reads the live count, ``n`` less
+    ``gone``. :func:`rule1_vertex_domination` says why the scan is exact
+    and what the caller guarantees. The public rule, which renumbers the
+    later candidates, and :func:`_run_in_place`, which keeps its ids and
+    passes the vertices it removed as ``gone``, share it; it reads
+    nothing else of an instance.
     """
     # Per vertex: None before its first edge, then the intersection of its
     # edges until only the vertex itself is left, then _UNDOMINATED; a vertex
     # that is no candidate starts as _UNDOMINATED.
     if candidates is None:
         common: list[frozenset[int] | None] = [None] * n
-        order: Sequence[int] = range(n)
+        for v in gone:
+            common[v] = _UNDOMINATED
+        order: Sequence[int] = list(filterfalse(gone.__contains__, range(n))) if gone else range(n)
         scan: Iterable[Edge] = edges
     else:
         wanted = frozenset(candidates)
@@ -242,17 +249,17 @@ def _dominated(
                     return None
     for i, x in enumerate(order):
         c = common[x]
-        if c is not _UNDOMINATED and (c is not None or n > 1):
+        if c is not _UNDOMINATED and (c is not None or n - len(gone) > 1):
             # Without this guard a run of isolated vertices would loop over
             # every later vertex on each step; the full scan finds them in C.
             if None in islice(common, x + 1, None):
-                return x, {}
+                return x, None
             later = []
             for v in order[i + 1 :]:
                 c = common[v]
                 if len(c) > 2 or len(c) == 2 and x not in c:
-                    later.append(v - 1)
-            return x, {1: later}
+                    later.append(v)
+            return x, later
     return None
 
 
@@ -289,35 +296,41 @@ def rule1_vertex_domination(
     would. A later vertex in no edge has no intersection to read; then
     nothing is handed on and the next call scans everything. Rule 2 gets
     no hint: a shrunk edge may now lie inside any other.
+
+    A rule-1 step starts no run in place, but inside one (see
+    :func:`kernelize`) the step is taken on the run's edge list, in the
+    ids where the run started: the same later vertices are handed on
+    without renumbering, and rule 2's next scan starts at the first edge
+    with the run's own edge set, which the run keeps up to date.
     """
     h = inst.hypergraph
-    found = _dominated(h.edges, h.n, candidates)
+    found = _dominated(h.edges, h.n, candidates, ())
     if found is None:
         return _NOT_APPLIED
-    x, hints = found
+    x, later = found
     gone = frozenset((x,))
     through = list(edges_through(h.edges, gone))
     shrunk = [tuple(v for v in e if v != x) for e in through]
+    hints = {} if later is None else {1: [v - 1 for v in later]}
     return _rebuild(inst, 1, through, shrunk, remove_vertices=gone, hints=hints)
 
 
 def _first_superset(
     edges: Sequence[Edge], start: int, index: Collection[Edge], least: int
-) -> dict[int, object] | None:
+) -> tuple[int, Edge] | None:
     """Rule 2's finder on any sorted sequence of canonical ``edges``: None
     when no edge from position ``start`` on has a proper subset of at
-    least ``least`` vertices in ``index``; otherwise the hints that
-    removing the first such edge ``e`` hands on, for its first such subset
-    ``f`` (by size, then in ``combinations`` order): ``{1: the vertices of
-    e outside f, 2: (e's position, index, least)}``, so ``e`` is
-    ``edges[hints[2][0]]``. :func:`rule2_edge_domination` says what
-    ``index`` and ``least`` must be and why the scan and the hints are
-    exact. The public rule and :func:`_edge_domination_run` share it.
+    least ``least`` vertices in ``index``; otherwise the position of the
+    first such edge ``e`` and the vertices of ``e`` outside its first such
+    subset ``f`` (by size, then in ``combinations`` order).
+    :func:`rule2_edge_domination` says what ``index`` and ``least`` must
+    be and why the scan and the hints built from the result are exact.
+    The public rule and :func:`_run_in_place` share it.
     """
     for i, e in enumerate(islice(edges, start, None), start):
         f = next((s for r in range(least, len(e)) for s in combinations(e, r) if s in index), None)
         if f is not None:
-            return {1: tuple(v for v in e if v not in f), 2: (i, index, least)}
+            return i, tuple(v for v in e if v not in f)
     return None
 
 
@@ -364,15 +377,16 @@ def rule2_edge_domination(
     undominated. No edge before ``e`` had a subset, and removing an edge
     gives none one. So both hinted calls return what a full scan of the
     successor would. Without an observer, :func:`kernelize` takes the
-    passes after such a step in place (:func:`_edge_domination_run`),
-    with these same hints and the two finders.
+    passes after such a step in place (:func:`_run_in_place`), with these
+    same hints and the finders.
     """
     h = inst.hypergraph
     start, index, least = resume or (0, frozenset(h.edges), min(map(len, h.edges), default=0))
-    hints = _first_superset(h.edges, start, index, least)
-    if hints is None:
+    found = _first_superset(h.edges, start, index, least)
+    if found is None:
         return _NOT_APPLIED
-    return _rebuild(inst, 2, (h.edges[hints[2][0]],), hints=hints)
+    i, outside = found
+    return _rebuild(inst, 2, (h.edges[i],), hints={1: outside, 2: (i, index, least)})
 
 
 def rule3_unit_edge(inst: Instance) -> RuleOutcome:
@@ -389,15 +403,23 @@ def rule3_unit_edge(inst: Instance) -> RuleOutcome:
     other vertex loses an edge: each keeps its edges and stays
     undominated. The surviving edges are ``inst``'s, of which none
     contains another, and the successor has fewer of them, so a scan from
-    that start looks nothing up.
+    that start looks nothing up. Without an observer, :func:`kernelize`
+    takes the passes after the step in place, where later rule-3 steps
+    lower the run's own ``k`` and remove the vertex from its edge list.
     """
     h = inst.hypergraph
-    for e in h.edges:
-        if len(e) == 1:
-            gone, hints = frozenset(e), {1: (), 2: (h.m, frozenset(), 0)}
-            through = edges_through(h.edges, gone)
-            return _rebuild(inst, 3, through, remove_vertices=gone, k_delta=-1, hints=hints)
-    return _NOT_APPLIED
+    unit = _unit_edge(h.edges)
+    if unit is None:
+        return _NOT_APPLIED
+    gone, hints = frozenset(unit), {1: (), 2: (h.m, frozenset(), 0)}
+    through = edges_through(h.edges, gone)
+    return _rebuild(inst, 3, through, remove_vertices=gone, k_delta=-1, hints=hints)
+
+
+def _unit_edge(edges: Sequence[Edge]) -> Edge | None:
+    """Rule 3's finder: the first edge of one vertex in the sorted sequence
+    ``edges``, or None. The public rule and :func:`_run_in_place` share it."""
+    return next(compress(edges, map((1).__eq__, map(len, edges))), None)
 
 
 def rule4_high_degree_subedge(inst: Instance) -> RuleOutcome:
@@ -563,45 +585,96 @@ def _quick_verdict(inst: Instance) -> str | None:
 _EDGE_DOMINATION_STEP = TraceStep(2, 0, 1, 0, 0)  # what every rule-2 step records
 
 
-def _edge_domination_run(
+def _cut(edges: list[Edge], v: int) -> list[Edge]:
+    """Delete the edges through ``v`` from the sorted list ``edges`` and
+    return them, in order."""
+    through = list(edges_through(edges, {v}))
+    for e in reversed(through):
+        del edges[bisect_left(edges, e)]
+    return through
+
+
+def _run_in_place(
     inst: Instance, hints: Mapping[int, object], trace: ReductionTrace, ceiling: int
-) -> tuple[Instance, Mapping[int, object], int]:
+) -> tuple[Instance, int]:
     """The passes of :func:`kernelize` from ``inst``, to which the last
     step handed ``hints`` for rules 1 and 2, for as long as each ends in a
-    rule-2 step, run in place on one list of ``inst``'s edges. Each pass
-    calls rule 1's finder on its candidates and stops the run if one is
-    dominated; otherwise it counts both attempts and calls rule 2's
-    finder from the carried start, and stops if that finds nothing. A hit
-    deletes its edge from the list, records its step, checks the
-    iteration ceiling and hands the next pass what
-    :func:`rule2_edge_domination` would. No vertex goes, so the finders
-    read the very edge sequence the per-step successors would hold, and
-    decide as those rules would.
+    step of rules 1-3 and no quick verdict falls, taken in place. The run
+    keeps one sorted list of the edges in ``inst``'s ids, the vertices it
+    removed and ``k``. The ids are monotone, so the lowest dominated vertex
+    and the first edge in canonical order are those of the per-step
+    successors, and the three finders decide as the public rules would.
 
-    Returns the instance reached (one unchecked :class:`Instance`, built
-    only if the run took a step), the hints of the next pass and the rule
-    it starts at: rule 1, whose hinted candidates hold a dominated vertex
-    and which counts its own attempt; or rule 3, rules 1 and 2 having
-    declined. No quick verdict falls inside a run: a rule-2 step keeps the
-    edge ``f`` it found and changes no budget, and the list holds no empty
-    edge, which would have been first at the run's start.
+    Each pass counts and calls the finders in rule order from the hints
+    the last step would have handed on, and takes the first step found:
+    rule 1 deletes the edges through ``x`` and inserts each shrunk edge the
+    list lacks; rule 2 deletes its edge; rule 3 deletes its unit edge and
+    the edges through its vertex and lowers ``k``. Each step is recorded
+    as its public rule records it, and the iteration ceiling is checked
+    after it. Rule 2's edge set meets its ``resume`` contract throughout
+    once a member may also hold a removed vertex, which no lookup reads:
+    the first rule-1 step makes a set of its own from the carried one (or
+    from the list, when rule 3 or 4 carried an empty one) and adds the
+    shrunk edges, so a scan after a rule-1 step starts at 0 but builds no
+    set; ``least`` drops with the shrunk edges and is taken again after a
+    rule-3 step. Every vertex left keeps an edge: the edges a step of
+    rules 2-4 takes from a vertex it keeps all hold one other vertex too,
+    so had they been all its edges the vertex would have been dominated,
+    and rule 1 only shrinks edges. So rule 1's finder always hands
+    candidates on inside a run; passing it the removed vertices keeps a
+    full scan and its isolated-vertex test exact anyway.
+
+    The run ends when rules 1-3 decline, and the next pass starts at rule
+    4, or when a quick verdict would fall (``k <= 0`` or no edge left),
+    which the next pass returns. No empty edge arises: a vertex in a unit
+    edge is never dominated. Returns the instance reached, one unchecked
+    :class:`Instance` with one renumbering, built only if the run took a
+    step, and the rule the next pass starts at, which gets no hint.
     """
-    edges, first = list(inst.edges), 1
-    while _dominated(edges, inst.n, hints[1]) is None:
+    edges, k, gone, first = list(inst.edges), inst.k, set(), 1
+    candidates, (start, index, least) = hints[1], hints[2]
+    while k > 0 and edges:
         trace.attempts[1] += 1
-        trace.attempts[2] += 1
-        hints = _first_superset(edges, *hints[2])
-        if hints is None:
-            hints, first = {}, 3
-            break
-        del edges[hints[2][0]]  # the removed edge's position
-        trace.steps.append(_EDGE_DOMINATION_STEP)
+        found = _dominated(edges, inst.n, candidates, gone)
+        if found is not None:
+            x, candidates = found
+            through = _cut(edges, x)
+            shrunk = [tuple(v for v in e if v != x) for e in through]
+            kept = len(edges)
+            for e in shrunk:
+                i = bisect_left(edges, e)
+                if edges[i : i + 1] != [e]:
+                    edges.insert(i, e)
+            if not isinstance(index, set):
+                index, least = (set(index), least) if index else (set(edges), min(map(len, edges)))
+            index.update(shrunk)
+            start, least = 0, min([least, *map(len, shrunk)])
+            gone.add(x)
+            step = TraceStep(1, 1, len(through), len(edges) - kept, 0)
+        else:
+            trace.attempts[2] += 1
+            found = _first_superset(edges, start, index, least)
+            if found is not None:
+                start, candidates = found
+                del edges[start]
+                step = _EDGE_DOMINATION_STEP
+            else:
+                trace.attempts[3] += 1
+                unit = _unit_edge(edges)
+                if unit is None:
+                    first = 4
+                    break
+                through = _cut(edges, *unit)
+                gone.update(unit)
+                k -= 1
+                candidates, start, least = (), len(edges), min(map(len, edges), default=0)
+                step = TraceStep(3, 1, len(through), 0, -1)
+        trace.steps.append(step)
         if len(trace.steps) > ceiling:
             raise InternalConsistencyError("iteration ceiling exceeded; reduction diverged")
-    if len(edges) < inst.m:
-        hypergraph = _unchecked(Hypergraph, n=inst.n, edges=tuple(edges), d=inst.d)
-        inst = _unchecked(Instance, **{**vars(inst), "hypergraph": hypergraph})
-    return inst, hints, first
+    if gone or len(edges) < inst.m:
+        inst = _compacted(inst, edges, k, sorted(gone))
+    return inst, first
 
 
 def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
@@ -626,14 +699,17 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
     termination.
 
     Without an observer, a step that hands hints to both rules 1 and 2 (a
-    rule-2, rule-3 or rule-4 step) starts a run (:func:`_edge_domination_run`):
-    the passes that follow, for as long as each ends in a rule-2 step, call
-    the two rules' finders on one list of edges and build one successor at
-    the end instead of one per step. Its trace, attempts and result are
+    rule-2, rule-3 or rule-4 step) starts a run in place
+    (:func:`_run_in_place`): the passes that follow, for as long as each
+    ends in a step of rules 1-3 and no quick verdict falls, call the three
+    rules' finders on one sorted list of edges in the ids of the instance
+    the run started from, and build one successor, with one renumbering,
+    at the end instead of one per step. Its trace, attempts and result are
     those of the per-step passes; only its calls of the finders bypass the
     public rules, so a wrapper of a rule installed before the call sees
-    every attempt outside runs and none inside. The rules are the module's
-    globals as they stand when the call starts.
+    every attempt outside runs and none inside. A rule-1 step outside a
+    run starts none. The rules are the module's globals as they stand
+    when the call starts.
 
     ``observer(rule, before, outcome)`` is called for every rule event,
     including no-op rule-5 attempts and rule-6 no-verdicts. With an
@@ -659,7 +735,9 @@ def kernelize(inst: Instance, observer: Observer | None = None) -> ReduceResult:
         if verdict is not None:
             return ReduceResult(verdict, current, trace)
         if observer is None and 1 in hints and 2 in hints:
-            current, hints, first = _edge_domination_run(current, hints, trace, ceiling)
+            current, first = _run_in_place(current, hints, trace, ceiling)
+            hints = {}
+            continue
 
         for rule_id, rule in enumerate(rules[first - 1 :], first):
             trace.attempts[rule_id] += 1

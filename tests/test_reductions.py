@@ -4,6 +4,8 @@ from bisect import bisect_left
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hskernel import core, reductions
 from hskernel.core import Hypergraph, Instance, normalize, subedge_groups
@@ -531,41 +533,99 @@ def chained_rule2_steps(steps) -> int:
     return sum(1 for a, b in zip(steps, steps[1:]) if a.rule == b.rule == 2)
 
 
+def spy_on_runs(monkeypatch) -> list:
+    """Wrap ``_run_in_place`` so that each run appends the steps it took
+    and the rule its next pass starts at to the returned list."""
+    runs = []
+    run = reductions._run_in_place
+
+    def spy(inst, hints, trace, ceiling):
+        before = len(trace.steps)
+        out = run(inst, hints, trace, ceiling)
+        runs.append((trace.steps[before:], out[1]))
+        return out
+
+    monkeypatch.setattr(reductions, "_run_in_place", spy)
+    return runs
+
+
+def assert_same_result(fast, slow, inst) -> None:
+    assert fast.verdict == slow.verdict, inst
+    assert fast.instance == slow.instance, inst
+    assert fast.instance.labels == slow.instance.labels, inst
+    assert fast.trace.steps == slow.trace.steps, inst
+    assert fast.trace.attempts == slow.trace.attempts, inst
+    assert fast.trace.lp_pivots == slow.trace.lp_pivots, inst
+
+
+@st.composite
+def labelled_instances(draw):
+    """A small instance at d = 3 to 5 with random edges, budget and
+    labels."""
+    d = draw(st.integers(3, 5))
+    n = draw(st.integers(1, 10))
+    edge = st.sets(st.integers(0, n - 1), min_size=1, max_size=d).map(tuple)
+    edges = draw(st.lists(edge, max_size=25))
+    labels = draw(st.lists(st.integers(), min_size=n, max_size=n, unique=True))
+    return Instance(Hypergraph(n, tuple(edges), d), draw(st.integers(0, 4)), tuple(labels))
+
+
 class TestRunsInPlace:
     """Without an observer, the passes after a step that hands hints to
-    rules 1 and 2 run in place for as long as each ends in a rule-2 step;
-    with one, every pass calls the public rules."""
+    rules 1 and 2 run in place for as long as each ends in a step of rules
+    1-3 and no quick verdict falls; with one, every pass calls the public
+    rules."""
 
-    def test_same_result_with_and_without_an_observer(self):
-        seen = {"chained rule-2 steps": 0, "kernel": 0, "yes": 0, "no": 0}
+    def test_same_result_with_and_without_an_observer(self, monkeypatch):
+        runs = spy_on_runs(monkeypatch)
+        seen = dict.fromkeys(("chained rule-2 steps", "kernel", "yes", "no"), 0)
+        seen.update({f"in-run rule-{r} steps": 0 for r in (1, 2, 3)})
+        seen.update({"runs ending in yes": 0, "runs ending in no": 0})
+        floors = {"in-run rule-1 steps": 2000, "in-run rule-3 steps": 1000}
+        floors.update({"runs ending in yes": 300, "runs ending in no": 300})
         for inst in _resume_instances() + _planted_instances() + _crown_family_instances():
-            fast = kernelize(inst)
+            runs.clear()
             slow = kernelize(inst, lambda *event: None)
-            assert fast.verdict == slow.verdict, inst
-            assert fast.instance == slow.instance, inst
-            assert fast.instance.labels == slow.instance.labels, inst
-            assert fast.trace.steps == slow.trace.steps, inst
-            assert fast.trace.attempts == slow.trace.attempts, inst
-            assert fast.trace.lp_pivots == slow.trace.lp_pivots, inst
+            assert runs == []
+            fast = kernelize(inst)
+            assert_same_result(fast, slow, inst)
             seen["chained rule-2 steps"] += chained_rule2_steps(fast.trace.steps)
             seen[fast.verdict] += 1
-        assert min(seen.values()) > 100, seen
+            for taken, _ in runs:
+                for s in taken:
+                    seen[f"in-run rule-{s.rule} steps"] += 1
+            ends = [first for _, first in runs]
+            # Only the last run may end on a quick verdict, which then falls.
+            assert 1 not in ends[:-1]
+            if ends[-1:] == [1]:
+                assert fast.verdict in ("yes", "no")
+                seen[f"runs ending in {fast.verdict}"] += 1
+        assert all(count > floors.get(key, 100) for key, count in seen.items()), seen
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_instances())
+    def test_any_small_instance_gives_the_same_result_with_and_without_an_observer(self, inst):
+        assert_same_result(kernelize(inst), kernelize(inst, lambda *event: None), inst)
 
     def test_a_run_builds_no_successor_per_step(self, monkeypatch):
+        # A run takes its steps on one edge list, so _rebuild serves only
+        # the steps taken outside runs.
         rebuilds = []
         rebuild = reductions._rebuild
         monkeypatch.setattr(
             reductions, "_rebuild", lambda *args, **kw: rebuilds.append(args) or rebuild(*args, **kw)
         )
+        runs = spy_on_runs(monkeypatch)
         saved = 0
         for inst in _planted_instances():
             for observer in (None, lambda *event: None):
                 rebuilds.clear()
+                runs.clear()
                 steps = kernelize(inst, observer).trace.steps
                 applied = sum(1 for s in steps if s.rule <= 5)
-                chained = 0 if observer else chained_rule2_steps(steps)
-                assert len(rebuilds) == applied - chained
-                saved += chained
+                in_runs = sum(len(taken) for taken, _ in runs)
+                assert len(rebuilds) == applied - in_runs
+                saved += in_runs
         assert saved > 1000, saved
 
     @staticmethod
@@ -575,39 +635,86 @@ class TestRunsInPlace:
         edges = [(0, 1), (0, 1, 2), (0, 1, 3), (0, 6), (1, 6), (2, 4), (2, 5), (3, 4), (3, 5)]
         return Instance(Hypergraph(7, tuple(edges), 3), 3, labels=tuple("abcdefg"))
 
-    def test_a_run_builds_its_successor_once_and_resumes_at_rule3(self):
+    @staticmethod
+    def shrinking():
+        """A labelled instance on which rule 1 declines and rule 2 removes
+        ``abc``. The run that follows removes ``c`` (rule 1, shrinking
+        ``cd`` to ``d``), ``de`` (rule 2) and ``d`` (rule 3), and hands the
+        triangle ``ab``, ``ae``, ``be`` at ``k = 1`` to rule 4, which
+        contracts ``ab`` and ``ae`` into ``a``. The run after that removes
+        ``b`` (rule 1) and ``a`` (rule 3) and ends at ``k = 0`` with the
+        edge ``e`` left: no."""
+        edges = ["ab", "abc", "ae", "be", "cd", "de"]
+        return normalize(edges, 3, 2)
+
+    def test_a_run_builds_its_successor_once_and_resumes_at_rule4(self, monkeypatch):
         inst = self.chain()
         assert not rule1_vertex_domination(inst).applied
         outcome = rule2_edge_domination(inst)
+        builds = []
+        compacted = reductions._compacted
+        monkeypatch.setattr(reductions, "_compacted", lambda *a: builds.append(a) or compacted(*a))
         trace = ReductionTrace()
-        after, hints, first = reductions._edge_domination_run(
-            outcome.new_instance, outcome.hints, trace, 1
-        )
+        after, first = reductions._run_in_place(outcome.new_instance, outcome.hints, trace, 1)
         kept = [e for e in inst.edges if e not in ((0, 1, 2), (0, 1, 3))]
         expected = naive_successor(inst, kept, inst.k)
         assert after == expected and after.labels == expected.labels
-        assert (hints, first) == ({}, 3)
+        assert len(builds) == 1
+        assert first == 4
         assert trace.steps == [TraceStep(2, 0, 1, 0, 0)]
-        assert trace.attempts == {1: 2, 2: 2, 3: 0, 4: 0, 5: 0, 6: 0}
+        assert trace.attempts == {1: 2, 2: 2, 3: 1, 4: 0, 5: 0, 6: 0}
+
+    def test_a_run_that_removes_vertices_keeps_the_observer_paths_labels(self, monkeypatch):
+        runs = spy_on_runs(monkeypatch)
+        inst = self.shrinking()
+        fast, slow = kernelize(inst), kernelize(inst, lambda *event: None)
+        assert_same_result(fast, slow, inst)
+        removal, shrink = TraceStep(2, 0, 1, 0, 0), TraceStep(1, 1, 1, 1, 0)
+        unit, contraction = TraceStep(3, 1, 1, 0, -1), TraceStep(4, 0, 2, 1, 0)
+        assert fast.trace.steps == [removal, shrink, removal, unit, contraction, shrink, unit]
+        assert runs == [([shrink, removal, unit], 4), ([shrink, unit], 1)]
+        assert fast.verdict == "no"
+        assert fast.instance.edges == ((0,),) and fast.instance.labels == ("e",)
 
     def test_a_run_checks_the_ceiling_after_each_step(self):
-        outcome = rule2_edge_domination(self.chain())
-        with pytest.raises(InternalConsistencyError, match="iteration ceiling"):
-            reductions._edge_domination_run(outcome.new_instance, outcome.hints, ReductionTrace(), 0)
+        # The run after the first step takes a rule-1, a rule-2 and a
+        # rule-3 step; each is the last one recorded at its ceiling.
+        inst = self.shrinking()
+        assert not rule1_vertex_domination(inst).applied
+        outcome = rule2_edge_domination(inst)
+        for ceiling, rule in enumerate((1, 2, 3)):
+            trace = ReductionTrace()
+            with pytest.raises(InternalConsistencyError, match="iteration ceiling"):
+                reductions._run_in_place(outcome.new_instance, outcome.hints, trace, ceiling)
+            assert [s.rule for s in trace.steps] == [1, 2, 3][: ceiling + 1]
+            assert trace.steps[-1].rule == rule
 
-    def test_a_dominated_candidate_stops_the_run_before_its_attempt(self):
+    def test_the_rule1_finder_reads_only_the_vertices_left(self):
+        # Inside a run the removed vertices keep their ids and lie in no
+        # edge. A full scan must skip them, not take the lowest for an
+        # isolated vertex, and an isolated candidate is dominated only when
+        # another vertex is left. Under kernelize no vertex left in a run is
+        # ever in no edge, so only a direct call reaches either case.
+        edges = [(1, 3), (1, 4), (3, 4), (4, 5)]
+        assert reductions._dominated(edges, 6, None, ()) == (0, None)
+        assert reductions._dominated(edges, 6, None, {0, 2}) == (5, [])
+        assert reductions._dominated((), 3, [2], ()) == (2, [])
+        assert reductions._dominated((), 3, [2], {0, 1}) is None
+
+    def test_a_dominated_candidate_is_removed_inside_the_run(self):
         # Rule 2 removes (0, 1, 2), leaving vertex 2 dominated by 3: the
-        # run hands the next pass rule 1 with that candidate, uncounted.
+        # run counts rule 1's attempt and removes it in place, shrinking
+        # (2, 3) to (3,), which the instance lacked.
         inst = inst_of([(0, 1), (0, 1, 2), (0, 3), (1, 3), (2, 3)], 2)
         assert not rule1_vertex_domination(inst).applied
         outcome = rule2_edge_domination(inst)
+        assert outcome.hints[1] == (2,)
         trace = ReductionTrace()
-        after, hints, first = reductions._edge_domination_run(
-            outcome.new_instance, outcome.hints, trace, 10
-        )
-        assert after is outcome.new_instance
-        assert (hints, first) == (outcome.hints, 1) and hints[1] == (2,)
-        assert trace.steps == [] and not any(trace.attempts.values())
+        reductions._run_in_place(outcome.new_instance, outcome.hints, trace, 100)
+        assert trace.steps[0] == TraceStep(1, 1, 1, 1, 0)
+        assert trace.attempts[1] >= 1
+        slow = kernelize(inst, lambda *event: None)
+        assert [outcome.step] + trace.steps == slow.trace.steps[: len(trace.steps) + 1]
 
 
 def check_fields_only(successor) -> None:
